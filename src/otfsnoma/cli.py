@@ -35,17 +35,17 @@ def _require(params, *names):
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        cfg = parse_config_file(args.config)
-    except ConfigError as exc:
-        raise SystemExit(f"invalid scenario config: {exc}") from exc
+    if args.threads < 1:
+        raise SystemExit(f"invalid option: threads: must be >= 1, got {args.threads}")
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.trials is not None:
         overrides["trials"] = args.trials
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    try:
+        cfg = replace(parse_config_file(args.config), **overrides)
+    except ConfigError as exc:
+        raise SystemExit(f"invalid scenario config: {exc}") from exc
     points = run_scenario(cfg, workers=args.threads)
     emit_csv(points, args.out)
     print(f"wrote {len(points)} points to {args.out}")

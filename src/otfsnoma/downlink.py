@@ -21,11 +21,12 @@ from .equalizers import (
     fd_le_equalize,
     fd_le_sinr,
     GenieFeedback,
-    static_cholesky_lambdas,
+    static_dfe_sinrs,
 )
-from .grid_channel import ChannelProfile, ChannelRealization, Grid, sample_gain_matrix
-from .rng import substream
+from .grid_channel import ChannelProfile, ChannelRealization, Grid
+from .harness import last_pivot_kernel, monte_carlo
 from .transforms import (
+    DiagonalizedChannel,
     Domain,
     Frame,
     build_block_circulant,
@@ -157,14 +158,9 @@ def noma_stage1(realization: ChannelRealization, grid: Grid, rho: float,
     m = grid.m_delay
     try:
         if equalizer == "le":
-            d = nomauser_diagonalize(realization, grid)
-            a = np.abs(d) ** 2
-            if a.min() < 1e-24:
-                return np.zeros(m)
-            phi = float(np.mean(1.0 / a))
-            return np.full(m, rho * power.gamma0_sq / (rho * power.gamma1_sq + phi))
-        lam = static_cholesky_lambdas(realization, grid)
-        return rho * power.gamma0_sq / (rho * power.gamma1_sq + 1.0 / lam)
+            d = DiagonalizedChannel(nomauser_diagonalize(realization, grid))
+            return np.full(m, fd_le_sinr(d, rho, power))
+        return static_dfe_sinrs(realization, grid, rho, power)
     except SingularChannelError:
         return np.zeros(m)
 
@@ -202,19 +198,5 @@ def dfe_last_symbol_outage_mc(profile: ChannelProfile, rho: float, power: PowerA
     million-trial runs cheap.  (The identity itself is validated against the
     dense factorization in the test suite.)
     """
-    eps0 = 2.0**rate_u0 - 1.0
-    hits = 0
-    done = 0
-    block = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        rng = substream(seed, block)
-        gains = sample_gain_matrix(profile, rng, take)
-        lam_last = np.sum(np.abs(gains) ** 2, axis=1)
-        sinr = rho * power.gamma0_sq / (rho * power.gamma1_sq + 1.0 / lam_last)
-        hits += int(np.count_nonzero(sinr < eps0))
-        done += take
-        block += 1
-    p = hits / trials
-    se = np.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return McEstimate(value=p, std_error=float(se), trials=trials)
+    return monte_carlo(last_pivot_kernel, (profile, power, rate_u0), rho, (seed,), trials,
+                       chunk)["u0_outage_last"]

@@ -71,15 +71,22 @@ class DfeFactors:
         return self.lam.shape[0]
 
 
+def batch_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
+    """FD-LE φ = mean |D|⁻² over ``axis`` of the eigenvalue powers |D|².
+
+    A channel with any |D|² < SINGULARITY_EPS² is singular and gets φ = inf,
+    which puts every one of its symbols in outage.
+    """
+    phi = (1.0 / np.where(power > 0, power, np.inf)).mean(axis=axis)
+    return np.where(power.min(axis=axis) < SINGULARITY_EPS**2, np.inf, phi)
+
+
 def noise_enhancement(d: DiagonalizedChannel) -> float:
     """φ = (1/NM) Σ |D[k,l]|⁻², the FD-LE noise amplification.
 
     Equal to (1/NM)·trace(D⁻¹D⁻ᴴ); returns inf for a singular channel.
     """
-    a = np.abs(d.d_values) ** 2
-    if a.min() < SINGULARITY_EPS**2:
-        return np.inf
-    return float(np.mean(1.0 / a))
+    return float(batch_noise_enhancement(np.abs(d.d_values) ** 2, None))
 
 
 def fd_le_equalize(y: Frame, d: DiagonalizedChannel) -> Frame:
@@ -105,50 +112,25 @@ def fd_le_sinr(d: DiagonalizedChannel, rho: float, p: PowerAllocation) -> float:
     equalization is block-circulant with constant diagonal φ.  A singular
     channel yields SINR 0 (certain outage).
     """
-    phi = noise_enhancement(d)
-    if not np.isfinite(phi):
-        return 0.0
-    return rho * p.gamma0_sq / (rho * p.gamma1_sq + phi)
-
-
-def _reversed_cholesky_pivots(gram: np.ndarray) -> np.ndarray:
-    """Pivots λ (in symbol order) of G = L^H Λ L via Cholesky of the
-    index-reversed Gram matrix.  Supports stacked leading axes; raises
-    ``numpy.linalg.LinAlgError`` when any matrix is not positive definite.
-    """
-    rev = gram[..., ::-1, ::-1]
-    chol = np.linalg.cholesky(rev)
-    diag = np.einsum("...ii->...i", chol).real
-    return (diag * diag)[..., ::-1]
+    return rho * p.gamma0_sq / (rho * p.gamma1_sq + noise_enhancement(d))
 
 
 def _reversed_cholesky(gram: np.ndarray):
-    """Full (L, λ) factors of a single Gram matrix G = L^H Λ L."""
-    rev = gram[::-1, ::-1]
-    chol = np.linalg.cholesky(rev)
-    diag = np.diagonal(chol).real
-    unit = chol / diag[None, :]
-    lam = (diag * diag)[::-1]
-    l_factor = unit.conj().T[::-1, ::-1]
-    return l_factor, lam
+    """Cholesky factor C of the index-reversed Gram matrix, and the pivots λ
+    (in symbol order) of G = L^H Λ L.  Supports stacked leading axes; raises
+    ``numpy.linalg.LinAlgError`` when any matrix is not positive definite.
+    """
+    chol = np.linalg.cholesky(gram[..., ::-1, ::-1])
+    diag = np.einsum("...ii->...i", chol).real
+    return chol, (diag * diag)[..., ::-1]
 
 
-def gram_tap_array(realization: ChannelRealization, grid: Grid) -> np.ndarray:
-    """(N, M) taps of the Gram operator H^H H (itself block-circulant).
+def gram_taps_from_gains(doppler_taps, delay_taps, gains, n: int, m: int) -> np.ndarray:
+    """(..., N, M) taps of the Gram operator H^H H (itself block-circulant).
 
     Path pair (p, q) contributes conj(h_p)h_q at Doppler (k_q−k_p) mod N and
     delay (l_q−l_p) mod M; gains may carry leading batch axes.
     """
-    return gram_taps_from_gains(
-        realization.profile.doppler_taps,
-        realization.profile.delay_taps,
-        realization.gains,
-        grid.n_doppler,
-        grid.m_delay,
-    )
-
-
-def gram_taps_from_gains(doppler_taps, delay_taps, gains, n: int, m: int) -> np.ndarray:
     gains = np.asarray(gains, dtype=np.complex128)
     out = np.zeros(gains.shape[:-1] + (n, m), dtype=np.complex128)
     npaths = len(delay_taps)
@@ -168,13 +150,17 @@ def cholesky_factors(channel: BlockCirculantChannel) -> DfeFactors:
     (desk-scale grids only).  Raises :class:`SingularChannelError` when H is
     rank deficient, i.e. any pivot falls below the singularity threshold.
     """
-    gram = dense_block_circulant(gram_tap_array(channel.realization, channel.grid))
+    prof, grid = channel.realization.profile, channel.grid
+    gram = dense_block_circulant(gram_taps_from_gains(
+        prof.doppler_taps, prof.delay_taps, channel.realization.gains,
+        grid.n_doppler, grid.m_delay))
     try:
-        l_factor, lam = _reversed_cholesky(gram)
+        chol, lam = _reversed_cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError("H^H H is not positive definite") from exc
     if lam.min() < SINGULARITY_EPS:
         raise SingularChannelError("DFE pivot below singularity threshold")
+    l_factor = (chol / np.diagonal(chol).real).conj().T[::-1, ::-1]
     return DfeFactors(l_factor=l_factor, lam=lam)
 
 
@@ -250,38 +236,22 @@ def static_cholesky_lambdas(realization: ChannelRealization, grid: Grid) -> np.n
     if not prof.is_static():
         raise ValueError("static factors require a Doppler-free profile")
     prof.check_fits(grid)
-    gram_taps = static_gram_taps(prof.delay_taps, realization.gains, grid.m_delay)
-    gram = _dense_circulant(gram_taps)
-    try:
-        return _reversed_cholesky_pivots(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularChannelError("circulant block is not positive definite") from exc
+    lam, ok = batch_static_lambdas(prof.delay_taps, realization.gains[None], grid.m_delay)
+    if not ok[0]:
+        raise SingularChannelError("circulant block is numerically singular")
+    return lam[0]
 
 
 def static_gram_taps(delay_taps, gains, m: int) -> np.ndarray:
-    gains = np.asarray(gains, dtype=np.complex128)
-    out = np.zeros(gains.shape[:-1] + (m,), dtype=np.complex128)
-    npaths = len(delay_taps)
-    for p in range(npaths):
-        hp = np.conj(gains[..., p])
-        for q in range(npaths):
-            ll = int((delay_taps[q] - delay_taps[p]) % m)
-            out[..., ll] += hp * gains[..., q]
-    return out
-
-
-def _dense_circulant(taps: np.ndarray) -> np.ndarray:
-    m = taps.shape[-1]
-    ld = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
-    return taps[..., ld]
+    """(..., M) taps of a Doppler-free channel's M×M circulant Gram block:
+    the N=1 case of :func:`gram_taps_from_gains`."""
+    return gram_taps_from_gains(np.zeros_like(delay_taps), delay_taps, gains, 1, m)[..., 0, :]
 
 
 def static_dfe_sinrs(realization: ChannelRealization, grid: Grid, rho: float,
                      p: PowerAllocation) -> np.ndarray:
     """M per-symbol DFE SINRs on the M-point static channel."""
     lam = static_cholesky_lambdas(realization, grid)
-    if lam.min() < SINGULARITY_EPS:
-        raise SingularChannelError("static DFE pivot below singularity threshold")
     return rho * p.gamma0_sq / (rho * p.gamma1_sq + 1.0 / lam)
 
 
@@ -302,11 +272,11 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
         hi = min(lo + chunk, trials)
         dense = dense_block_circulant(gram_taps[lo:hi])
         try:
-            lam[lo:hi] = _reversed_cholesky_pivots(dense)
+            lam[lo:hi] = _reversed_cholesky(dense)[1]
         except np.linalg.LinAlgError:
             for t in range(lo, hi):
                 try:
-                    lam[t] = _reversed_cholesky_pivots(dense[t - lo])
+                    lam[t] = _reversed_cholesky(dense[t - lo])[1]
                 except np.linalg.LinAlgError:
                     ok[t] = False
     bad = lam.min(axis=1) < SINGULARITY_EPS
@@ -315,23 +285,12 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
 
 
 def batch_static_lambdas(delay_taps, gains: np.ndarray, m: int):
-    """M-point pivots for stacked static channels, shape (..., M), plus mask."""
-    gram = _dense_circulant(static_gram_taps(delay_taps, gains, m))
+    """M-point pivots for stacked static channels, shape (..., M), plus mask.
+
+    A Doppler-free channel is the N=1 case of the block-circulant one, so the
+    stack is flattened and factored by :func:`batch_dfe_lambdas`.
+    """
     lead = gains.shape[:-1]
-    lam = np.ones(lead + (m,))
-    ok = np.ones(lead, dtype=bool)
-    try:
-        lam = _reversed_cholesky_pivots(gram)
-    except np.linalg.LinAlgError:
-        flat = gram.reshape((-1, m, m))
-        lam = lam.reshape((-1, m))
-        okf = ok.reshape(-1)
-        for t in range(flat.shape[0]):
-            try:
-                lam[t] = _reversed_cholesky_pivots(flat[t])
-            except np.linalg.LinAlgError:
-                okf[t] = False
-        lam = lam.reshape(lead + (m,))
-        ok = okf.reshape(lead)
-    ok &= ~(lam.min(axis=-1) < SINGULARITY_EPS)
-    return lam, ok
+    lam, ok = batch_dfe_lambdas(np.zeros_like(delay_taps), delay_taps,
+                                gains.reshape((-1, gains.shape[-1])), 1, m)
+    return lam.reshape(lead + (m,)), ok.reshape(lead)

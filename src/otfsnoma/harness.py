@@ -1,21 +1,26 @@
 """Monte Carlo experiment engine, analytic oracles, and CSV serialization.
 
-A scenario fans its trials out in fixed-size blocks; each block draws from a
-substream keyed by (seed, snr_index, block_index) and returns partial sums
-that are merged in block order, so a run is bit-reproducible regardless of
-the worker count.  Every probability metric carries a 95% normal-approximation
-confidence halfwidth computed from the per-trial spread.
+Every estimate comes from one block driver: a per-block kernel
+``(cfg, rho, rng, trials) -> {metric: per-trial samples}`` runs on
+fixed-size blocks, each drawing from a substream keyed by the caller's key
+and the block index, and the blocks' partial sums are merged in block order,
+so a run is bit-reproducible regardless of the worker count.  Scenarios key
+their blocks by (seed, snr_index, block_index); the standalone estimators in
+``uplink`` and ``downlink`` wrap the same kernels with (seed, block_index).
+Every metric carries a 95% normal-approximation confidence halfwidth
+computed from the per-trial spread.
 """
 
 import concurrent.futures
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import ConfigError, EstimatorUndefinedError
-from .equalizers import batch_dfe_lambdas, batch_static_lambdas
+from .common import ConfigError, EstimatorUndefinedError, McEstimate
+from .equalizers import batch_dfe_lambdas, batch_noise_enhancement, batch_static_lambdas
 from .grid_channel import ChannelProfile, Grid, make_grid, sample_gain_matrix, table1_profile
 from .rng import substream
 from .scheduling import batch_schedule
@@ -206,208 +211,189 @@ def parse_config_file(path) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-#  Per-block trial kernels
+#  Per-block trial kernels: (cfg, rho, rng, trials) -> {metric: per-trial samples}
+#
+#  The high-mobility user's noise enhancement is one value ν per symbol: the
+#  FD-LE φ, shape (T, 1), or the FD-DFE 1/λ, shape (T, NM), with ν = inf on
+#  singular channels.  Its NOMA SINR is ργ₀²/(ργ₁² + ν) and its OMA or
+#  interference-free SINR ρ/ν, whichever equalizer produced ν.
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(store: dict, name: str, samples: np.ndarray):
-    s, s2, t = store.get(name, (0.0, 0.0, 0))
-    samples = np.asarray(samples, dtype=float)
-    store[name] = (s + float(samples.sum()), s2 + float((samples**2).sum()),
-                   t + samples.size)
+def _dfe_nu(lam: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    nu = 1.0 / lam
+    nu[~ok] = np.inf
+    return nu
 
 
-def _downlink_block(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
-    n, m = cfg.n, cfg.m
+def _draw(cfg: ScenarioConfig, rng, trials: int):
+    """Gains and squared spectra of one block, U0's (T, P₀+1) and (T, N, M)
+    and the K static users' (T, K, Pᵢ+1) and (T, K, M), then the scheduled
+    user per subchannel and its squared gain, both (T, M).  The draw order is
+    fixed: U0 gains, then the K users, then scheduling draws."""
+    u0p, nomap = cfg.u0_profile, cfg.noma_profile
+    h0 = sample_gain_matrix(u0p, rng, trials)
+    hk = sample_gain_matrix(nomap, rng, trials * cfg.k_users)
+    hk = hk.reshape(trials, cfg.k_users, nomap.num_paths)
+    taps0 = np.zeros((trials, cfg.n, cfg.m), dtype=np.complex128)
+    taps0[:, u0p.doppler_taps, u0p.delay_taps] = h0
+    tapsk = np.zeros((trials, cfg.k_users, cfg.m), dtype=np.complex128)
+    tapsk[:, :, nomap.delay_taps] = hk
+    a0 = np.abs(spectrum_from_taps(taps0)) ** 2
+    ak = np.abs(static_spectrum_from_taps(tapsk)) ** 2
+    sel = batch_schedule(ak, cfg.scheduler, rng, cfg.m)
+    return h0, a0, hk, ak, sel, ak[np.arange(trials)[:, None], sel, np.arange(cfg.m)]
+
+
+def _u0_nu(cfg: ScenarioConfig, h0: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    if cfg.equalizer == "le":
+        return batch_noise_enhancement(a0, (1, 2))[:, None]
+    u0p = cfg.u0_profile
+    return _dfe_nu(*batch_dfe_lambdas(u0p.doppler_taps, u0p.delay_taps, h0, cfg.n, cfg.m))
+
+
+def downlink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
+    """Downlink outages of U0 (NOMA split and OMA baseline) and of the
+    scheduled NOMA users' two-stage SIC, with the outage sum rates."""
     g0sq = cfg.gamma0_sq
     g1sq = 1.0 - cfg.gamma0_sq
     eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
-    u0p, nomap = cfg.u0_profile, cfg.noma_profile
-
-    # fixed draw order: U0 gains, then the K NOMA users, then scheduling draws
-    h0 = sample_gain_matrix(u0p, rng, trials)
-    hk = sample_gain_matrix(nomap, rng, trials * cfg.k_users)
-    hk = hk.reshape(trials, cfg.k_users, nomap.num_paths)
-
-    store: dict = {}
+    h0, a0, hk, ak, sel, gsel = _draw(cfg, rng, trials)
 
     # --- U0 detection (NOMA power split and the OMA baseline) ---
-    taps0 = np.zeros((trials, n, m), dtype=np.complex128)
-    taps0[:, u0p.doppler_taps, u0p.delay_taps] = h0
-    a0 = np.abs(spectrum_from_taps(taps0)) ** 2
-    if cfg.equalizer == "le":
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / np.where(a0 > 0, a0, np.inf)
-        phi = inv.mean(axis=(1, 2))
-        phi[a0.min(axis=(1, 2)) < 1e-24] = np.inf
-        out_noma = (rho * g0sq / (rho * g1sq + phi) < eps0).astype(float)
-        out_oma = (rho / phi < eps0).astype(float)
-        u0_mean, u0_first, u0_last = out_noma, out_noma, out_noma
-        oma_mean, oma_first, oma_last = out_oma, out_oma, out_oma
-    else:
-        lam, ok = batch_dfe_lambdas(u0p.doppler_taps, u0p.delay_taps, h0, n, m)
-        flags = (rho * g0sq / (rho * g1sq + 1.0 / lam) < eps0)
-        flags[~ok] = True
-        flags_oma = (rho * lam < eps0)
-        flags_oma[~ok] = True
-        u0_mean = flags.mean(axis=1)
-        u0_first = flags[:, 0].astype(float)
-        u0_last = flags[:, -1].astype(float)
-        oma_mean = flags_oma.mean(axis=1)
-        oma_first = flags_oma[:, 0].astype(float)
-        oma_last = flags_oma[:, -1].astype(float)
-
-    _accumulate(store, "u0_outage", u0_mean)
-    _accumulate(store, "u0_outage_first", u0_first)
-    _accumulate(store, "u0_outage_last", u0_last)
-    _accumulate(store, "u0_outage_oma", oma_mean)
-    _accumulate(store, "u0_outage_oma_first", oma_first)
-    _accumulate(store, "u0_outage_oma_last", oma_last)
+    nu0 = _u0_nu(cfg, h0, a0)
+    samples = {}
+    for name, flags in (("u0_outage", rho * g0sq / (rho * g1sq + nu0) < eps0),
+                        ("u0_outage_oma", rho / nu0 < eps0)):
+        samples[name] = flags.mean(axis=1)
+        samples[name + "_first"] = flags[:, 0]
+        samples[name + "_last"] = flags[:, -1]
 
     # --- NOMA users: stage-I (decode U0) then stage-II (own symbol) ---
-    tapsk = np.zeros((trials, cfg.k_users, m), dtype=np.complex128)
-    tapsk[:, :, nomap.delay_taps] = hk
-    ak = np.abs(static_spectrum_from_taps(tapsk)) ** 2
-
     if cfg.equalizer == "le":
-        with np.errstate(divide="ignore"):
-            invk = 1.0 / np.where(ak > 0, ak, np.inf)
-        phik = invk.mean(axis=2)
-        phik[ak.min(axis=2) < 1e-24] = np.inf
-        ok1_user = rho * g0sq / (rho * g1sq + phik) > eps0  # (T, K)
+        nuk = batch_noise_enhancement(ak, 2)[..., None]
     else:
-        lamk, okk = batch_static_lambdas(nomap.delay_taps, hk, m)
-        sinr1 = rho * g0sq / (rho * g1sq + 1.0 / lamk)
-        ok1_user = (sinr1 > eps0).all(axis=2) & okk
-
-    sel = batch_schedule(ak, cfg.scheduler, rng, m)  # (T, M) user per subchannel
-    rows = np.arange(trials)[:, None]
-    cols = np.arange(m)[None, :]
+        nuk = _dfe_nu(*batch_static_lambdas(cfg.noma_profile.delay_taps, hk, cfg.m))
+    ok1_user = (rho * g0sq / (rho * g1sq + nuk) > eps0).all(axis=2)  # (T, K)
     ok1_sel = np.take_along_axis(ok1_user, sel, axis=1)
-    snr2 = rho * g1sq * ak[rows, sel, cols]
+    snr2 = rho * g1sq * gsel
     noma_out = ~(ok1_sel & (snr2 > epsi))  # (T, M); constant over the N symbols
     noma_frac = noma_out.mean(axis=1)
-    _accumulate(store, "noma_outage", noma_frac)
+    samples["noma_outage"] = noma_frac
+    samples["outage_sum_rate_noma"] = (cfg.rate_u0 * (1.0 - samples["u0_outage"])
+                                       + cfg.rate_noma * (1.0 - noma_frac))
+    samples["outage_sum_rate_oma"] = cfg.rate_u0 * (1.0 - samples["u0_outage_oma"])
+    return samples
 
-    _accumulate(store, "outage_sum_rate_noma",
-                cfg.rate_u0 * (1.0 - u0_mean) + cfg.rate_noma * (1.0 - noma_frac))
-    _accumulate(store, "outage_sum_rate_oma", cfg.rate_u0 * (1.0 - oma_mean))
-    return store
 
-
-def _uplink_block(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
-    n, m = cfg.n, cfg.m
+def uplink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
+    """Uplink stage-I cell SINRs of the scheduled NOMA users and U0's
+    stage-II outage; fixed-rate outages or the adaptive ergodic rate gain."""
     eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
-    u0p, nomap = cfg.u0_profile, cfg.noma_profile
-
-    h0 = sample_gain_matrix(u0p, rng, trials)
-    hk = sample_gain_matrix(nomap, rng, trials * cfg.k_users)
-    hk = hk.reshape(trials, cfg.k_users, nomap.num_paths)
-
-    taps0 = np.zeros((trials, n, m), dtype=np.complex128)
-    taps0[:, u0p.doppler_taps, u0p.delay_taps] = h0
-    a0 = np.abs(spectrum_from_taps(taps0)) ** 2
-    tapsk = np.zeros((trials, cfg.k_users, m), dtype=np.complex128)
-    tapsk[:, :, nomap.delay_taps] = hk
-    ak = np.abs(static_spectrum_from_taps(tapsk)) ** 2
-
-    sel = batch_schedule(ak, cfg.scheduler, rng, m)
-    rows = np.arange(trials)[:, None]
-    gsel = ak[rows, sel, np.arange(m)[None, :]]
+    h0, a0, _, _, _, gsel = _draw(cfg, rng, trials)
     sinr1 = rho * gsel[:, None, :] / (rho * a0 + 1.0)  # (T, N, M)
 
-    store: dict = {}
-
-    # stage-II SINR for U0 (interference-free once NOMA signals are removed)
-    if cfg.equalizer == "le":
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / np.where(a0 > 0, a0, np.inf)
-        phi = inv.mean(axis=(1, 2))
-        phi[a0.min(axis=(1, 2)) < 1e-24] = np.inf
-        stage2_out_sym = (rho / phi < eps0)[:, None] * np.ones((1, n * m), dtype=bool)
-    else:
-        lam, ok = batch_dfe_lambdas(u0p.doppler_taps, u0p.delay_taps, h0, n, m)
-        stage2_out_sym = rho * lam < eps0
-        stage2_out_sym[~ok] = True
-    stage2_frac = stage2_out_sym.mean(axis=1)
+    # stage-II for U0 is interference-free once the NOMA signals are removed
+    stage2_out = rho / _u0_nu(cfg, h0, a0) < eps0
+    stage2_frac = stage2_out.mean(axis=1)
 
     if cfg.rate_mode == "adaptive":
-        _accumulate(store, "ergodic_rate_gain", np.log2(1.0 + sinr1).mean(axis=(1, 2)))
-        _accumulate(store, "u0_outage", stage2_frac)
-    else:
-        cell_ok = sinr1 > epsi
-        noma_frac = 1.0 - cell_ok.mean(axis=(1, 2))
-        all_ok = cell_ok.all(axis=(1, 2))
-        joint_ok = (~stage2_out_sym) & all_ok[:, None]
-        u0_joint = 1.0 - joint_ok.mean(axis=1)
-        _accumulate(store, "noma_outage", noma_frac)
-        _accumulate(store, "u0_outage", u0_joint)
-        _accumulate(store, "u0_outage_stage2", stage2_frac)
-        _accumulate(store, "outage_sum_rate_noma",
-                    cfg.rate_u0 * (1.0 - u0_joint) + cfg.rate_noma * (1.0 - noma_frac))
-        _accumulate(store, "outage_sum_rate_oma", cfg.rate_u0 * (1.0 - stage2_frac))
-    return store
+        return {"ergodic_rate_gain": np.log2(1.0 + sinr1).mean(axis=(1, 2)),
+                "u0_outage": stage2_frac}
+    cell_ok = sinr1 > epsi
+    noma_frac = 1.0 - cell_ok.mean(axis=(1, 2))
+    joint_ok = ~stage2_out & cell_ok.all(axis=(1, 2))[:, None]
+    u0_joint = 1.0 - joint_ok.mean(axis=1)
+    return {
+        "noma_outage": noma_frac,
+        "u0_outage": u0_joint,
+        "u0_outage_stage2": stage2_frac,
+        "outage_sum_rate_noma": cfg.rate_u0 * (1.0 - u0_joint) + cfg.rate_noma * (1.0 - noma_frac),
+        "outage_sum_rate_oma": cfg.rate_u0 * (1.0 - stage2_frac),
+    }
 
 
-def _run_block(cfg: ScenarioConfig, snr_index: int, block_index: int, trials: int) -> dict:
-    rho = 10.0 ** (cfg.snr_db[snr_index] / 10.0)
-    rng = substream(cfg.seed, snr_index, block_index)
-    if cfg.direction == "downlink":
-        return _downlink_block(cfg, rho, rng, trials)
-    return _uplink_block(cfg, rho, rng, trials)
+def last_pivot_kernel(cfg, rho: float, rng, trials: int) -> dict:
+    """Outage of the best-protected FD-DFE symbol from its pivot Σ|h_p|².
+
+    ``cfg`` is ``(profile, power, rate_u0)`` with ``power`` a
+    :class:`~otfsnoma.equalizers.PowerAllocation`.
+    """
+    profile, power, rate_u0 = cfg
+    nu = 1.0 / np.sum(np.abs(sample_gain_matrix(profile, rng, trials)) ** 2, axis=1)
+    return {"u0_outage_last": rho * power.gamma0_sq / (rho * power.gamma1_sq + nu)
+            < 2.0**rate_u0 - 1.0}
 
 
 # ---------------------------------------------------------------------------
-#  Scenario driver
+#  Block driver
 # ---------------------------------------------------------------------------
 
 
-def _blocks(total: int):
-    out = []
-    index = 0
-    start = 0
-    while start < total:
-        take = min(BLOCK_TRIALS, total - start)
-        out.append((index, take))
-        index += 1
-        start += take
+def _block_tasks(kernel, cfg, rho: float, key: tuple, trials: int, chunk: int) -> list:
+    """One task per block of ``chunk`` trials; block b draws from substream(*key, b)."""
+    return [(kernel, cfg, rho, (*key, b), min(chunk, trials - lo))
+            for b, lo in enumerate(range(0, trials, chunk))]
+
+
+def _block_sums(kernel, cfg, rho: float, key: tuple, trials: int) -> dict:
+    """Run one block and reduce each metric to (Σx, Σx², count)."""
+    sums = {}
+    for name, samples in kernel(cfg, rho, substream(*key), trials).items():
+        x = np.asarray(samples, dtype=float)
+        sums[name] = (float(x.sum()), float((x**2).sum()), x.size)
+    return sums
+
+
+def _accumulate(block_sums) -> dict:
+    """Merge per-block sums in block order: {metric: McEstimate}, with the
+    standard error from the unbiased per-trial variance."""
+    merged: dict = {}
+    for sums in block_sums:
+        for name, (s, s2, t) in sums.items():
+            acc = merged.get(name, (0.0, 0.0, 0))
+            merged[name] = (acc[0] + s, acc[1] + s2, acc[2] + t)
+    out = {}
+    for name, (s, s2, t) in merged.items():
+        mean = s / t
+        var = max(s2 - t * mean**2, 0.0) / (t - 1) if t > 1 else 0.0
+        out[name] = McEstimate(value=mean, std_error=math.sqrt(var / t), trials=t)
     return out
+
+
+def monte_carlo(kernel, cfg, rho: float, key: tuple, trials: int,
+                chunk: int = BLOCK_TRIALS) -> dict:
+    """{metric: McEstimate} of ``kernel`` over ``trials`` trials, run serially
+    in blocks of ``chunk``; block b draws from substream(*key, b)."""
+    return _accumulate(itertools.starmap(_block_sums,
+                                         _block_tasks(kernel, cfg, rho, key, trials, chunk)))
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     """Run every SNR point of a scenario and return sorted curve points.
 
-    Trials are processed in fixed-size blocks with per-block substreams and
-    the partial sums merged in block order, so the output is bit-identical
-    for any ``workers`` count.
+    Trials are processed in fixed-size blocks with per-block substreams
+    keyed by (seed, snr_index, block_index) and the partial sums merged in
+    block order, so the output is bit-identical for any ``workers`` count.
     """
-    tasks = [(si, bi, t) for si in range(len(cfg.snr_db)) for bi, t in _blocks(cfg.trials)]
-    results = {}
+    kernel = downlink_kernel if cfg.direction == "downlink" else uplink_kernel
+    per_point = [_block_tasks(kernel, cfg, 10.0 ** (snr / 10.0), (cfg.seed, si),
+                              cfg.trials, BLOCK_TRIALS)
+                 for si, snr in enumerate(cfg.snr_db)]
+    tasks = [task for point_tasks in per_point for task in point_tasks]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_block, cfg, si, bi, t): (si, bi) for si, bi, t in tasks}
-            for fut, key in futures.items():
-                results[key] = fut.result()
+            sums = iter(list(pool.map(_block_sums, *zip(*tasks))))
     else:
-        for si, bi, t in tasks:
-            results[(si, bi)] = _run_block(cfg, si, bi, t)
+        sums = itertools.starmap(_block_sums, tasks)
 
     points = []
-    for si, snr in enumerate(cfg.snr_db):
-        merged: dict = {}
-        for bi, _ in _blocks(cfg.trials):
-            for name, (s, s2, t) in results[(si, bi)].items():
-                acc = merged.get(name, (0.0, 0.0, 0))
-                merged[name] = (acc[0] + s, acc[1] + s2, acc[2] + t)
-        for name in sorted(merged):
-            s, s2, t = merged[name]
-            mean = s / t
-            var = max(s2 - t * mean**2, 0.0) / (t - 1) if t > 1 else 0.0
-            ci = 1.96 * math.sqrt(var / t) if t > 1 else 0.0
-            points.append(CurvePoint(snr_db=snr, metric=name, value=mean,
-                                     ci_halfwidth=ci, trials_used=t))
+    for snr, point_tasks in zip(cfg.snr_db, per_point):
+        for name, est in _accumulate(itertools.islice(sums, len(point_tasks))).items():
+            points.append(CurvePoint(snr_db=snr, metric=name, value=est.value,
+                                     ci_halfwidth=est.ci_halfwidth, trials_used=est.trials))
     points.sort(key=lambda p: (p.metric, p.snr_db))
     return points
 

@@ -14,18 +14,11 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .common import McEstimate, SingularChannelError
-from .equalizers import batch_dfe_lambdas, cholesky_factors, noise_enhancement
-from .grid_channel import ChannelProfile, ChannelRealization, Grid, sample_gain_matrix
-from .rng import substream
-from .scheduling import batch_schedule
-from .transforms import (
-    build_block_circulant,
-    diagonalize,
-    isfft2,
-    spectrum_from_taps,
-    static_spectrum_from_taps,
-)
+from .common import McEstimate, SingularChannelError, linear_to_db
+from .equalizers import cholesky_factors, noise_enhancement
+from .grid_channel import ChannelProfile, ChannelRealization, Grid
+from .harness import ScenarioConfig, monte_carlo, uplink_kernel
+from .transforms import build_block_circulant, diagonalize, isfft2
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,38 +128,25 @@ def uplink_stage2_sinrs(realization: ChannelRealization, grid: Grid, rho: float,
     channel = build_block_circulant(realization, grid)
     try:
         if equalizer == "le":
-            phi = noise_enhancement(diagonalize(channel))
-            if not np.isfinite(phi):
-                return np.zeros((n, m))
-            return np.full((n, m), rho / phi)
+            return np.full((n, m), rho / noise_enhancement(diagonalize(channel)))
         factors = cholesky_factors(channel)
         return (rho * factors.lam).reshape(n, m)
     except SingularChannelError:
         return np.zeros((n, m))
 
 
-def _draw_spectra(rng, u0_profile, noma_profile, grid, k_users, trials):
-    """Per-trial gains and diagonal spectra for one block of trials.
-
-    Returns (g0, d0, gk, dk): the high-mobility user's gains (T, P₀+1) and
-    spectrum (T, N, M), and the K static users' gains (T, K, P_i+1) and
-    M-point diagonals (T, K, M).  Draw order is fixed (U₀ first) so results
-    do not depend on how blocks are scheduled.
-    """
-    u0_profile.check_fits(grid)
-    noma_profile.check_fits(grid)
-    n, m = grid.n_doppler, grid.m_delay
-    g0 = sample_gain_matrix(u0_profile, rng, trials)
-    taps0 = np.zeros((trials, n, m), dtype=np.complex128)
-    taps0[:, u0_profile.doppler_taps, u0_profile.delay_taps] = g0
-    d0 = spectrum_from_taps(taps0)
-
-    gk = sample_gain_matrix(noma_profile, rng, trials * k_users)
-    gk = gk.reshape(trials, k_users, noma_profile.num_paths)
-    tapsk = np.zeros((trials, k_users, m), dtype=np.complex128)
-    tapsk[:, :, noma_profile.delay_taps] = gk
-    dk = static_spectrum_from_taps(tapsk)
-    return g0, d0, gk, dk
+def _uplink_estimates(grid: Grid, u0_profile: ChannelProfile, noma_profile: ChannelProfile,
+                      k_users: int, rate_u0: float, rate_noma: float, rho: float,
+                      equalizer: str, trials: int, seed: int, scheduler: str,
+                      chunk: int) -> dict:
+    """Fixed-rate uplink metrics from the harness kernel; block b of ``chunk``
+    trials draws from substream(seed, b)."""
+    cfg = ScenarioConfig(direction="uplink", n=grid.n_doppler, m=grid.m_delay,
+                         delta_f=grid.subcarrier_spacing, k_users=k_users, gamma0_sq=1.0,
+                         rate_u0=rate_u0, rate_noma=rate_noma, equalizer=equalizer,
+                         scheduler=scheduler, snr_db=(linear_to_db(rho),), trials=trials,
+                         seed=seed, u0_profile=u0_profile, noma_profile=noma_profile)
+    return monte_carlo(uplink_kernel, cfg, rho, (seed,), trials, chunk)
 
 
 def fixed_rate_outage_mc(grid: Grid, u0_profile: ChannelProfile, noma_profile: ChannelProfile,
@@ -177,30 +157,9 @@ def fixed_rate_outage_mc(grid: Grid, u0_profile: ChannelProfile, noma_profile: C
     Averages the flag [log2(1 + SINR_{i*_m,n}) < R] over all N·M cells and
     ``trials`` channel draws.
     """
-    n, m = grid.n_doppler, grid.m_delay
-    eps = 2.0**rate_noma - 1.0
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    block = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        rng = substream(seed, block)
-        _, d0, _, dk = _draw_spectra(rng, u0_profile, noma_profile, grid, k_users, take)
-        a0 = np.abs(d0) ** 2
-        ak = np.abs(dk) ** 2
-        sel = batch_schedule(ak, scheduler, rng, m)
-        rows = np.arange(take)[:, None]
-        gsel = ak[rows, sel, np.arange(m)[None, :]]
-        sinr = rho * gsel[:, None, :] / (rho * a0 + 1.0)
-        frac = (sinr < eps).mean(axis=(1, 2))
-        total += float(frac.sum())
-        total_sq += float((frac**2).sum())
-        done += take
-        block += 1
-    mean = total / trials
-    var = max(total_sq - trials * mean**2, 0.0) / max(trials - 1, 1)
-    return McEstimate(value=mean, std_error=float(np.sqrt(var / trials)), trials=trials)
+    # U0's rate and equalizer do not enter the NOMA users' stage-I outage
+    return _uplink_estimates(grid, u0_profile, noma_profile, k_users, rate_noma, rate_noma,
+                             rho, "le", trials, seed, scheduler, chunk)["noma_outage"]
 
 
 def uplink_u0_outage(grid: Grid, u0_profile: ChannelProfile, noma_profile: ChannelProfile,
@@ -217,55 +176,6 @@ def uplink_u0_outage(grid: Grid, u0_profile: ChannelProfile, noma_profile: Chann
     """
     if mode not in ("fixed", "adaptive", "genie"):
         raise ValueError("mode must be 'fixed', 'adaptive', or 'genie'")
-    if equalizer not in ("le", "dfe"):
-        raise ValueError("equalizer must be 'le' or 'dfe'")
-    n, m = grid.n_doppler, grid.m_delay
-    eps0 = 2.0**rate_u0 - 1.0
-    epsi = 2.0**rate_noma - 1.0
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    block = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        rng = substream(seed, block)
-        g0, d0, _, dk = _draw_spectra(rng, u0_profile, noma_profile, grid, k_users, take)
-        a0 = np.abs(d0) ** 2
-        sing = a0.min(axis=(1, 2)) < 1e-24
-
-        if equalizer == "le":
-            with np.errstate(divide="ignore"):
-                phi = (1.0 / np.where(a0 > 0, a0, np.inf)).mean(axis=(1, 2))
-            phi[sing] = np.inf
-            stage2_out = np.where(rho / phi < eps0, 1.0, 0.0)
-            stage2_ok_sym = None
-        else:
-            lam, ok = batch_dfe_lambdas(u0_profile.doppler_taps, u0_profile.delay_taps,
-                                        g0, n, m)
-            flags2 = rho * lam < eps0
-            flags2[~ok] = True
-            stage2_ok_sym = ~flags2
-            stage2_out = flags2.mean(axis=1)
-
-        if mode == "fixed":
-            ak = np.abs(dk) ** 2
-            sel = batch_schedule(ak, scheduler, rng, m)
-            rows = np.arange(take)[:, None]
-            gsel = ak[rows, sel, np.arange(m)[None, :]]
-            sinr1 = rho * gsel[:, None, :] / (rho * a0 + 1.0)
-            all_ok = (sinr1 > epsi).all(axis=(1, 2))
-            if stage2_ok_sym is None:
-                frac = np.where(all_ok & (stage2_out == 0.0), 0.0, 1.0)
-            else:
-                joint = stage2_ok_sym & all_ok[:, None]
-                frac = 1.0 - joint.mean(axis=1)
-        else:
-            frac = stage2_out
-
-        total += float(frac.sum())
-        total_sq += float((frac**2).sum())
-        done += take
-        block += 1
-    mean = total / trials
-    var = max(total_sq - trials * mean**2, 0.0) / max(trials - 1, 1)
-    return McEstimate(value=mean, std_error=float(np.sqrt(var / trials)), trials=trials)
+    estimates = _uplink_estimates(grid, u0_profile, noma_profile, k_users, rate_u0, rate_noma,
+                                  rho, equalizer, trials, seed, scheduler, chunk)
+    return estimates["u0_outage" if mode == "fixed" else "u0_outage_stage2"]

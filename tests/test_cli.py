@@ -53,6 +53,19 @@ class TestSimulate:
         main(["simulate", "--config", str(config_file), "--out", str(b), "--threads", "2"])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_zero_trials_names_field(self, config_file, tmp_path):
+        with pytest.raises(SystemExit, match="invalid scenario config: trials: "):
+            main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "x.csv"),
+                  "--trials", "0"])
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_rejected(self, config_file, tmp_path, threads):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit, match="threads: must be >= 1"):
+            main(["simulate", "--config", str(config_file), "--out", str(out),
+                  "--threads", threads])
+        assert not out.exists()
+
 
 class TestAnalytic:
     def test_corollary1(self, capsys):

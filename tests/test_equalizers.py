@@ -24,12 +24,16 @@ from otfsnoma import (
     table1_profile,
 )
 from otfsnoma.equalizers import (
+    batch_dfe_lambdas,
+    batch_static_lambdas,
     noise_enhancement,
     qpsk_alphabet,
     static_cholesky_lambdas,
+    static_gram_taps,
 )
+from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.rng import substream
-from otfsnoma.transforms import isfft2, sfft2
+from otfsnoma.transforms import dense_block_circulant, isfft2, sfft2
 
 from conftest import flat_realization, random_realization, worked_example_realization
 
@@ -317,6 +321,34 @@ class TestStaticDfe:
         lam = static_cholesky_lambdas(r, grid)
         assert lam[-1] == pytest.approx(r.total_power, abs=1e-12)
         assert np.all(lam > 0)
+
+
+@pytest.mark.parametrize("path", ["batch_static_lambdas", "batch_dfe_lambdas_n1"])
+def test_singular_user_in_batch(path):
+    # Equal gains at delays 0 and M/2 give D[l] = h(1 + (-1)^l), which is zero
+    # at every odd bin: that user's Gram block fails Cholesky, the chunk falls
+    # back to one factorization per matrix, and only that user is flagged.
+    m, delays, shape = 8, np.array([0, 4]), (6, 5)
+    gains = sample_gain_matrix(ChannelProfile(paths=((0, 0), (4, 0))), substream(31, 0),
+                               6 * 5).reshape(shape + (2,))
+    nulled = gains.copy()
+    nulled[2, 3] = 0.6 - 0.3j
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(dense_block_circulant(static_gram_taps(delays, nulled[2, 3], m)[None]))
+
+    def pivots(g):
+        if path == "batch_static_lambdas":
+            return batch_static_lambdas(delays, g, m)
+        lam, ok = batch_dfe_lambdas(np.zeros_like(delays), delays, g.reshape(-1, 2), 1, m)
+        return lam.reshape(shape + (m,)), ok.reshape(shape)
+
+    lam, ok = pivots(gains)
+    lam_null, ok_null = pivots(nulled)
+    others = np.ones(shape, dtype=bool)
+    others[2, 3] = False
+    assert ok.all()
+    assert np.array_equal(ok_null, others)
+    assert np.array_equal(lam_null[others], lam[others])
 
 
 class TestInvariants:

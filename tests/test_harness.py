@@ -207,8 +207,20 @@ class TestRunScenario:
             assert p.ci_halfwidth == 0.0
             assert p.trials_used == 1
 
-    def test_worker_count_invariance(self):
-        cfg = small_config(trials=300, snr_db=(0.0, 10.0))
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(dict(), id="downlink-le"),
+        pytest.param(dict(equalizer="dfe", n=4, m=4, k_users=4, trials=100,
+                          u0_profile=ChannelProfile(paths=((0, 0), (1, 1), (2, 3)))),
+                     id="downlink-dfe"),
+        pytest.param(dict(direction="uplink", scheduler="per_subchannel"),
+                     id="uplink-fixed-le"),
+        pytest.param(dict(direction="uplink", rate_mode="adaptive", scheduler="per_subchannel",
+                          equalizer="dfe", n=4, m=4, k_users=4, trials=100,
+                          u0_profile=ChannelProfile(paths=((0, 0), (1, 1), (2, 3)))),
+                     id="uplink-adaptive-dfe"),
+    ])
+    def test_worker_count_invariance(self, overrides):
+        cfg = small_config(**{"trials": 300, "snr_db": (0.0, 10.0), **overrides})
         assert run_scenario(cfg, workers=1) == run_scenario(cfg, workers=2)
 
     def test_probabilities_in_unit_interval(self):
