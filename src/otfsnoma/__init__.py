@@ -37,7 +37,6 @@ from .equalizers import (
     fd_dfe_sinrs,
     fd_le_equalize,
     fd_le_sinr,
-    static_dfe_sinrs,
 )
 from .downlink import (
     DetectionReport,

@@ -15,8 +15,9 @@ class DomainMismatchError(ValueError):
 class SingularChannelError(ArithmeticError):
     """The effective channel is numerically singular.
 
-    Monte Carlo callers record the affected trial as an outage instead of
-    aborting, so estimators stay well defined.
+    Raised only by the dense oracles ``fd_le_equalize`` and
+    ``cholesky_factors``.  Every receiver instead maps a singular channel to
+    noise enhancement ν = inf, so its SINR is 0 and every symbol is in outage.
     """
 
 

@@ -12,21 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import McEstimate, SingularChannelError
-from .equalizers import (
-    PowerAllocation,
-    cholesky_factors,
-    fd_dfe_equalize,
-    fd_dfe_sinrs,
-    fd_le_equalize,
-    fd_le_sinr,
-    GenieFeedback,
-    static_dfe_sinrs,
-)
+from .common import McEstimate
+from .equalizers import PowerAllocation, fd_dfe_equalize, fd_le_equalize, GenieFeedback
 from .grid_channel import ChannelProfile, ChannelRealization, Grid
-from .harness import last_pivot_kernel, monte_carlo
+from .harness import (
+    last_pivot_kernel,
+    monte_carlo,
+    static_noise_enhancement,
+    u0_noise_enhancement,
+)
 from .transforms import (
-    DiagonalizedChannel,
     Domain,
     Frame,
     build_block_circulant,
@@ -114,8 +109,9 @@ def u0_receive(tx: Frame, realization: ChannelRealization, rng: np.random.Genera
 
     The transmitted frame passes through the block-circulant channel with
     unit-variance delay-Doppler noise from ``rng``; SINRs come from the
-    analytic per-equalizer formulas, and the outage flag of symbol (k, l) is
-    [log2(1 + SINR) < R₀].  A singular channel marks every symbol as outage.
+    equalizer's noise enhancement ν, as in the Monte Carlo kernels, and the
+    outage flag of symbol (k, l) is [SINR < 2^R₀ − 1].  A singular channel
+    (ν = inf) marks every symbol as outage and leaves no estimates.
     """
     if equalizer not in EQUALIZERS:
         raise ValueError(f"equalizer must be one of {EQUALIZERS}")
@@ -126,21 +122,17 @@ def u0_receive(tx: Frame, realization: ChannelRealization, rng: np.random.Genera
     noise = np.sqrt(0.5) * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
     y = Frame(grid, channel.apply(x_dd) + noise, Domain.DELAY_DOPPLER)
 
-    try:
-        if equalizer == "le":
-            d = diagonalize(channel)
-            sinr = fd_le_sinr(d, link.rho, power)
-            sinrs = np.full((n, m), sinr)
-            estimates = fd_le_equalize(y, d)
-        else:
-            factors = cholesky_factors(channel)
-            sinrs = fd_dfe_sinrs(factors, link.rho, power).reshape(n, m)
-            estimates = fd_dfe_equalize(y, channel, GenieFeedback(x_dd), factors)
-    except SingularChannelError:
-        sinrs = np.zeros((n, m))
+    d = diagonalize(channel)
+    nu = u0_noise_enhancement(equalizer, realization.profile, realization.gains[None],
+                              np.abs(d.d_values[None]) ** 2)
+    sinrs = np.resize(power.sinr(link.rho, nu), (n, m))  # repeats the FD-LE value
+    if np.isinf(nu).any():
         estimates = None
-    outage = np.log2(1.0 + sinrs) < link.rate_u0
-    return DetectionReport(sinrs=sinrs, outage=outage, estimates=estimates)
+    elif equalizer == "le":
+        estimates = fd_le_equalize(y, d)
+    else:
+        estimates = fd_dfe_equalize(y, channel, GenieFeedback(x_dd))
+    return DetectionReport(sinrs=sinrs, outage=sinrs < link.threshold_u0, estimates=estimates)
 
 
 def noma_stage1(realization: ChannelRealization, grid: Grid, rho: float,
@@ -155,14 +147,10 @@ def noma_stage1(realization: ChannelRealization, grid: Grid, rho: float,
     """
     if equalizer not in EQUALIZERS:
         raise ValueError(f"equalizer must be one of {EQUALIZERS}")
-    m = grid.m_delay
-    try:
-        if equalizer == "le":
-            d = DiagonalizedChannel(nomauser_diagonalize(realization, grid))
-            return np.full(m, fd_le_sinr(d, rho, power))
-        return static_dfe_sinrs(realization, grid, rho, power)
-    except SingularChannelError:
-        return np.zeros(m)
+    d = nomauser_diagonalize(realization, grid)
+    nu = static_noise_enhancement(equalizer, realization.profile, realization.gains,
+                                  np.abs(d) ** 2)
+    return np.resize(power.sinr(rho, nu), grid.m_delay)
 
 
 def noma_stage2(realization: ChannelRealization, grid: Grid, rho: float,

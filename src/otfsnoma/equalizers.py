@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import SINGULARITY_EPS, DomainMismatchError, SingularChannelError
-from .grid_channel import ChannelRealization, Grid
 from .transforms import (
     BlockCirculantChannel,
     DiagonalizedChannel,
@@ -58,6 +57,12 @@ class PowerAllocation:
     def oma(cls) -> "PowerAllocation":
         return cls(gamma0_sq=1.0, gamma1_sq=0.0)
 
+    def sinr(self, rho, nu):
+        """Lemma 1's SINR ργ₀² / (ργ₁² + ν) of a symbol whose equalizer
+        enhances the noise by ν: φ under FD-LE, 1/λ under FD-DFE.  ν = inf
+        (a singular channel) gives 0; the OMA split gives ρ/ν exactly."""
+        return rho * self.gamma0_sq / (rho * self.gamma1_sq + nu)
+
 
 @dataclass(frozen=True, eq=False)
 class DfeFactors:
@@ -65,10 +70,6 @@ class DfeFactors:
 
     l_factor: np.ndarray
     lam: np.ndarray
-
-    @property
-    def n_symbols(self) -> int:
-        return self.lam.shape[0]
 
 
 def batch_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
@@ -79,6 +80,15 @@ def batch_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
     """
     phi = (1.0 / np.where(power > 0, power, np.inf)).mean(axis=axis)
     return np.where(power.min(axis=axis) < SINGULARITY_EPS**2, np.inf, phi)
+
+
+def dfe_noise_enhancement(lam: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """FD-DFE ν = 1/λ per symbol from the (..., NM) pivots and validity mask
+    of :func:`batch_dfe_lambdas`; a singular channel (``ok`` False) gets
+    ν = inf on every symbol, like the FD-LE φ."""
+    nu = 1.0 / lam
+    nu[~ok] = np.inf
+    return nu
 
 
 def noise_enhancement(d: DiagonalizedChannel) -> float:
@@ -99,7 +109,7 @@ def fd_le_equalize(y: Frame, d: DiagonalizedChannel) -> Frame:
         raise DomainMismatchError("fd_le_equalize expects a delay-Doppler frame")
     if d.d_values.shape != y.values.shape:
         raise ValueError("diagonal channel shape does not match the frame")
-    if d.min_abs < SINGULARITY_EPS:
+    if np.isinf(noise_enhancement(d)):
         raise SingularChannelError("channel eigenvalue below singularity threshold")
     out = isfft2(sfft2(y.values) / d.d_values)
     return Frame(y.grid, out, Domain.DELAY_DOPPLER)
@@ -112,7 +122,7 @@ def fd_le_sinr(d: DiagonalizedChannel, rho: float, p: PowerAllocation) -> float:
     equalization is block-circulant with constant diagonal φ.  A singular
     channel yields SINR 0 (certain outage).
     """
-    return rho * p.gamma0_sq / (rho * p.gamma1_sq + noise_enhancement(d))
+    return p.sinr(rho, noise_enhancement(d))
 
 
 def _reversed_cholesky(gram: np.ndarray):
@@ -227,19 +237,7 @@ def fd_dfe_sinrs(factors: DfeFactors, rho: float, p: PowerAllocation) -> np.ndar
     Unlike FD-LE the symbols see unequal effective gains; the last symbol
     always gets λ = Σ|h_p|² and the first the FD-LE-equivalent 1/φ.
     """
-    return rho * p.gamma0_sq / (rho * p.gamma1_sq + 1.0 / factors.lam)
-
-
-def static_cholesky_lambdas(realization: ChannelRealization, grid: Grid) -> np.ndarray:
-    """M-point pivots λ̃ for a Doppler-free channel's circulant block."""
-    prof = realization.profile
-    if not prof.is_static():
-        raise ValueError("static factors require a Doppler-free profile")
-    prof.check_fits(grid)
-    lam, ok = batch_static_lambdas(prof.delay_taps, realization.gains[None], grid.m_delay)
-    if not ok[0]:
-        raise SingularChannelError("circulant block is numerically singular")
-    return lam[0]
+    return p.sinr(rho, 1.0 / factors.lam)
 
 
 def static_gram_taps(delay_taps, gains, m: int) -> np.ndarray:
@@ -248,20 +246,13 @@ def static_gram_taps(delay_taps, gains, m: int) -> np.ndarray:
     return gram_taps_from_gains(np.zeros_like(delay_taps), delay_taps, gains, 1, m)[..., 0, :]
 
 
-def static_dfe_sinrs(realization: ChannelRealization, grid: Grid, rho: float,
-                     p: PowerAllocation) -> np.ndarray:
-    """M per-symbol DFE SINRs on the M-point static channel."""
-    lam = static_cholesky_lambdas(realization, grid)
-    return rho * p.gamma0_sq / (rho * p.gamma1_sq + 1.0 / lam)
-
-
 def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: int,
                       chunk: int = 64):
     """Pivots for a batch of channels, shape (T, NM), plus a validity mask.
 
     Trials whose Gram matrix fails Cholesky (numerically singular) get
-    ``ok=False`` and λ = 1 as a placeholder; callers must treat them as
-    outage for every symbol.
+    ``ok=False`` and λ = 1 as a placeholder; :func:`dfe_noise_enhancement`
+    turns them into ν = inf, an outage on every symbol.
     """
     trials = gains.shape[0]
     nm = n * m

@@ -20,11 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .common import ConfigError, EstimatorUndefinedError, McEstimate
-from .equalizers import batch_dfe_lambdas, batch_noise_enhancement, batch_static_lambdas
+from .equalizers import (
+    PowerAllocation,
+    batch_dfe_lambdas,
+    batch_noise_enhancement,
+    batch_static_lambdas,
+    dfe_noise_enhancement,
+)
 from .grid_channel import ChannelProfile, Grid, make_grid, sample_gain_matrix, table1_profile
 from .rng import substream
 from .scheduling import batch_schedule
-from .transforms import spectrum_from_taps, static_spectrum_from_taps
+from .transforms import MAX_DENSE_CELLS, spectrum_from_taps, static_spectrum_from_taps
 
 BLOCK_TRIALS = 4096  # fixed work-unit size; part of the determinism contract
 
@@ -67,8 +73,9 @@ class ScenarioConfig:
     def validate(self):
         if self.direction not in DIRECTIONS:
             raise ConfigError("direction", f"must be one of {DIRECTIONS}")
-        if self.n < 1 or self.m < 1:
-            raise ConfigError("n/m", "grid dimensions must be >= 1")
+        for key in ("n", "m"):
+            if getattr(self, key) < 1:
+                raise ConfigError(key, "grid dimensions must be >= 1")
         if self.k_users < 1:
             raise ConfigError("k_users", "must be >= 1")
         if self.scheduler not in SCHEDULERS:
@@ -77,10 +84,14 @@ class ScenarioConfig:
             raise ConfigError("k_users", "random scheduling needs k_users >= m")
         if not (0.0 < self.gamma0_sq <= 1.0):
             raise ConfigError("gamma0_sq", "must be in (0, 1]")
-        if self.rate_u0 <= 0 or self.rate_noma <= 0:
-            raise ConfigError("rate_u0/rate_noma", "target rates must be positive")
+        for key in ("rate_u0", "rate_noma"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(key, "target rates must be positive")
         if self.equalizer not in EQUALIZERS:
             raise ConfigError("equalizer", f"must be one of {EQUALIZERS}")
+        if self.equalizer == "dfe" and self.n * self.m > MAX_DENSE_CELLS:
+            raise ConfigError("equalizer", f"dfe factors a dense Gram matrix and needs "
+                              f"n*m <= {MAX_DENSE_CELLS}, got {self.n * self.m}")
         if self.rate_mode not in RATE_MODES:
             raise ConfigError("rate_mode", f"must be one of {RATE_MODES}")
         if not self.snr_db:
@@ -91,11 +102,11 @@ class ScenarioConfig:
             raise ConfigError("trials", "must be >= 1")
         if self.delta_f <= 0:
             raise ConfigError("delta_f", "must be positive")
-        try:
-            self.u0_profile.check_fits(self.grid())
-            self.noma_profile.check_fits(self.grid())
-        except ValueError as exc:
-            raise ConfigError("u0_profile/noma_profile", str(exc)) from exc
+        for key in ("u0_profile", "noma_profile"):
+            try:
+                getattr(self, key).check_fits(self.grid())
+            except ValueError as exc:
+                raise ConfigError(key, str(exc)) from exc
         if not self.noma_profile.is_static():
             raise ConfigError("noma_profile", "NOMA users must be Doppler-free")
 
@@ -213,17 +224,33 @@ def parse_config_file(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 #  Per-block trial kernels: (cfg, rho, rng, trials) -> {metric: per-trial samples}
 #
-#  The high-mobility user's noise enhancement is one value ν per symbol: the
-#  FD-LE φ, shape (T, 1), or the FD-DFE 1/λ, shape (T, NM), with ν = inf on
-#  singular channels.  Its NOMA SINR is ργ₀²/(ργ₁² + ν) and its OMA or
-#  interference-free SINR ρ/ν, whichever equalizer produced ν.
+#  Every receiver sees its equalizer through one value ν per symbol: the
+#  FD-LE φ, one per channel, or the FD-DFE 1/λ, one per symbol, with ν = inf
+#  on singular channels.  Its SINR is PowerAllocation.sinr(ρ, ν), whichever
+#  equalizer produced ν.  The per-realization receivers in ``downlink`` and
+#  ``uplink`` call the two ν functions below with T = 1.
 # ---------------------------------------------------------------------------
 
 
-def _dfe_nu(lam: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    nu = 1.0 / lam
-    nu[~ok] = np.inf
-    return nu
+def u0_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.ndarray,
+                         power: np.ndarray) -> np.ndarray:
+    """ν of the high-mobility user from its (T, P₀+1) gains and (T, N, M)
+    eigenvalue powers |D|²: (T, 1) under FD-LE, (T, NM) under FD-DFE."""
+    if equalizer == "le":
+        return batch_noise_enhancement(power, (1, 2))[:, None]
+    n, m = power.shape[1:]
+    return dfe_noise_enhancement(*batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps,
+                                                    gains, n, m))
+
+
+def static_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.ndarray,
+                             power: np.ndarray) -> np.ndarray:
+    """ν of Doppler-free users from their (..., P+1) gains and (..., M)
+    eigenvalue powers |D̃|²: (..., 1) under FD-LE, (..., M) under FD-DFE."""
+    if equalizer == "le":
+        return batch_noise_enhancement(power, -1)[..., None]
+    return dfe_noise_enhancement(*batch_static_lambdas(profile.delay_taps, gains,
+                                                       power.shape[-1]))
 
 
 def _draw(cfg: ScenarioConfig, rng, trials: int):
@@ -245,39 +272,28 @@ def _draw(cfg: ScenarioConfig, rng, trials: int):
     return h0, a0, hk, ak, sel, ak[np.arange(trials)[:, None], sel, np.arange(cfg.m)]
 
 
-def _u0_nu(cfg: ScenarioConfig, h0: np.ndarray, a0: np.ndarray) -> np.ndarray:
-    if cfg.equalizer == "le":
-        return batch_noise_enhancement(a0, (1, 2))[:, None]
-    u0p = cfg.u0_profile
-    return _dfe_nu(*batch_dfe_lambdas(u0p.doppler_taps, u0p.delay_taps, h0, cfg.n, cfg.m))
-
-
 def downlink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
     """Downlink outages of U0 (NOMA split and OMA baseline) and of the
     scheduled NOMA users' two-stage SIC, with the outage sum rates."""
-    g0sq = cfg.gamma0_sq
-    g1sq = 1.0 - cfg.gamma0_sq
+    power = PowerAllocation.split(cfg.gamma0_sq)
     eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
     h0, a0, hk, ak, sel, gsel = _draw(cfg, rng, trials)
 
     # --- U0 detection (NOMA power split and the OMA baseline) ---
-    nu0 = _u0_nu(cfg, h0, a0)
+    nu0 = u0_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
     samples = {}
-    for name, flags in (("u0_outage", rho * g0sq / (rho * g1sq + nu0) < eps0),
-                        ("u0_outage_oma", rho / nu0 < eps0)):
+    for name, split in (("u0_outage", power), ("u0_outage_oma", PowerAllocation.oma())):
+        flags = split.sinr(rho, nu0) < eps0
         samples[name] = flags.mean(axis=1)
         samples[name + "_first"] = flags[:, 0]
         samples[name + "_last"] = flags[:, -1]
 
     # --- NOMA users: stage-I (decode U0) then stage-II (own symbol) ---
-    if cfg.equalizer == "le":
-        nuk = batch_noise_enhancement(ak, 2)[..., None]
-    else:
-        nuk = _dfe_nu(*batch_static_lambdas(cfg.noma_profile.delay_taps, hk, cfg.m))
-    ok1_user = (rho * g0sq / (rho * g1sq + nuk) > eps0).all(axis=2)  # (T, K)
+    nuk = static_noise_enhancement(cfg.equalizer, cfg.noma_profile, hk, ak)
+    ok1_user = (power.sinr(rho, nuk) > eps0).all(axis=2)  # (T, K)
     ok1_sel = np.take_along_axis(ok1_user, sel, axis=1)
-    snr2 = rho * g1sq * gsel
+    snr2 = rho * power.gamma1_sq * gsel
     noma_out = ~(ok1_sel & (snr2 > epsi))  # (T, M); constant over the N symbols
     noma_frac = noma_out.mean(axis=1)
     samples["noma_outage"] = noma_frac
@@ -296,7 +312,8 @@ def uplink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
     sinr1 = rho * gsel[:, None, :] / (rho * a0 + 1.0)  # (T, N, M)
 
     # stage-II for U0 is interference-free once the NOMA signals are removed
-    stage2_out = rho / _u0_nu(cfg, h0, a0) < eps0
+    nu0 = u0_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
+    stage2_out = PowerAllocation.oma().sinr(rho, nu0) < eps0
     stage2_frac = stage2_out.mean(axis=1)
 
     if cfg.rate_mode == "adaptive":
@@ -323,8 +340,7 @@ def last_pivot_kernel(cfg, rho: float, rng, trials: int) -> dict:
     """
     profile, power, rate_u0 = cfg
     nu = 1.0 / np.sum(np.abs(sample_gain_matrix(profile, rng, trials)) ** 2, axis=1)
-    return {"u0_outage_last": rho * power.gamma0_sq / (rho * power.gamma1_sq + nu)
-            < 2.0**rate_u0 - 1.0}
+    return {"u0_outage_last": power.sinr(rho, nu) < 2.0**rate_u0 - 1.0}
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,6 @@ class DiagonalizedChannel:
     def __post_init__(self):
         object.__setattr__(self, "d_values", np.asarray(self.d_values, dtype=np.complex128))
 
-    @property
-    def min_abs(self) -> float:
-        return float(np.min(np.abs(self.d_values)))
-
 
 def spectrum_from_taps(taps: np.ndarray) -> np.ndarray:
     """D[k, l] = Σ_n Σ_m taps[n, m] e^{−j2πkn/N} e^{+j2πlm/M}.

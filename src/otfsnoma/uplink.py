@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .common import McEstimate, SingularChannelError, linear_to_db
-from .equalizers import cholesky_factors, noise_enhancement
+from .common import McEstimate, linear_to_db
+from .equalizers import PowerAllocation
 from .grid_channel import ChannelProfile, ChannelRealization, Grid
-from .harness import ScenarioConfig, monte_carlo, uplink_kernel
+from .harness import ScenarioConfig, monte_carlo, u0_noise_enhancement, uplink_kernel
 from .transforms import build_block_circulant, diagonalize, isfft2
 
 
@@ -118,21 +118,16 @@ def uplink_stage2_sinrs(realization: ChannelRealization, grid: Grid, rho: float,
                         equalizer: str) -> np.ndarray:
     """Interference-free stage-II SINRs for the high-mobility user, (N, M).
 
-    FD-LE gives the common value ρ/φ; FD-DFE gives ρλ per symbol.  These are
-    the downlink formulas at γ₀² = 1, γ₁² = 0.  Singular channels yield
+    FD-LE gives the common value ρ/φ; FD-DFE gives ρ/(1/λ) per symbol.  These
+    are the downlink formulas at γ₀² = 1, γ₁² = 0.  Singular channels yield
     all-zero SINRs (outage).
     """
     if equalizer not in ("le", "dfe"):
         raise ValueError("equalizer must be 'le' or 'dfe'")
-    n, m = grid.n_doppler, grid.m_delay
-    channel = build_block_circulant(realization, grid)
-    try:
-        if equalizer == "le":
-            return np.full((n, m), rho / noise_enhancement(diagonalize(channel)))
-        factors = cholesky_factors(channel)
-        return (rho * factors.lam).reshape(n, m)
-    except SingularChannelError:
-        return np.zeros((n, m))
+    d = diagonalize(build_block_circulant(realization, grid))
+    nu = u0_noise_enhancement(equalizer, realization.profile, realization.gains[None],
+                              np.abs(d.d_values[None]) ** 2)
+    return np.resize(PowerAllocation.oma().sinr(rho, nu), (grid.n_doppler, grid.m_delay))
 
 
 def _uplink_estimates(grid: Grid, u0_profile: ChannelProfile, noma_profile: ChannelProfile,

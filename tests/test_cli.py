@@ -58,6 +58,16 @@ class TestSimulate:
             main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "x.csv"),
                   "--trials", "0"])
 
+    def test_oversize_dfe_names_field(self, tmp_path):
+        path = tmp_path / "big.cfg"
+        path.write_text(TINY_CONFIG.replace("n = 4\nm = 4\nk_users = 4",
+                                            "n = 128\nm = 64\nk_users = 64")
+                        .replace("equalizer = le", "equalizer = dfe"))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit, match="invalid scenario config: equalizer: "):
+            main(["simulate", "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_rejected(self, config_file, tmp_path, threads):
         out = tmp_path / "x.csv"

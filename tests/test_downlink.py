@@ -9,7 +9,9 @@ from otfsnoma import (
     PowerAllocation,
     build_block_circulant,
     build_tx_frame,
+    cholesky_factors,
     diagonalize,
+    fd_dfe_sinrs,
     fd_le_sinr,
     make_grid,
     noma_outage,
@@ -19,7 +21,6 @@ from otfsnoma import (
     u0_receive,
 )
 from otfsnoma.downlink import DownlinkTxFrame, dfe_last_symbol_outage_mc
-from otfsnoma.equalizers import static_dfe_sinrs
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.harness import corollary1_outage
 from otfsnoma.rng import substream
@@ -175,7 +176,9 @@ class TestNomaStage1:
         grid = make_grid(4, 4, 1.0)
         r = _static(seed=12)
         sinrs = noma_stage1(r, grid, 5.0, P34, "dfe")
-        ref = static_dfe_sinrs(r, grid, 5.0, P34)
+        # dense oracle: the static channel is the N=1 case of the 2-D one
+        ref = fd_dfe_sinrs(cholesky_factors(build_block_circulant(r, make_grid(1, 4, 1.0))),
+                           5.0, P34)
         assert np.allclose(sinrs, ref)
 
     def test_singular_static_channel(self):

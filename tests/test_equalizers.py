@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otfsnoma import (
@@ -20,7 +20,6 @@ from otfsnoma import (
     fd_le_equalize,
     fd_le_sinr,
     make_grid,
-    static_dfe_sinrs,
     table1_profile,
 )
 from otfsnoma.equalizers import (
@@ -28,7 +27,6 @@ from otfsnoma.equalizers import (
     batch_static_lambdas,
     noise_enhancement,
     qpsk_alphabet,
-    static_cholesky_lambdas,
     static_gram_taps,
 )
 from otfsnoma.grid_channel import sample_gain_matrix
@@ -298,10 +296,16 @@ class TestDfeSinrs:
             assert f.lam[0] * phi == pytest.approx(1.0, rel=1e-10)
 
 
+def _static_lambdas(r, grid):
+    lam, ok = batch_static_lambdas(r.profile.delay_taps, r.gains, grid.m_delay)
+    assert ok
+    return lam
+
+
 class TestStaticDfe:
     def test_flat(self):
         grid = make_grid(4, 4, 1.0)
-        sinrs = static_dfe_sinrs(flat_realization(1.0), grid, 1.0, P34)
+        sinrs = P34.sinr(1.0, 1.0 / _static_lambdas(flat_realization(1.0), grid))
         assert np.allclose(sinrs, 0.6)
 
     def test_two_tap_hand_cholesky(self):
@@ -309,7 +313,7 @@ class TestStaticDfe:
         ha, hb = 0.8 + 0.2j, -0.3 + 0.5j
         r = ChannelRealization(profile=ChannelProfile(paths=((0, 0), (1, 0))),
                                gains=np.array([ha, hb]))
-        lam = static_cholesky_lambdas(r, grid)
+        lam = _static_lambdas(r, grid)
         s = abs(ha) ** 2 + abs(hb) ** 2
         c = 2 * (np.conj(ha) * hb).real
         assert lam[-1] == pytest.approx(s, abs=1e-12)
@@ -318,7 +322,7 @@ class TestStaticDfe:
     def test_last_static_pivot(self):
         grid = make_grid(4, 8, 1.0)
         r = random_realization(ChannelProfile(paths=((0, 0), (1, 0), (5, 0))), seed=9)
-        lam = static_cholesky_lambdas(r, grid)
+        lam = _static_lambdas(r, grid)
         assert lam[-1] == pytest.approx(r.total_power, abs=1e-12)
         assert np.all(lam > 0)
 
@@ -415,3 +419,39 @@ def test_sinr_monotone_in_rho_and_gamma0(seed, rho_lo, scale, g0_lo):
     lo, hi = PowerAllocation.split(g0_lo), PowerAllocation.split(g_hi)
     assert fd_le_sinr(d, rho_lo, hi) >= fd_le_sinr(d, rho_lo, lo)
     assert np.all(fd_dfe_sinrs(f, rho_lo, hi) >= fd_dfe_sinrs(f, rho_lo, lo))
+
+
+@st.composite
+def _small_channels(draw):
+    """(n, m, paths, gains): a grid up to 8x8 with 1-4 distinct random taps on it."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    paths = tuple(draw(st.lists(cells, min_size=1, max_size=min(4, n * m), unique=True)))
+    r = random_realization(ChannelProfile(paths=paths), draw(st.integers(0, 2**32)))
+    return n, m, paths, r.gains
+
+
+# Equal gains at delays 0 and M/2 with zero Doppler null every odd delay bin:
+# exactly (Cholesky fails), within 1e-7 (a pivot below ε) and within 1e-4 (valid).
+_NULL_PATHS, _H = ((0, 0), (4, 0)), 0.6 - 0.3j
+
+
+@settings(max_examples=60, deadline=None)
+@example(channel=(4, 8, _NULL_PATHS, [_H, _H]))
+@example(channel=(4, 8, _NULL_PATHS, [_H, _H + 1e-7]))
+@example(channel=(4, 8, _NULL_PATHS, [_H, _H + 1e-4]))
+@given(channel=_small_channels())
+def test_batch_pivots_match_dense_oracle(channel):
+    # the (lam, ok) contract: ok is False exactly when the dense factorization
+    # calls the channel singular, and otherwise the pivots agree
+    n, m, paths, gains = channel
+    prof = ChannelProfile(paths=paths)
+    r = ChannelRealization(profile=prof, gains=gains)
+    lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, r.gains[None], n, m)
+    try:
+        f = cholesky_factors(build_block_circulant(r, make_grid(n, m, 1.0)))
+    except SingularChannelError:
+        assert not ok[0]
+        return
+    assert ok[0]
+    assert lam[0] == pytest.approx(f.lam, rel=1e-10)

@@ -1,22 +1,39 @@
 import math
 import os
 
+import numpy as np
 import pytest
 from scipy.special import gammainc
 
 from otfsnoma import (
     ChannelProfile,
+    ChannelRealization,
     ConfigError,
     CurvePoint,
     EstimatorUndefinedError,
+    LinkConfig,
+    PowerAllocation,
     ScenarioConfig,
+    UserPool,
+    build_block_circulant,
+    build_tx_frame,
     corollary1_outage,
+    diagonalize,
     diversity_slope,
     emit_csv,
+    noma_outage,
+    noma_stage1,
+    noma_stage2,
+    nomauser_diagonalize,
+    per_subchannel_schedule,
     read_csv_points,
     run_scenario,
+    u0_receive,
+    uplink_stage1_sinr,
+    uplink_stage2_sinrs,
 )
-from otfsnoma.harness import parse_config_text
+from otfsnoma.harness import _draw, downlink_kernel, parse_config_text, uplink_kernel
+from otfsnoma.rng import substream
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -94,10 +111,25 @@ class TestConfig:
         dict(rate_u0=0.0),
         dict(u0_profile=ChannelProfile(paths=((9, 0),))),
         dict(noma_profile=ChannelProfile(paths=((0, 1),))),
+        dict(equalizer="dfe", n=128, m=64, k_users=64),  # dense Gram beyond MAX_DENSE_CELLS
     ])
     def test_validation_errors(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides)
+
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(n=0), "n"),
+        (dict(m=0), "m"),
+        (dict(rate_u0=0.0), "rate_u0"),
+        (dict(rate_noma=-1.0), "rate_noma"),
+        (dict(u0_profile=ChannelProfile(paths=((9, 0),))), "u0_profile"),
+        (dict(noma_profile=ChannelProfile(paths=((9, 0),))), "noma_profile"),
+        (dict(equalizer="dfe", n=128, m=64, k_users=64), "equalizer"),
+    ])
+    def test_validation_error_names_one_key(self, overrides, field):
+        with pytest.raises(ConfigError) as exc:
+            small_config(**overrides)
+        assert exc.value.field == field
 
 
 class TestCorollary1:
@@ -273,3 +305,61 @@ class TestRunScenario:
         pts = run_scenario(small_config(equalizer="dfe", trials=512, snr_db=(5.0,)))
         by = {p.metric: p.value for p in pts}
         assert by["u0_outage_first"] >= by["u0_outage_last"]
+
+
+class TestKernelsMatchReceivers:
+    """Each trial of a kernel block, redrawn from the same substream and
+    replayed through the per-realization receivers, gives the same flags."""
+
+    TRIALS = 16
+
+    @staticmethod
+    def _config(**overrides):
+        return small_config(n=4, m=4, k_users=6,
+                            u0_profile=ChannelProfile(paths=((0, 0), (1, 1), (2, 3))),
+                            noma_profile=ChannelProfile(paths=((0, 0), (1, 0))), **overrides)
+
+    @pytest.mark.parametrize("equalizer", ["le", "dfe"])
+    def test_downlink(self, equalizer):
+        cfg = self._config(equalizer=equalizer)
+        grid, power = cfg.grid(), PowerAllocation.split(cfg.gamma0_sq)
+        tx = build_tx_frame(grid, np.zeros((4, 4)), np.zeros((4, 4)), power)
+        for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
+            samples = downlink_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
+            h0, _, hk, _, sel, _ = _draw(cfg, substream(cfg.seed, 0), self.TRIALS)
+            link = LinkConfig(rho=rho, rate_u0=cfg.rate_u0, rate_noma=cfg.rate_noma)
+            for t in range(self.TRIALS):
+                r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
+                for name, split in (("u0_outage", power), ("u0_outage_oma", PowerAllocation.oma())):
+                    out = u0_receive(tx, r0, substream(0, t), equalizer, split, link).outage.ravel()
+                    assert samples[name][t] == out.mean()
+                    assert samples[name + "_first"][t] == out[0]
+                    assert samples[name + "_last"][t] == out[-1]
+                flags = []
+                for l, i in enumerate(sel[t]):
+                    ri = ChannelRealization(profile=cfg.noma_profile, gains=hk[t, i])
+                    flags.append(noma_outage(noma_stage1(ri, grid, rho, power, equalizer),
+                                             noma_stage2(ri, grid, rho, power.gamma1_sq, l + 1),
+                                             link))
+                assert samples["noma_outage"][t] == np.mean(flags)
+
+    @pytest.mark.parametrize("equalizer", ["le", "dfe"])
+    def test_uplink(self, equalizer):
+        cfg = self._config(direction="uplink", scheduler="per_subchannel", equalizer=equalizer)
+        grid = cfg.grid()
+        eps0, epsi = 2.0**cfg.rate_u0 - 1.0, 2.0**cfg.rate_noma - 1.0
+        for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
+            samples = uplink_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
+            h0, _, hk, _, sel, _ = _draw(cfg, substream(cfg.seed, 0), self.TRIALS)
+            for t in range(self.TRIALS):
+                r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
+                stage2_out = uplink_stage2_sinrs(r0, grid, rho, equalizer) < eps0
+                assert samples["u0_outage_stage2"][t] == stage2_out.mean()
+                dk = np.array([nomauser_diagonalize(ChannelRealization(profile=cfg.noma_profile,
+                                                                       gains=g), grid)
+                               for g in hk[t]])
+                assert np.array_equal(sel[t], per_subchannel_schedule(UserPool.from_diagonals(dk)))
+                d0 = diagonalize(build_block_circulant(r0, grid)).d_values
+                cell_ok = uplink_stage1_sinr(dk[sel[t], np.arange(4)], d0, rho) > epsi
+                assert samples["noma_outage"][t] == 1.0 - cell_ok.mean()
+                assert samples["u0_outage"][t] == 1.0 - (~stage2_out & cell_ok.all()).mean()
