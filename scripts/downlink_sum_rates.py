@@ -15,18 +15,17 @@ def main():
     ap.add_argument("--rate-u0", type=float, default=0.5)
     ap.add_argument("--rate-noma", type=float, default=1.0)
     ap.add_argument("--trials", type=int, default=100_000)
-    ap.add_argument("--dfe-trials", type=int, default=5_000)
     ap.add_argument("--seed", type=int, default=20260809)
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--out-prefix", default="downlink_sum_rate")
     args = ap.parse_args()
 
-    for equalizer, trials in (("le", args.trials), ("dfe", args.dfe_trials)):
+    for equalizer in ("le", "dfe"):
         cfg = ScenarioConfig(
             direction="downlink", n=16, m=16, k_users=16, gamma0_sq=0.75,
             rate_u0=args.rate_u0, rate_noma=args.rate_noma, equalizer=equalizer,
             scheduler="random", snr_db=tuple(range(0, 51, 5)),
-            trials=trials, seed=args.seed)
+            trials=args.trials, seed=args.seed)
         points = run_scenario(cfg, workers=args.workers)
         path = f"{args.out_prefix}_{equalizer}.csv"
         emit_csv(points, path)

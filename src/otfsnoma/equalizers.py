@@ -6,6 +6,12 @@ diagonal) as feed-forward/feedback filters.  The Λ pivots are the per-symbol
 effective fading gains: the last pivot always equals Σ_p |h_p|², and the
 first equals the reciprocal of the FD-LE noise-enhancement factor, which is
 why the first DFE decision is exactly as reliable as FD-LE.
+
+The batched pivots (:func:`batch_dfe_lambdas`) use the structure of H^H H,
+block-circulant with circulant blocks: an FFT over delay splits it into
+Hermitian-Toeplitz problems that Schur's recursion solves in O(NM(N+M)) per
+trial.  The dense Gram matrix and its Cholesky factor
+(:func:`cholesky_factors`) are built only by the per-realization oracles.
 """
 
 from dataclasses import dataclass
@@ -246,32 +252,57 @@ def static_gram_taps(delay_taps, gains, m: int) -> np.ndarray:
     return gram_taps_from_gains(np.zeros_like(delay_taps), delay_taps, gains, 1, m)[..., 0, :]
 
 
-def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: int,
-                      chunk: int = 64):
+def _schur_errors(r: np.ndarray) -> np.ndarray:
+    """Prediction-error powers P_0..P_L of Hermitian-Toeplitz autocorrelations.
+
+    ``r[0..L]`` holds the lags along axis 0, any batch axes after it.  P_p is
+    the Schur complement of one end element of the (p+1)×(p+1) Toeplitz
+    matrix given the other p, i.e. 1/[T_{p+1}⁻¹]₀₀.  Schur's recursion
+    (Kailath & Sayed, SIAM Review 1995) carries the forward and backward
+    error correlations ``fwd``, ``bwd`` and never forms a predictor; a
+    singular matrix gives a zero, negative or non-finite power.
+    """
+    out = np.empty(r.shape, dtype=np.float64)
+    out[0] = r[0].real
+    fwd, bwd = r[1:], r[:-1]
+    for p in range(1, r.shape[0]):
+        k = -fwd[0] / bwd[0]
+        out[p] = (bwd[0] + k.conj() * fwd[0]).real
+        fwd, bwd = fwd[1:] + k * bwd[1:], bwd[:-1] + k.conj() * fwd[:-1]
+    return out
+
+
+def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: int):
     """Pivots for a batch of channels, shape (T, NM), plus a validity mask.
 
-    Trials whose Gram matrix fails Cholesky (numerically singular) get
-    ``ok=False`` and λ = 1 as a placeholder; :func:`dfe_noise_enhancement`
-    turns them into ν = inf, an outage on every symbol.
+    λ[kM+l] is symbol (k, l)'s Schur complement in G = HᴴH given every later
+    symbol, found from G's (T, N, M) taps without forming G:
+
+    1. an FFT over delay splits G into M Hermitian-Toeplitz problems over
+       Doppler, one per delay bin;
+    2. each bin's order-(N−1−k) prediction-error power is that bin's
+       eigenvalue of block k's M×M circulant Schur complement given blocks
+       k+1..N−1;
+    3. an IFFT over the bins gives that circulant's autocorrelation (block
+       N−1 is the zero-Doppler Gram tap itself);
+    4. its prediction-error powers of order M−1..0 are the pivots of
+       symbols l = 0..M−1.
+
+    The cost is O(NM(N+M)) per trial.  A trial with any pivot non-finite or
+    below SINGULARITY_EPS is singular: it gets ``ok=False`` and λ = 1 as a
+    placeholder, which :func:`dfe_noise_enhancement` turns into ν = inf, an
+    outage on every symbol.  Trials never mix, so one singular trial leaves
+    the others' bits unchanged.
     """
-    trials = gains.shape[0]
-    nm = n * m
-    lam = np.ones((trials, nm))
-    ok = np.ones(trials, dtype=bool)
-    gram_taps = gram_taps_from_gains(doppler_taps, delay_taps, gains, n, m)
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        dense = dense_block_circulant(gram_taps[lo:hi])
-        try:
-            lam[lo:hi] = _reversed_cholesky(dense)[1]
-        except np.linalg.LinAlgError:
-            for t in range(lo, hi):
-                try:
-                    lam[t] = _reversed_cholesky(dense[t - lo])[1]
-                except np.linalg.LinAlgError:
-                    ok[t] = False
-    bad = lam.min(axis=1) < SINGULARITY_EPS
-    ok &= ~bad
+    taps = gram_taps_from_gains(doppler_taps, delay_taps, gains, n, m)
+    with np.errstate(all="ignore"):  # a singular trial's powers may be 0, < 0 or nan
+        powers = _schur_errors(np.moveaxis(np.fft.fft(taps, axis=-1), -2, 0))
+        blocks = np.fft.ifft(powers[::-1], axis=-1)
+        blocks[-1] = taps[..., 0, :]
+        lam = _schur_errors(np.moveaxis(blocks, -1, 0))[::-1]
+    lam = np.moveaxis(lam, (0, 1), (-1, -2)).reshape(taps.shape[:-2] + (n * m,))
+    ok = np.isfinite(lam).all(axis=-1) & (lam.min(axis=-1) >= SINGULARITY_EPS)
+    lam[~ok] = 1.0
     return lam, ok
 
 

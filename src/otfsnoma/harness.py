@@ -90,7 +90,8 @@ class ScenarioConfig:
         if self.equalizer not in EQUALIZERS:
             raise ConfigError("equalizer", f"must be one of {EQUALIZERS}")
         if self.equalizer == "dfe" and self.n * self.m > MAX_DENSE_CELLS:
-            raise ConfigError("equalizer", f"dfe factors a dense Gram matrix and needs "
+            raise ConfigError("equalizer", f"dfe pivots hold n*m complex values per trial "
+                              f"of a {BLOCK_TRIALS}-trial block and need "
                               f"n*m <= {MAX_DENSE_CELLS}, got {self.n * self.m}")
         if self.rate_mode not in RATE_MODES:
             raise ConfigError("rate_mode", f"must be one of {RATE_MODES}")

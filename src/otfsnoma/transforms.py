@@ -23,7 +23,8 @@ import numpy as np
 from .common import DomainMismatchError
 from .grid_channel import ChannelRealization, Grid
 
-# Dense NM×NM matrices are only materialized for oracle-scale problems.
+# Dense NM×NM matrices are only materialized for oracle-scale problems.  The
+# same bound caps FD-DFE grids, whose pivots hold NM values per block trial.
 MAX_DENSE_CELLS = 4096
 
 

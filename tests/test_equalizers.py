@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -330,8 +331,8 @@ class TestStaticDfe:
 @pytest.mark.parametrize("path", ["batch_static_lambdas", "batch_dfe_lambdas_n1"])
 def test_singular_user_in_batch(path):
     # Equal gains at delays 0 and M/2 give D[l] = h(1 + (-1)^l), which is zero
-    # at every odd bin: that user's Gram block fails Cholesky, the chunk falls
-    # back to one factorization per matrix, and only that user is flagged.
+    # at every odd bin: that user's Gram block fails Cholesky, and only that
+    # user is flagged.
     m, delays, shape = 8, np.array([0, 4]), (6, 5)
     gains = sample_gain_matrix(ChannelProfile(paths=((0, 0), (4, 0))), substream(31, 0),
                                6 * 5).reshape(shape + (2,))
@@ -455,3 +456,31 @@ def test_batch_pivots_match_dense_oracle(channel):
         return
     assert ok[0]
     assert lam[0] == pytest.approx(f.lam, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, m, paths", [(4, 8, ((0, 0), (0, 2))), (8, 3, ((1, 0), (1, 4)))])
+@pytest.mark.parametrize("offset, valid", [(0.0, False), (1e-7, False), (1e-4, True)])
+def test_doppler_null_pivots_match_extended_precision(n, m, paths, offset, valid):
+    # Equal gains at Doppler 0 and N/2 on one delay null every odd Doppler bin
+    # of every delay bin: exactly, within 1e-7 (a pivot below ε) and within
+    # 1e-4 (valid, cond(G) ~ 1e8).  The valid pivots are checked against the
+    # 40-digit Schur complements 1/[G[j:,j:]⁻¹]₀₀ of G = HᴴH, since float64
+    # is only good to about cond·eps there.
+    prof = ChannelProfile(paths=paths)
+    r = ChannelRealization(profile=prof, gains=np.array([_H, _H + offset]))
+    lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, r.gains[None], n, m)
+    ch = build_block_circulant(r, make_grid(n, m, 1.0))
+    try:
+        cholesky_factors(ch)
+        dense_ok = True
+    except SingularChannelError:
+        dense_ok = False
+    assert ok[0] == dense_ok == valid
+    if not valid:
+        return
+    with mpmath.workdps(40):
+        h = mpmath.matrix(ch.matrix.tolist())
+        g = h.H * h
+        exact = [float(mpmath.re(1 / mpmath.lu_solve(g[j:, j:], mpmath.matrix(
+            [1] + [0] * (n * m - 1 - j)))[0])) for j in range(n * m)]
+    assert lam[0] == pytest.approx(exact, rel=1e-7)
