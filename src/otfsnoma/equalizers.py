@@ -29,6 +29,12 @@ from .transforms import (
     sfft2,
 )
 
+# Trials × grid cells per sub-batch of batch_dfe_lambdas.  Its peak working
+# memory is about 120 B per trial per cell, so a sub-batch holds about 16 MB
+# whatever the block size; at 16×16 that is 512 trials, which ran about twice
+# as fast per trial as one 4096-trial batch.
+SCHUR_BATCH_CELLS = 1 << 17
+
 
 @dataclass(frozen=True)
 class PowerAllocation:
@@ -257,11 +263,14 @@ def _schur_errors(r: np.ndarray) -> np.ndarray:
 
     ``r[0..L]`` holds the lags along axis 0, any batch axes after it.  P_p is
     the Schur complement of one end element of the (p+1)×(p+1) Toeplitz
-    matrix given the other p, i.e. 1/[T_{p+1}⁻¹]₀₀.  Schur's recursion
-    (Kailath & Sayed, SIAM Review 1995) carries the forward and backward
-    error correlations ``fwd``, ``bwd`` and never forms a predictor; a
-    singular matrix gives a zero, negative or non-finite power.
+    matrix given the other p, i.e. 1/[T_{p+1}⁻¹]₀₀; it never increases with
+    p.  Schur's recursion (Kailath & Sayed, SIAM Review 1995) carries the
+    forward and backward error correlations ``fwd``, ``bwd`` and never forms
+    a predictor; a singular matrix gives a zero, negative or non-finite
+    power.  ``r`` is copied to lag-major contiguous memory first, since every
+    step sweeps whole lags; a strided view gives the same bits, only slower.
     """
+    r = np.ascontiguousarray(r)
     out = np.empty(r.shape, dtype=np.float64)
     out[0] = r[0].real
     fwd, bwd = r[1:], r[:-1]
@@ -273,7 +282,8 @@ def _schur_errors(r: np.ndarray) -> np.ndarray:
 
 
 def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: int):
-    """Pivots for a batch of channels, shape (T, NM), plus a validity mask.
+    """Pivots for a batch of channels, shape (T, NM), plus a validity mask;
+    stacked (..., P) gains give (..., NM) pivots.
 
     λ[kM+l] is symbol (k, l)'s Schur complement in G = HᴴH given every later
     symbol, found from G's (T, N, M) taps without forming G:
@@ -288,31 +298,43 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     4. its prediction-error powers of order M−1..0 are the pivots of
        symbols l = 0..M−1.
 
-    The cost is O(NM(N+M)) per trial.  A trial with any pivot non-finite or
-    below SINGULARITY_EPS is singular: it gets ``ok=False`` and λ = 1 as a
-    placeholder, which :func:`dfe_noise_enhancement` turns into ν = inf, an
-    outage on every symbol.  Trials never mix, so one singular trial leaves
-    the others' bits unchanged.
+    The cost is O(NM(N+M)) per trial.  The trials run in sub-batches of
+    about SCHUR_BATCH_CELLS / NM, so the working memory does not grow with
+    T.  A trial with any pivot non-finite or below SINGULARITY_EPS is
+    singular: it gets ``ok=False`` and λ = 1 as a placeholder, which
+    :func:`dfe_noise_enhancement` turns into ν = inf, an outage on every
+    symbol.  Trials never mix, so neither a singular trial nor the
+    sub-batching changes the other trials' bits.
     """
+    gains = np.asarray(gains, dtype=np.complex128)
+    flat = gains.reshape((-1, gains.shape[-1]))
+    lam = np.empty((flat.shape[0], n * m))
+    step = max(1, SCHUR_BATCH_CELLS // (n * m))
+    for lo in range(0, flat.shape[0], step):
+        lam[lo:lo + step] = _dfe_lambdas(doppler_taps, delay_taps, flat[lo:lo + step], n, m)
+    ok = np.isfinite(lam).all(axis=-1) & (lam.min(axis=-1) >= SINGULARITY_EPS)
+    lam[~ok] = 1.0
+    return lam.reshape(gains.shape[:-1] + (n * m,)), ok.reshape(gains.shape[:-1])
+
+
+def _dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Raw (T, NM) pivots of :func:`batch_dfe_lambdas` for (T, P) gains."""
     taps = gram_taps_from_gains(doppler_taps, delay_taps, gains, n, m)
     with np.errstate(all="ignore"):  # a singular trial's powers may be 0, < 0 or nan
         powers = _schur_errors(np.moveaxis(np.fft.fft(taps, axis=-1), -2, 0))
         blocks = np.fft.ifft(powers[::-1], axis=-1)
-        blocks[-1] = taps[..., 0, :]
+        blocks[-1] = taps[:, 0, :]
         lam = _schur_errors(np.moveaxis(blocks, -1, 0))[::-1]
-    lam = np.moveaxis(lam, (0, 1), (-1, -2)).reshape(taps.shape[:-2] + (n * m,))
-    ok = np.isfinite(lam).all(axis=-1) & (lam.min(axis=-1) >= SINGULARITY_EPS)
-    lam[~ok] = 1.0
-    return lam, ok
+    return np.moveaxis(lam, (0, 1), (-1, -2)).reshape(len(gains), n * m)
 
 
 def batch_static_lambdas(delay_taps, gains: np.ndarray, m: int):
     """M-point pivots for stacked static channels, shape (..., M), plus mask.
 
-    A Doppler-free channel is the N=1 case of the block-circulant one, so the
-    stack is flattened and factored by :func:`batch_dfe_lambdas`.
+    A Doppler-free channel is the N=1 case of the block-circulant one.  Its
+    Gram matrix is an M×M circulant, and λ_l is that circulant's Toeplitz
+    prediction-error power of order M−1−l, so the pivots never decrease in
+    l: the smallest is λ₀ = 1/φ, the reciprocal of the FD-LE noise
+    enhancement.
     """
-    lead = gains.shape[:-1]
-    lam, ok = batch_dfe_lambdas(np.zeros_like(delay_taps), delay_taps,
-                                gains.reshape((-1, gains.shape[-1])), 1, m)
-    return lam.reshape(lead + (m,)), ok.reshape(lead)
+    return batch_dfe_lambdas(np.zeros_like(delay_taps), delay_taps, gains, 1, m)

@@ -90,8 +90,8 @@ class ScenarioConfig:
         if self.equalizer not in EQUALIZERS:
             raise ConfigError("equalizer", f"must be one of {EQUALIZERS}")
         if self.equalizer == "dfe" and self.n * self.m > MAX_DENSE_CELLS:
-            raise ConfigError("equalizer", f"dfe pivots hold n*m complex values per trial "
-                              f"of a {BLOCK_TRIALS}-trial block and need "
+            raise ConfigError("equalizer", f"dfe returns n*m pivots for every trial "
+                              f"of a {BLOCK_TRIALS}-trial block and needs "
                               f"n*m <= {MAX_DENSE_CELLS}, got {self.n * self.m}")
         if self.rate_mode not in RATE_MODES:
             raise ConfigError("rate_mode", f"must be one of {RATE_MODES}")
@@ -247,7 +247,10 @@ def u0_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.ndar
 def static_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.ndarray,
                              power: np.ndarray) -> np.ndarray:
     """ν of Doppler-free users from their (..., P+1) gains and (..., M)
-    eigenvalue powers |D̃|²: (..., 1) under FD-LE, (..., M) under FD-DFE."""
+    eigenvalue powers |D̃|²: (..., 1) under FD-LE, (..., M) under FD-DFE.
+
+    :func:`downlink_kernel` needs only the largest, φ, and takes it from the
+    powers; the per-symbol values serve the T=1 receiver ``noma_stage1``."""
     if equalizer == "le":
         return batch_noise_enhancement(power, -1)[..., None]
     return dfe_noise_enhancement(*batch_static_lambdas(profile.delay_taps, gains,
@@ -279,7 +282,7 @@ def downlink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
     power = PowerAllocation.split(cfg.gamma0_sq)
     eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
-    h0, a0, hk, ak, sel, gsel = _draw(cfg, rng, trials)
+    h0, a0, _, ak, sel, gsel = _draw(cfg, rng, trials)
 
     # --- U0 detection (NOMA power split and the OMA baseline) ---
     nu0 = u0_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
@@ -291,8 +294,12 @@ def downlink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
         samples[name + "_last"] = flags[:, -1]
 
     # --- NOMA users: stage-I (decode U0) then stage-II (own symbol) ---
-    nuk = static_noise_enhancement(cfg.equalizer, cfg.noma_profile, hk, ak)
-    ok1_user = (power.sinr(rho, nuk) > eps0).all(axis=2)  # (T, K)
+    # Stage I needs all M of a user's symbols, so the worst one decides it.
+    # Under FD-LE every symbol has ν = φ; under FD-DFE the largest ν is
+    # 1/λ₀ = φ (see batch_static_lambdas).  The singularity rules agree too:
+    # λ₀ <= M·min|D̃|², so FD-LE's singular channels are FD-DFE's, and a
+    # channel only FD-DFE rejects has φ > 1/ε, an outage at any ρ ≪ 1/ε.
+    ok1_user = power.sinr(rho, batch_noise_enhancement(ak, -1)) > eps0  # (T, K)
     ok1_sel = np.take_along_axis(ok1_user, sel, axis=1)
     snr2 = rho * power.gamma1_sq * gsel
     noma_out = ~(ok1_sel & (snr2 > epsi))  # (T, M); constant over the N symbols

@@ -34,14 +34,15 @@ def test_traced_run_sees_dfe_layers():
         harness.run_scenario(cfg)
     finally:
         tracer.restore()
-    # the static users' Gram taps come from gram_taps_from_gains with N=1, so
-    # static_gram_taps is not on the production path, and the FD-DFE pivots
-    # come from the Gram taps without a dense matrix
+    # the FD-DFE pivots come from the Gram taps without a dense matrix, and
+    # the static users' stage I is decided by their FD-LE φ = 1/λ₀, so
+    # neither the static pivots nor static_gram_taps are on the production path
     seen = set(tracer.self_times())
     assert "transforms.dense_block_circulant" not in seen
+    assert "equalizers.batch_static_lambdas" not in seen
     assert seen == {
         "harness.run_scenario", "rng.substream", "grid_channel.sample_gain_matrix",
         "transforms.spectrum_from_taps", "transforms.static_spectrum_from_taps",
         "equalizers.gram_taps_from_gains", "equalizers.batch_dfe_lambdas",
-        "equalizers.batch_static_lambdas", "scheduling.batch_schedule",
+        "scheduling.batch_schedule",
     }

@@ -23,16 +23,21 @@ from otfsnoma import (
     make_grid,
     table1_profile,
 )
+from otfsnoma import equalizers
 from otfsnoma.equalizers import (
+    _schur_errors,
     batch_dfe_lambdas,
+    batch_noise_enhancement,
     batch_static_lambdas,
+    gram_taps_from_gains,
     noise_enhancement,
     qpsk_alphabet,
     static_gram_taps,
 )
 from otfsnoma.grid_channel import sample_gain_matrix
+from otfsnoma.harness import static_noise_enhancement
 from otfsnoma.rng import substream
-from otfsnoma.transforms import dense_block_circulant, isfft2, sfft2
+from otfsnoma.transforms import dense_block_circulant, isfft2, sfft2, static_spectrum_from_taps
 
 from conftest import flat_realization, random_realization, worked_example_realization
 
@@ -354,6 +359,100 @@ def test_singular_user_in_batch(path):
     assert ok.all()
     assert np.array_equal(ok_null, others)
     assert np.array_equal(lam_null[others], lam[others])
+
+
+def _static_power(delay_taps, gains, m):
+    taps = np.zeros(gains.shape[:-1] + (m,), dtype=np.complex128)
+    taps[..., delay_taps] = gains
+    return np.abs(static_spectrum_from_taps(taps)) ** 2
+
+
+@st.composite
+def _static_channels(draw):
+    """(m, profile, gains): M <= 16 and 1-4 distinct random Doppler-free taps."""
+    m = draw(st.integers(1, 16))
+    delays = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=min(4, m), unique=True))
+    prof = ChannelProfile(paths=tuple((d, 0) for d in delays))
+    return m, prof, random_realization(prof, draw(st.integers(0, 2**32))).gains
+
+
+@settings(max_examples=100, deadline=None)
+@given(channel=_static_channels())
+def test_static_min_pivot_is_le_noise_enhancement(channel):
+    # A static user's pivot λ_l is its circulant Gram block C's Toeplitz
+    # prediction-error power of order M-1-l, and those never increase with
+    # the order, so the smallest pivot is λ₀ = 1/[C⁻¹]₀₀ = 1/φ: the FD-DFE
+    # stage I needs only φ.  Both sides are float64 evaluations of [C⁻¹]₀₀,
+    # each good to a small multiple of cond(C)·eps, cond(C) = max|D|²/min|D|²
+    # (Schur's recursion on a positive-definite Toeplitz matrix is weakly
+    # stable); 16·cond·eps covers the 4.5·cond·eps seen on 190k draws with
+    # M <= 16, near-null ones included.
+    m, prof, gains = channel
+    lam, ok = batch_static_lambdas(prof.delay_taps, gains[None], m)
+    if not ok[0]:
+        return
+    power = _static_power(prof.delay_taps, gains, m)
+    assert lam[0].argmin() == 0
+    cond = power.max() / power.min()
+    assert abs(lam[0, 0] * batch_noise_enhancement(power, -1) - 1.0) <= 16 * cond * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m", [2, 8, 16])
+@pytest.mark.parametrize("offset, valid", [(0.0, False), (1e-7, False), (1e-4, True)])
+def test_static_stage1_verdict_from_phi(m, offset, valid):
+    # Equal gains at delays 0 and M/2 null every odd bin: exactly (φ = inf),
+    # within 1e-7 (φ finite, but λ₀ = 1/φ below ε, so ok is False) and
+    # within 1e-4 (valid).  Stage I passes when every symbol's SINR clears
+    # ε₀; deciding it from φ alone agrees with deciding it from all M pivots
+    # at every SNR: λ₀ <= M·min|D|², so FD-DFE rejects every channel FD-LE
+    # calls singular, and a channel only FD-DFE rejects has φ > 1/ε.
+    prof = ChannelProfile(paths=((0, 0), (m // 2, 0)))
+    gains = np.array([[_H, _H + offset]])
+    power = _static_power(prof.delay_taps, gains, m)
+    _, ok = batch_static_lambdas(prof.delay_taps, gains, m)
+    nu = static_noise_enhancement("dfe", prof, gains, power)
+    phi = batch_noise_enhancement(power, -1)
+    assert ok[0] == valid
+    assert np.isinf(nu).all() == (not valid)
+    assert np.isinf(phi[0]) == (offset == 0.0)
+    eps0 = 2.0**0.5 - 1.0
+    verdicts = []
+    for snr_db in range(0, 101, 5):
+        rho = 10.0 ** (snr_db / 10.0)
+        by_pivots = (P34.sinr(rho, nu) > eps0).all(axis=-1)
+        assert np.array_equal(by_pivots, P34.sinr(rho, phi) > eps0)
+        verdicts.append(by_pivots[0])
+    assert any(verdicts) == valid  # the valid draw passes stage I at a high enough SNR
+
+
+def test_sub_batches_never_mix_trials(monkeypatch):
+    # a block's pivots equal, bit for bit, the concatenation of its parts'
+    # pivots, whatever the sub-batch size; one trial is singular
+    prof = table1_profile()
+    n, m, trials = 16, 16, 1030
+    gains = sample_gain_matrix(prof, substream(41, 0), trials)
+    gains[700] = [0.5, 0.5, 0.0, 0.0]  # equal taps 4 delays apart null 4 delay bins
+    args = (prof.doppler_taps, prof.delay_taps)
+    lam, ok = batch_dfe_lambdas(*args, gains, n, m)
+    assert not ok[700] and ok.sum() == trials - 1
+    parts = [batch_dfe_lambdas(*args, gains[lo:hi], n, m)
+             for lo, hi in ((0, 1), (1, 600), (600, trials))]
+    assert np.array_equal(lam, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(ok, np.concatenate([p[1] for p in parts]))
+    monkeypatch.setattr(equalizers, "SCHUR_BATCH_CELLS", 7 * n * m)
+    small = batch_dfe_lambdas(*args, gains, n, m)
+    assert np.array_equal(lam, small[0]) and np.array_equal(ok, small[1])
+
+
+def test_schur_errors_ignore_layout():
+    # the Doppler sweep's input is a strided view of the FFT output; a
+    # contiguous copy of it gives the same bits
+    prof = table1_profile()
+    gains = sample_gain_matrix(prof, substream(42, 0), 64)
+    taps = gram_taps_from_gains(prof.doppler_taps, prof.delay_taps, gains, 16, 16)
+    view = np.moveaxis(np.fft.fft(taps, axis=-1), -2, 0)
+    assert not view.flags.c_contiguous
+    assert np.array_equal(_schur_errors(view), _schur_errors(np.ascontiguousarray(view)))
 
 
 class TestInvariants:
