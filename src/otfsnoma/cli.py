@@ -2,6 +2,7 @@
 and estimate diversity slopes from result files."""
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -23,7 +24,13 @@ def _parse_params(pairs):
         key, sep, value = pair.partition("=")
         if not sep:
             raise SystemExit(f"analytic parameters must be key=value, got {pair!r}")
-        out[key] = float(value)
+        try:
+            out[key] = float(value)
+        except ValueError:
+            out[key] = math.nan
+        if not math.isfinite(out[key]):
+            raise SystemExit(f"invalid analytic parameter: {key}: must be a finite number, "
+                             f"got {value!r}")
     return out
 
 
@@ -32,6 +39,18 @@ def _require(params, *names):
     if missing:
         raise SystemExit(f"missing analytic parameters: {', '.join(missing)}")
     return [params[n] for n in names]
+
+
+# closed_form_outage and error_floor cost about K³: 1 s at K = 1024, 11 s at 2048.
+_MAX_COUNT = 1024
+
+
+def _count(name, value, low):
+    """An integer-valued parameter; 16.7 users is an error, not 16."""
+    if not value.is_integer() or not low <= value <= _MAX_COUNT:
+        raise SystemExit(f"invalid analytic parameter: {name}: must be an integer in "
+                         f"[{low}, {_MAX_COUNT}], got {value:g}")
+    return int(value)
 
 
 def _cmd_simulate(args) -> int:
@@ -46,30 +65,42 @@ def _cmd_simulate(args) -> int:
         cfg = replace(parse_config_file(args.config), **overrides)
     except ConfigError as exc:
         raise SystemExit(f"invalid scenario config: {exc}") from exc
+    except OSError as exc:
+        raise SystemExit(f"invalid option: config: {exc}") from exc
     points = run_scenario(cfg, workers=args.threads)
-    emit_csv(points, args.out)
+    try:
+        emit_csv(points, args.out)
+    except OSError as exc:
+        raise SystemExit(f"invalid option: out: {exc}") from exc
     print(f"wrote {len(points)} points to {args.out}")
     return 0
 
 
 def _cmd_analytic(args) -> int:
     params = _parse_params(args.params)
-    if args.formula == "corollary1":
-        p0, rho_db, g0, g1, r0 = _require(params, "p0", "rho_db", "gamma0_sq",
-                                          "gamma1_sq", "r0")
-        value = corollary1_outage(int(p0), float(db_to_linear(rho_db)), g0, g1, r0)
-    elif args.formula == "closedform":
-        k, eps, rho_db = _require(params, "k", "epsilon", "rho_db")
-        value = closed_form_outage(int(k), eps, float(db_to_linear(rho_db)))
-    else:
-        k, eps = _require(params, "k", "epsilon")
-        value = error_floor(int(k), eps)
+    try:
+        if args.formula == "corollary1":
+            p0, rho_db, g0, g1, r0 = _require(params, "p0", "rho_db", "gamma0_sq",
+                                              "gamma1_sq", "r0")
+            value = corollary1_outage(_count("p0", p0, 0), float(db_to_linear(rho_db)),
+                                      g0, g1, r0)
+        elif args.formula == "closedform":
+            k, eps, rho_db = _require(params, "k", "epsilon", "rho_db")
+            value = closed_form_outage(_count("k", k, 1), eps, float(db_to_linear(rho_db)))
+        else:
+            k, eps = _require(params, "k", "epsilon")
+            value = error_floor(_count("k", k, 1), eps)
+    except ValueError as exc:
+        raise SystemExit(f"invalid analytic parameters: {exc}") from exc
     print(f"{value:.12g}")
     return 0
 
 
 def _cmd_slope(args) -> int:
-    points = read_csv_points(args.infile)
+    try:
+        points = read_csv_points(args.infile)
+    except (OSError, ValueError, IndexError) as exc:
+        raise SystemExit(f"invalid option: in: {exc}") from exc
     selected = [p for p in points if p.metric == args.metric]
     if not selected:
         raise SystemExit(f"metric {args.metric!r} not present in {args.infile}")

@@ -1,4 +1,4 @@
-"""Shared error types, small result containers, and unit helpers."""
+"""Shared error types, the Monte Carlo estimate, and a unit helper."""
 
 from dataclasses import dataclass
 
@@ -6,19 +6,6 @@ import numpy as np
 
 # Magnitudes / pivots below this are treated as a numerically singular channel.
 SINGULARITY_EPS = 1e-12
-
-
-class DomainMismatchError(ValueError):
-    """A frame was presented in the wrong plane for the requested transform."""
-
-
-class SingularChannelError(ArithmeticError):
-    """The effective channel is numerically singular.
-
-    Raised only by the dense oracles ``fd_le_equalize`` and
-    ``cholesky_factors``.  Every receiver instead maps a singular channel to
-    noise enhancement ν = inf, so its SINR is 0 and every symbol is in outage.
-    """
 
 
 class ConfigError(ValueError):
@@ -50,5 +37,3 @@ def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
-def linear_to_db(x_lin):
-    return 10.0 * np.log10(x_lin)

@@ -1,33 +1,27 @@
-"""Frequency-domain equalizers and per-symbol SINR calculators.
+"""Noise enhancement of the FD-LE and FD-DFE equalizers, and Lemma 1's SINR.
 
-FD-LE inverts the diagonalized channel in the transform domain; FD-DFE uses
-the factorization H^H H = L^H Λ L (L unit lower triangular, Λ positive
-diagonal) as feed-forward/feedback filters.  The Λ pivots are the per-symbol
-effective fading gains: the last pivot always equals Σ_p |h_p|², and the
-first equals the reciprocal of the FD-LE noise-enhancement factor, which is
-why the first DFE decision is exactly as reliable as FD-LE.
+Every receiver sees its equalizer through one value ν per symbol, and
+:meth:`PowerAllocation.sinr` turns ν into the symbol's SINR.  FD-LE inverts
+the diagonalized channel, so every symbol gets ν = φ, the mean of |D|⁻².
+FD-DFE uses the factorization H^H H = L^H Λ L (L unit lower triangular, Λ
+positive diagonal), so symbol i gets ν = 1/λ_i.  The last pivot always
+equals Σ_p |h_p|², and the first equals 1/φ, which is why the first DFE
+decision is exactly as reliable as FD-LE.
 
-The batched pivots (:func:`batch_dfe_lambdas`) use the structure of H^H H,
+The pivots (:func:`batch_dfe_lambdas`) use the structure of H^H H,
 block-circulant with circulant blocks: an FFT over delay splits it into
 Hermitian-Toeplitz problems that Schur's recursion solves in O(NM(N+M)) per
-trial.  The dense Gram matrix and its Cholesky factor
-(:func:`cholesky_factors`) are built only by the per-realization oracles.
+trial, without forming the NM×NM Gram matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .common import SINGULARITY_EPS, DomainMismatchError, SingularChannelError
-from .transforms import (
-    BlockCirculantChannel,
-    DiagonalizedChannel,
-    Domain,
-    Frame,
-    dense_block_circulant,
-    isfft2,
-    sfft2,
-)
+from .common import SINGULARITY_EPS
+# Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
+# wraps names where callers look them up, still finds it in this module.
+from .transforms import dense_block_circulant  # noqa: F401
 
 # Trials × grid cells per sub-batch of batch_dfe_lambdas.  Its peak working
 # memory is about 120 B per trial per cell, so a sub-batch holds about 16 MB
@@ -76,14 +70,6 @@ class PowerAllocation:
         return rho * self.gamma0_sq / (rho * self.gamma1_sq + nu)
 
 
-@dataclass(frozen=True, eq=False)
-class DfeFactors:
-    """Factors of H^H H = L^H Λ L: unit-lower-triangular L and pivots λ > 0."""
-
-    l_factor: np.ndarray
-    lam: np.ndarray
-
-
 def batch_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
     """FD-LE φ = mean |D|⁻² over ``axis`` of the eigenvalue powers |D|².
 
@@ -101,50 +87,6 @@ def dfe_noise_enhancement(lam: np.ndarray, ok: np.ndarray) -> np.ndarray:
     nu = 1.0 / lam
     nu[~ok] = np.inf
     return nu
-
-
-def noise_enhancement(d: DiagonalizedChannel) -> float:
-    """φ = (1/NM) Σ |D[k,l]|⁻², the FD-LE noise amplification.
-
-    Equal to (1/NM)·trace(D⁻¹D⁻ᴴ); returns inf for a singular channel.
-    """
-    return float(batch_noise_enhancement(np.abs(d.d_values) ** 2, None))
-
-
-def fd_le_equalize(y: Frame, d: DiagonalizedChannel) -> Frame:
-    """Zero-forcing equalization: transform, divide by D, transform back.
-
-    Noiseless input reproduces the superimposed symbols exactly; the output
-    equals the dense H⁻¹y but costs only two symplectic transforms.
-    """
-    if y.domain is not Domain.DELAY_DOPPLER:
-        raise DomainMismatchError("fd_le_equalize expects a delay-Doppler frame")
-    if d.d_values.shape != y.values.shape:
-        raise ValueError("diagonal channel shape does not match the frame")
-    if np.isinf(noise_enhancement(d)):
-        raise SingularChannelError("channel eigenvalue below singularity threshold")
-    out = isfft2(sfft2(y.values) / d.d_values)
-    return Frame(y.grid, out, Domain.DELAY_DOPPLER)
-
-
-def fd_le_sinr(d: DiagonalizedChannel, rho: float, p: PowerAllocation) -> float:
-    """Common FD-LE SINR of every symbol: ργ₀² / (ργ₁² + φ).
-
-    All NM symbols see the same value because the noise covariance after
-    equalization is block-circulant with constant diagonal φ.  A singular
-    channel yields SINR 0 (certain outage).
-    """
-    return p.sinr(rho, noise_enhancement(d))
-
-
-def _reversed_cholesky(gram: np.ndarray):
-    """Cholesky factor C of the index-reversed Gram matrix, and the pivots λ
-    (in symbol order) of G = L^H Λ L.  Supports stacked leading axes; raises
-    ``numpy.linalg.LinAlgError`` when any matrix is not positive definite.
-    """
-    chol = np.linalg.cholesky(gram[..., ::-1, ::-1])
-    diag = np.einsum("...ii->...i", chol).real
-    return chol, (diag * diag)[..., ::-1]
 
 
 def gram_taps_from_gains(doppler_taps, delay_taps, gains, n: int, m: int) -> np.ndarray:
@@ -165,93 +107,7 @@ def gram_taps_from_gains(doppler_taps, delay_taps, gains, n: int, m: int) -> np.
     return out
 
 
-def cholesky_factors(channel: BlockCirculantChannel) -> DfeFactors:
-    """Factor H^H H = L^H Λ L for the FD-DFE.
-
-    The Gram matrix is assembled from the channel taps and factored densely
-    (desk-scale grids only).  Raises :class:`SingularChannelError` when H is
-    rank deficient, i.e. any pivot falls below the singularity threshold.
-    """
-    prof, grid = channel.realization.profile, channel.grid
-    gram = dense_block_circulant(gram_taps_from_gains(
-        prof.doppler_taps, prof.delay_taps, channel.realization.gains,
-        grid.n_doppler, grid.m_delay))
-    try:
-        chol, lam = _reversed_cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularChannelError("H^H H is not positive definite") from exc
-    if lam.min() < SINGULARITY_EPS:
-        raise SingularChannelError("DFE pivot below singularity threshold")
-    l_factor = (chol / np.diagonal(chol).real).conj().T[::-1, ::-1]
-    return DfeFactors(l_factor=l_factor, lam=lam)
-
-
-def qpsk_alphabet(power: float = 1.0) -> np.ndarray:
-    """The four QPSK points at average power ``power``."""
-    return np.sqrt(power / 2.0) * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-
-
-@dataclass(frozen=True, eq=False)
-class GenieFeedback:
-    """Perfect decision feedback: the true superposition is fed back, so the
-    estimate is exactly x + L(HᴴH)⁻¹Hᴴz (no error propagation)."""
-
-    true_symbols: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class HardDecisionFeedback:
-    """Slice each symbol to the nearest alphabet point before feeding back.
-
-    Quantifies error propagation relative to the genie upper bound.
-    """
-
-    alphabet: np.ndarray
-
-
-def fd_dfe_equalize(y: Frame, channel: BlockCirculantChannel, feedback,
-                    factors: DfeFactors | None = None) -> Frame:
-    """Decision-feedback equalization of a delay-Doppler observation.
-
-    Feed-forward P = L(HᴴH)⁻¹Hᴴ, feedback G = L − I; decisions propagate in
-    row-major symbol order (symbol (0,0) first), which is the order the unit
-    lower triangular feedback supports.
-    """
-    if y.domain is not Domain.DELAY_DOPPLER:
-        raise DomainMismatchError("fd_dfe_equalize expects a delay-Doppler frame")
-    if factors is None:
-        factors = cholesky_factors(channel)
-    n, m = y.grid.n_doppler, y.grid.m_delay
-    hmat = channel.matrix
-    yvec = y.values.reshape(-1)
-    gram = hmat.conj().T @ hmat
-    forward = factors.l_factor @ np.linalg.solve(gram, hmat.conj().T @ yvec)
-
-    if isinstance(feedback, GenieFeedback):
-        xvec = np.asarray(feedback.true_symbols, dtype=np.complex128).reshape(-1)
-        est = forward - factors.l_factor @ xvec + xvec
-    elif isinstance(feedback, HardDecisionFeedback):
-        alphabet = np.asarray(feedback.alphabet, dtype=np.complex128).reshape(-1)
-        est = np.empty_like(forward)
-        decided = np.zeros_like(forward)
-        lmat = factors.l_factor
-        for j in range(est.shape[0]):
-            est[j] = forward[j] - lmat[j, :j] @ decided[:j]
-            decided[j] = alphabet[np.argmin(np.abs(est[j] - alphabet))]
-    else:
-        raise TypeError("feedback must be GenieFeedback or HardDecisionFeedback")
-    return Frame(y.grid, est.reshape(n, m), Domain.DELAY_DOPPLER)
-
-
-def fd_dfe_sinrs(factors: DfeFactors, rho: float, p: PowerAllocation) -> np.ndarray:
-    """Per-symbol DFE SINRs ργ₀² / (ργ₁² + 1/λ), row-major symbol order.
-
-    Unlike FD-LE the symbols see unequal effective gains; the last symbol
-    always gets λ = Σ|h_p|² and the first the FD-LE-equivalent 1/φ.
-    """
-    return p.sinr(rho, 1.0 / factors.lam)
-
-
+# Unused by the simulator; bench/tracing.py wraps it by name.
 def static_gram_taps(delay_taps, gains, m: int) -> np.ndarray:
     """(..., M) taps of a Doppler-free channel's M×M circulant Gram block:
     the N=1 case of :func:`gram_taps_from_gains`."""

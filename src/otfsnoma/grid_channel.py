@@ -96,19 +96,18 @@ class ChannelProfile:
     def doppler_taps(self) -> np.ndarray:
         return np.array([k for _, k in self.paths], dtype=np.intp)
 
+    # These two compare Python ints, so a tap too large for an index array
+    # fails the grid check instead of overflowing.
     def is_static(self) -> bool:
-        return bool(np.all(self.doppler_taps == 0))
+        return all(k == 0 for _, k in self.paths)
 
     def check_fits(self, grid: Grid) -> None:
         """Raise if any tap falls outside the grid."""
-        if self.delay_taps.max() >= grid.m_delay:
-            raise ValueError(
-                f"delay tap {int(self.delay_taps.max())} exceeds grid m_delay={grid.m_delay}"
-            )
-        if self.doppler_taps.max() >= grid.n_doppler:
-            raise ValueError(
-                f"doppler tap {int(self.doppler_taps.max())} exceeds grid n_doppler={grid.n_doppler}"
-            )
+        delay, doppler = (max(taps) for taps in zip(*self.paths))
+        if delay >= grid.m_delay:
+            raise ValueError(f"delay tap {delay} exceeds grid m_delay={grid.m_delay}")
+        if doppler >= grid.n_doppler:
+            raise ValueError(f"doppler tap {doppler} exceeds grid n_doppler={grid.n_doppler}")
 
 
 def table1_profile() -> ChannelProfile:
@@ -120,37 +119,6 @@ def table1_profile() -> ChannelProfile:
     integer taps are authoritative, the physical values documentation only.
     """
     return ChannelProfile(paths=((2, 0), (6, 0), (10, 1), (14, 1)))
-
-
-def static_profile(num_paths: int, delay_taps) -> ChannelProfile:
-    """Doppler-free profile for a low-mobility user (all Doppler taps zero)."""
-    taps = [int(d) for d in delay_taps]
-    if num_paths < 1:
-        raise ValueError("num_paths must be >= 1")
-    if len(taps) != num_paths:
-        raise ValueError(f"expected {num_paths} delay taps, got {len(taps)}")
-    if len(set(taps)) != len(taps):
-        raise ValueError("duplicate delay tap")
-    return ChannelProfile(paths=tuple((d, 0) for d in taps))
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One drawn channel: a profile plus one complex gain per path."""
-
-    profile: ChannelProfile
-    gains: np.ndarray
-
-    def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=np.complex128)
-        if gains.shape != (self.profile.num_paths,):
-            raise ValueError("gains length must equal the number of paths")
-        gains.setflags(write=False)
-        object.__setattr__(self, "gains", gains)
-
-    @property
-    def total_power(self) -> float:
-        return float(np.sum(np.abs(self.gains) ** 2))
 
 
 def sample_gain_matrix(profile: ChannelProfile, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -165,7 +133,3 @@ def sample_gain_matrix(profile: ChannelProfile, rng: np.random.Generator, count:
     return scale * (raw[..., 0] + 1j * raw[..., 1])
 
 
-def sample_realization(profile: ChannelProfile, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one realization; deterministic given the generator state."""
-    gains = sample_gain_matrix(profile, rng, 1)[0]
-    return ChannelRealization(profile=profile, gains=gains)

@@ -5,8 +5,9 @@ Every estimate comes from one block driver: a per-block kernel
 fixed-size blocks, each drawing from a substream keyed by the caller's key
 and the block index, and the blocks' partial sums are merged in block order,
 so a run is bit-reproducible regardless of the worker count.  Scenarios key
-their blocks by (seed, snr_index, block_index); the standalone estimators in
-``uplink`` and ``downlink`` wrap the same kernels with (seed, block_index).
+their blocks by (seed, snr_index, block_index); the tests' standalone
+estimators (``tests/oracles.py``) wrap the same kernels with
+(seed, block_index).
 Every metric carries a 95% normal-approximation confidence halfwidth
 computed from the per-trial spread.
 """
@@ -85,8 +86,8 @@ class ScenarioConfig:
         if not (0.0 < self.gamma0_sq <= 1.0):
             raise ConfigError("gamma0_sq", "must be in (0, 1]")
         for key in ("rate_u0", "rate_noma"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(key, "target rates must be positive")
+            if not 0.0 < getattr(self, key) < 1024.0:  # so 2^R − 1 is a finite float
+                raise ConfigError(key, "target rates must be in (0, 1024) bits per use")
         if self.equalizer not in EQUALIZERS:
             raise ConfigError("equalizer", f"must be one of {EQUALIZERS}")
         if self.equalizer == "dfe" and self.n * self.m > MAX_DENSE_CELLS:
@@ -97,12 +98,14 @@ class ScenarioConfig:
             raise ConfigError("rate_mode", f"must be one of {RATE_MODES}")
         if not self.snr_db:
             raise ConfigError("snr_db", "SNR grid must be nonempty")
+        if not all(abs(s) <= 3000.0 for s in self.snr_db):  # so ρ is a finite normal float
+            raise ConfigError("snr_db", "SNR values must be finite, within ±3000 dB")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("snr_db", "SNR grid must be strictly increasing")
         if self.trials < 1:
             raise ConfigError("trials", "must be >= 1")
-        if self.delta_f <= 0:
-            raise ConfigError("delta_f", "must be positive")
+        if not 0.0 < self.delta_f < math.inf:
+            raise ConfigError("delta_f", "must be positive and finite")
         for key in ("u0_profile", "noma_profile"):
             try:
                 getattr(self, key).check_fits(self.grid())
@@ -228,8 +231,8 @@ def parse_config_file(path) -> ScenarioConfig:
 #  Every receiver sees its equalizer through one value ν per symbol: the
 #  FD-LE φ, one per channel, or the FD-DFE 1/λ, one per symbol, with ν = inf
 #  on singular channels.  Its SINR is PowerAllocation.sinr(ρ, ν), whichever
-#  equalizer produced ν.  The per-realization receivers in ``downlink`` and
-#  ``uplink`` call the two ν functions below with T = 1.
+#  equalizer produced ν.  The per-realization receivers in tests/oracles.py
+#  call the two ν functions below with T = 1.
 # ---------------------------------------------------------------------------
 
 
@@ -250,7 +253,8 @@ def static_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.
     eigenvalue powers |D̃|²: (..., 1) under FD-LE, (..., M) under FD-DFE.
 
     :func:`downlink_kernel` needs only the largest, φ, and takes it from the
-    powers; the per-symbol values serve the T=1 receiver ``noma_stage1``."""
+    powers; the per-symbol values serve the tests' T=1 receiver
+    ``noma_stage1``."""
     if equalizer == "le":
         return batch_noise_enhancement(power, -1)[..., None]
     return dfe_noise_enhancement(*batch_static_lambdas(profile.delay_taps, gains,
@@ -338,17 +342,6 @@ def uplink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
         "outage_sum_rate_noma": cfg.rate_u0 * (1.0 - u0_joint) + cfg.rate_noma * (1.0 - noma_frac),
         "outage_sum_rate_oma": cfg.rate_u0 * (1.0 - stage2_frac),
     }
-
-
-def last_pivot_kernel(cfg, rho: float, rng, trials: int) -> dict:
-    """Outage of the best-protected FD-DFE symbol from its pivot Σ|h_p|².
-
-    ``cfg`` is ``(profile, power, rate_u0)`` with ``power`` a
-    :class:`~otfsnoma.equalizers.PowerAllocation`.
-    """
-    profile, power, rate_u0 = cfg
-    nu = 1.0 / np.sum(np.abs(sample_gain_matrix(profile, rng, trials)) ** 2, axis=1)
-    return {"u0_outage_last": power.sinr(rho, nu) < 2.0**rate_u0 - 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +432,8 @@ def corollary1_outage(p0: int, rho: float, gamma0_sq: float, gamma1_sq: float,
         raise ValueError("p0 must be >= 0")
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if not 0.0 < r0 < 1024.0:  # so ε₀ = 2^R₀ − 1 is a positive, finite float
+        raise ValueError("r0 must be in (0, 1024)")
     eps0 = 2.0**r0 - 1.0
     delta = gamma0_sq - gamma1_sq * eps0
     if delta <= 0:

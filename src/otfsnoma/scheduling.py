@@ -1,65 +1,11 @@
 """User scheduling: which of the K low-mobility users get the M subchannels.
 
-Schedulers act on noiseless channel diagonal magnitudes (perfect CSI at the
+Schedulers act on noiseless squared channel diagonals (perfect CSI at the
 scheduler); all selections are scale invariant and break ties toward the
 lowest user index so results are deterministic.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class UserPool:
-    """Per-user static channel diagonals: ``diag_magnitudes[i, l] = |D̃_i^l|``."""
-
-    diag_magnitudes: np.ndarray
-
-    def __post_init__(self):
-        mags = np.asarray(self.diag_magnitudes, dtype=float)
-        if mags.ndim != 2 or mags.shape[0] < 1 or mags.shape[1] < 1:
-            raise ValueError("diag_magnitudes must be a (K, M) array with K, M >= 1")
-        if not np.all(np.isfinite(mags)) or np.any(mags < 0):
-            raise ValueError("diagonal magnitudes must be finite and non-negative")
-        object.__setattr__(self, "diag_magnitudes", mags)
-
-    @property
-    def k_users(self) -> int:
-        return self.diag_magnitudes.shape[0]
-
-    @property
-    def n_subchannels(self) -> int:
-        return self.diag_magnitudes.shape[1]
-
-    @classmethod
-    def from_diagonals(cls, diagonals) -> "UserPool":
-        """Build from complex per-user diagonals, shape (K, M)."""
-        return cls(diag_magnitudes=np.abs(np.asarray(diagonals)))
-
-
-def random_schedule(pool: UserPool, rng: np.random.Generator) -> np.ndarray:
-    """Pick M of the K users uniformly without replacement (one per subchannel)."""
-    if pool.k_users < pool.n_subchannels:
-        raise ValueError("random scheduling needs at least as many users as subchannels")
-    return rng.choice(pool.k_users, size=pool.n_subchannels, replace=False)
-
-
-def greedy_schedule(pool: UserPool) -> int:
-    """Single user maximizing its worst subchannel gain, min_l |D̃_i^l|².
-
-    The winner occupies every subchannel; ties go to the lowest index.
-    """
-    mins = (pool.diag_magnitudes**2).min(axis=1)
-    return int(np.argmax(mins))
-
-
-def per_subchannel_schedule(pool: UserPool) -> np.ndarray:
-    """Best user per subchannel, argmax_i |D̃_i^m|² for each m.
-
-    A user may win several subchannels; ties go to the lowest index.
-    """
-    return np.argmax(pool.diag_magnitudes**2, axis=0)
 
 
 def batch_schedule(gains_sq: np.ndarray, scheduler: str, rng: np.random.Generator,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from otfsnoma import ChannelProfile, ChannelRealization, make_grid
+from otfsnoma import ChannelProfile, make_grid
 from otfsnoma.rng import substream
+from oracles import ChannelRealization, sample_realization
 
 
 @pytest.fixture
@@ -22,8 +23,6 @@ def rng():
 
 def random_realization(profile: ChannelProfile, seed: int) -> ChannelRealization:
     """Deterministic random realization for a given seed."""
-    from otfsnoma import sample_realization
-
     return sample_realization(profile, substream(seed, 0))
 
 

@@ -7,31 +7,15 @@ at run time.
 
 import numpy as np
 
-from otfsnoma import (
-    ChannelProfile,
-    CurvePoint,
-    PowerAllocation,
-    build_block_circulant,
-    cholesky_factors,
-    corollary1_outage,
-    diagonalize,
-    diversity_slope,
-    emit_csv,
-    error_floor,
-    fd_le_sinr,
-    fixed_rate_outage_mc,
-    floor_approx,
-    make_grid,
-    run_scenario,
-    sample_realization,
-    table1_profile,
-)
-from otfsnoma.downlink import dfe_last_symbol_outage_mc
+from otfsnoma import (ChannelProfile, CurvePoint, PowerAllocation, corollary1_outage,
+                      diversity_slope, emit_csv, error_floor, floor_approx, make_grid, run_scenario,
+                      table1_profile)
 from otfsnoma.uplink import closed_form_outage
-from otfsnoma.equalizers import noise_enhancement
 from otfsnoma.harness import ScenarioConfig, default_noma_profile
 from otfsnoma.rng import substream
-from otfsnoma.transforms import isfft2, sfft2
+from oracles import (build_block_circulant, cholesky_factors, dfe_last_symbol_outage_mc,
+                     diagonalize, fd_le_sinr, fixed_rate_outage_mc, isfft2, noise_enhancement,
+                     sample_realization, sfft2)
 
 P34 = PowerAllocation.split(0.75)
 GRID16 = make_grid(16, 16, 7500.0)

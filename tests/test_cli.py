@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from otfsnoma import corollary1_outage, error_floor, read_csv_points
@@ -125,6 +127,28 @@ class TestSlope:
         emit_csv([], path)
         with pytest.raises(SystemExit):
             main(["slope", "--in", str(path), "--metric", "nope"])
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["analytic", "--formula", "floor", "--params", "k=abc", "epsilon=1"], "k"),
+    (["analytic", "--formula", "floor", "--params", "k=16.7", "epsilon=1"], "k"),
+    (["analytic", "--formula", "corollary1", "--params", "p0=2.9", "rho_db=10",
+      "gamma0_sq=0.75", "gamma1_sq=0.25", "r0=0.5"], "p0"),
+    (["analytic", "--formula", "corollary1", "--params", "p0=3", "rho_db=10",
+      "gamma0_sq=0.75", "gamma1_sq=0.25", "r0=2000"], "r0"),
+    (["analytic", "--formula", "floor", "--params", "k=0", "epsilon=1"], "k"),
+    (["analytic", "--formula", "floor", "--params", "k=1e300", "epsilon=1"], "k"),
+    (["analytic", "--formula", "corollary1", "--params", "p0=1e18", "rho_db=10",
+      "gamma0_sq=0.75", "gamma1_sq=0.25", "r0=0.5"], "p0"),
+    (["slope", "--in", "{tmp}/missing.csv", "--metric", "u0_outage"], "in"),
+    (["simulate", "--config", "{tmp}/missing.cfg", "--out", "{tmp}/x.csv"], "config"),
+    (["simulate", "--config", "{cfg}", "--out", "{tmp}/missing/x.csv"], "out"),
+])
+def test_bad_input_exits_with_one_line_naming_it(argv, name, config_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path, cfg=config_file) for a in argv])
+    message = str(exc.value.code)
+    assert "\n" not in message and re.search(rf"\b{name}\b", message), message
 
 
 def test_shipped_configs_parse():

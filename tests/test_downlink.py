@@ -1,30 +1,15 @@
 import numpy as np
 import pytest
 
-from otfsnoma import (
-    ChannelProfile,
-    ChannelRealization,
-    Domain,
-    LinkConfig,
-    PowerAllocation,
-    build_block_circulant,
-    build_tx_frame,
-    cholesky_factors,
-    diagonalize,
-    fd_dfe_sinrs,
-    fd_le_sinr,
-    make_grid,
-    noma_outage,
-    noma_stage1,
-    noma_stage2,
-    table1_profile,
-    u0_receive,
-)
-from otfsnoma.downlink import DownlinkTxFrame, dfe_last_symbol_outage_mc
+from otfsnoma import ChannelProfile, PowerAllocation, make_grid, table1_profile
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.harness import corollary1_outage
 from otfsnoma.rng import substream
-from otfsnoma.transforms import isfft2, spectrum_from_taps
+from otfsnoma.transforms import spectrum_from_taps
+from oracles import (ChannelRealization, Domain, DownlinkTxFrame, LinkConfig, build_block_circulant,
+                     build_tx_frame, cholesky_factors, dfe_last_symbol_outage_mc, diagonalize,
+                     fd_dfe_sinrs, fd_le_sinr, isfft2, noma_outage, noma_stage1, noma_stage2,
+                     u0_receive)
 
 from conftest import flat_realization, random_realization
 

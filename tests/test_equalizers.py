@@ -1,43 +1,24 @@
+import ast
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from otfsnoma import (
-    ChannelProfile,
-    ChannelRealization,
-    Domain,
-    Frame,
-    GenieFeedback,
-    HardDecisionFeedback,
-    PowerAllocation,
-    SingularChannelError,
-    build_block_circulant,
-    cholesky_factors,
-    diagonalize,
-    fd_dfe_equalize,
-    fd_dfe_sinrs,
-    fd_le_equalize,
-    fd_le_sinr,
-    make_grid,
-    table1_profile,
-)
+from otfsnoma import ChannelProfile, PowerAllocation, make_grid, table1_profile
 from otfsnoma import equalizers
-from otfsnoma.equalizers import (
-    _schur_errors,
-    batch_dfe_lambdas,
-    batch_noise_enhancement,
-    batch_static_lambdas,
-    gram_taps_from_gains,
-    noise_enhancement,
-    qpsk_alphabet,
-    static_gram_taps,
-)
+from otfsnoma.equalizers import (_schur_errors, batch_dfe_lambdas, batch_noise_enhancement,
+                                 batch_static_lambdas, gram_taps_from_gains, static_gram_taps)
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.harness import static_noise_enhancement
 from otfsnoma.rng import substream
-from otfsnoma.transforms import dense_block_circulant, isfft2, sfft2, static_spectrum_from_taps
+from otfsnoma.transforms import dense_block_circulant, static_spectrum_from_taps
+from oracles import (ChannelRealization, Domain, Frame, GenieFeedback, HardDecisionFeedback,
+                     SingularChannelError, build_block_circulant, cholesky_factors, diagonalize,
+                     fd_dfe_equalize, fd_dfe_sinrs, fd_le_equalize, fd_le_sinr, isfft2,
+                     noise_enhancement, qpsk_alphabet, sfft2)
 
 from conftest import flat_realization, random_realization, worked_example_realization
 
@@ -376,8 +357,12 @@ def _static_channels(draw):
     return m, prof, random_realization(prof, draw(st.integers(0, 2**32))).gains
 
 
+_EVEN_TAPS = ChannelProfile(paths=((0, 0), (2, 0)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(channel=_static_channels())
+@example(channel=(10, _EVEN_TAPS, random_realization(_EVEN_TAPS, 0).gains))
 def test_static_min_pivot_is_le_noise_enhancement(channel):
     # A static user's pivot λ_l is its circulant Gram block C's Toeplitz
     # prediction-error power of order M-1-l, and those never increase with
@@ -386,15 +371,20 @@ def test_static_min_pivot_is_le_noise_enhancement(channel):
     # each good to a small multiple of cond(C)·eps, cond(C) = max|D|²/min|D|²
     # (Schur's recursion on a positive-definite Toeplitz matrix is weakly
     # stable); 16·cond·eps covers the 4.5·cond·eps seen on 190k draws with
-    # M <= 16, near-null ones included.
+    # M <= 16, near-null ones included.  Pivots can tie exactly: taps only
+    # at even delays zero every odd-lag reflection coefficient, so the
+    # pivots come in equal pairs, and rounding may leave λ₁ below λ₀ (the
+    # example above).  The largest such excess seen on 550k draws was
+    # 0.70·cond·eps, so λ₀ must be the smallest pivot to within 2·cond·eps.
     m, prof, gains = channel
     lam, ok = batch_static_lambdas(prof.delay_taps, gains[None], m)
     if not ok[0]:
         return
     power = _static_power(prof.delay_taps, gains, m)
-    assert lam[0].argmin() == 0
     cond = power.max() / power.min()
-    assert abs(lam[0, 0] * batch_noise_enhancement(power, -1) - 1.0) <= 16 * cond * np.finfo(float).eps
+    eps = np.finfo(float).eps
+    assert lam[0, 0] <= lam[0].min() * (1.0 + 2 * cond * eps)
+    assert abs(lam[0, 0] * batch_noise_enhancement(power, -1) - 1.0) <= 16 * cond * eps
 
 
 @pytest.mark.parametrize("m", [2, 8, 16])
@@ -583,3 +573,20 @@ def test_doppler_null_pivots_match_extended_precision(n, m, paths, offset, valid
         exact = [float(mpmath.re(1 / mpmath.lu_solve(g[j:, j:], mpmath.matrix(
             [1] + [0] * (n * m - 1 - j)))[0])) for j in range(n * m)]
     assert lam[0] == pytest.approx(exact, rel=1e-7)
+
+
+def test_package_has_no_dense_factorization():
+    """Dense NM×NM algebra lives only in the tests' oracles: no module of the
+    package imports or calls numpy.linalg."""
+    uses = []
+    for path in sorted(Path(equalizers.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            else:
+                continue
+            if any("linalg" in name.split(".") for name in names):
+                uses.append(f"{path.name}:{node.lineno}")
+    assert not uses

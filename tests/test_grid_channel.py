@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otfsnoma import (
-    ChannelProfile,
-    ChannelRealization,
-    make_grid,
-    sample_realization,
-    static_profile,
-    table1_profile,
-)
+from otfsnoma import ChannelProfile, make_grid, table1_profile
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.rng import substream
+from oracles import ChannelRealization, sample_realization, static_profile
 
 
 class TestMakeGrid:

@@ -1,41 +1,30 @@
+import glob
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
-from otfsnoma import (
-    ChannelProfile,
-    ChannelRealization,
-    ConfigError,
-    CurvePoint,
-    EstimatorUndefinedError,
-    LinkConfig,
-    PowerAllocation,
-    ScenarioConfig,
-    UserPool,
-    build_block_circulant,
-    build_tx_frame,
-    corollary1_outage,
-    diagonalize,
-    diversity_slope,
-    emit_csv,
-    noma_outage,
-    noma_stage1,
-    noma_stage2,
-    nomauser_diagonalize,
-    per_subchannel_schedule,
-    read_csv_points,
-    run_scenario,
-    u0_receive,
-    uplink_stage1_sinr,
-    uplink_stage2_sinrs,
-)
-from otfsnoma.harness import _draw, downlink_kernel, parse_config_text, uplink_kernel
+from otfsnoma import (ChannelProfile, ConfigError, CurvePoint, EstimatorUndefinedError,
+                      PowerAllocation, ScenarioConfig, corollary1_outage, diversity_slope, emit_csv,
+                      read_csv_points, run_scenario)
+from otfsnoma.harness import _CONFIG_KEYS, _draw, downlink_kernel, parse_config_text, uplink_kernel
 from otfsnoma.rng import substream
+from oracles import (ChannelRealization, LinkConfig, UserPool, build_block_circulant,
+                     build_tx_frame, diagonalize, noma_outage, noma_stage1, noma_stage2,
+                     nomauser_diagonalize, per_subchannel_schedule, u0_receive, uplink_stage1_sinr,
+                     uplink_stage2_sinrs)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+SHIPPED_CONFIGS = [open(p, encoding="utf-8").read() for p in
+                   sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))]
+EDGE_VALUES = ("", "nan", "inf", "-inf", "0", "-1", "1e400", "1e-320", "99999999999999999999",
+               "99999999999999999999:0", "0:99999999999999999999", "1:2:3", "0:0,0:0", ",", "0,inf",
+               "0,nan", "5,0", "dfe", "uplink", "greedy", "adaptive", "1" * 5000)
 
 
 def small_config(**overrides):
@@ -96,6 +85,22 @@ class TestConfig:
         path.write_text(CONFIG_TEXT)
         assert parse_config_file(path) == parse_config_text(CONFIG_TEXT)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(SHIPPED_CONFIGS), st.data())
+    def test_parse_fuzz_raises_only_config_errors(self, text, data):
+        """Replace one value of a shipped config: the text parses, or the
+        ConfigError names a config key or a line."""
+        lines = text.splitlines()
+        i = data.draw(st.sampled_from([i for i, s in enumerate(lines) if "=" in s.split("#")[0]]))
+        value = data.draw(st.one_of(
+            st.sampled_from(EDGE_VALUES), st.integers().map(str), st.floats().map(repr),
+            st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")))))
+        lines[i] = lines[i].partition("=")[0] + "= " + value
+        try:
+            parse_config_text("\n".join(lines))
+        except ConfigError as exc:
+            assert exc.field in _CONFIG_KEYS or re.fullmatch(r"line \d+", exc.field)
+
     @pytest.mark.parametrize("overrides", [
         dict(direction="sideways"),
         dict(trials=0),
@@ -125,6 +130,16 @@ class TestConfig:
         (dict(u0_profile=ChannelProfile(paths=((9, 0),))), "u0_profile"),
         (dict(noma_profile=ChannelProfile(paths=((9, 0),))), "noma_profile"),
         (dict(equalizer="dfe", n=128, m=64, k_users=64), "equalizer"),
+        (dict(rate_u0=math.nan), "rate_u0"),
+        (dict(rate_noma=math.inf), "rate_noma"),
+        (dict(rate_noma=1024.0), "rate_noma"),
+        (dict(snr_db=(math.nan,)), "snr_db"),
+        (dict(snr_db=(0.0, math.inf)), "snr_db"),
+        (dict(snr_db=(0.0, 4000.0)), "snr_db"),
+        (dict(delta_f=math.nan), "delta_f"),
+        (dict(delta_f=math.inf), "delta_f"),
+        (dict(u0_profile=ChannelProfile(paths=((10**20, 0),))), "u0_profile"),
+        (dict(noma_profile=ChannelProfile(paths=((0, 10**20),))), "noma_profile"),
     ])
     def test_validation_error_names_one_key(self, overrides, field):
         with pytest.raises(ConfigError) as exc:

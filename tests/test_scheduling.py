@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otfsnoma import UserPool, greedy_schedule, per_subchannel_schedule, random_schedule
 from otfsnoma.rng import substream
 from otfsnoma.scheduling import batch_schedule
+from oracles import UserPool, greedy_schedule, per_subchannel_schedule, random_schedule
 
 
 def _pool(arr):

@@ -3,23 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otfsnoma import (
-    ChannelProfile,
-    ChannelRealization,
-    Domain,
-    DomainMismatchError,
-    Frame,
-    build_block_circulant,
-    diagonalize,
-    isfft,
-    make_grid,
-    nomauser_diagonalize,
-    sfft,
-    table1_profile,
-)
+from otfsnoma import ChannelProfile, make_grid, table1_profile
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.rng import substream
-from otfsnoma.transforms import isfft2, sfft2, spectrum_from_taps
+from otfsnoma.transforms import spectrum_from_taps
+from oracles import (ChannelRealization, Domain, DomainMismatchError, Frame, build_block_circulant,
+                     diagonalize, isfft, isfft2, nomauser_diagonalize, sfft, sfft2)
 
 from conftest import flat_realization, random_realization, worked_example_realization
 

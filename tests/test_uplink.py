@@ -2,31 +2,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from otfsnoma import (
-    ChannelProfile,
-    ChannelRealization,
-    PowerAllocation,
-    adaptive_rate,
-    build_block_circulant,
-    cholesky_factors,
-    closed_form_outage,
-    diagonalize,
-    error_floor,
-    fd_dfe_sinrs,
-    fd_le_sinr,
-    fixed_rate_outage_mc,
-    floor_approx,
-    make_grid,
-    table1_profile,
-    uplink_stage1_sinr,
-    uplink_stage2_sinrs,
-    uplink_u0_outage,
-)
+from otfsnoma import (ChannelProfile, PowerAllocation, closed_form_outage, error_floor,
+                      floor_approx, make_grid, table1_profile)
 from otfsnoma.harness import default_noma_profile
 from otfsnoma.rng import substream
-from otfsnoma.uplink import build_observation
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.transforms import spectrum_from_taps, static_spectrum_from_taps
+from oracles import (ChannelRealization, adaptive_rate, build_block_circulant, build_observation,
+                     cholesky_factors, diagonalize, fd_dfe_sinrs, fd_le_sinr, fixed_rate_outage_mc,
+                     uplink_stage1_sinr, uplink_stage2_sinrs, uplink_u0_outage)
 
 from conftest import flat_realization, random_realization
 
