@@ -80,15 +80,6 @@ def batch_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
     return np.where(power.min(axis=axis) < SINGULARITY_EPS**2, np.inf, phi)
 
 
-def dfe_noise_enhancement(lam: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """FD-DFE ν = 1/λ per symbol from the (..., NM) pivots and validity mask
-    of :func:`batch_dfe_lambdas`; a singular channel (``ok`` False) gets
-    ν = inf on every symbol, like the FD-LE φ."""
-    nu = 1.0 / lam
-    nu[~ok] = np.inf
-    return nu
-
-
 def gram_taps_from_gains(doppler_taps, delay_taps, gains, n: int, m: int) -> np.ndarray:
     """(..., N, M) taps of the Gram operator H^H H (itself block-circulant).
 
@@ -158,7 +149,7 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     about SCHUR_BATCH_CELLS / NM, so the working memory does not grow with
     T.  A trial with any pivot non-finite or below SINGULARITY_EPS is
     singular: it gets ``ok=False`` and λ = 1 as a placeholder, which
-    :func:`dfe_noise_enhancement` turns into ν = inf, an outage on every
+    ``harness.user_noise_enhancement`` turns into ν = inf, an outage on every
     symbol.  Trials never mix, so neither a singular trial nor the
     sub-batching changes the other trials' bits.
     """

@@ -16,18 +16,15 @@ import concurrent.futures
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .common import ConfigError, EstimatorUndefinedError, McEstimate
-from .equalizers import (
-    PowerAllocation,
-    batch_dfe_lambdas,
-    batch_noise_enhancement,
-    batch_static_lambdas,
-    dfe_noise_enhancement,
-)
+from .equalizers import PowerAllocation, batch_dfe_lambdas, batch_noise_enhancement
+# Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
+# wraps names where callers look them up, still finds it in this module.
+from .equalizers import batch_static_lambdas  # noqa: F401
 from .grid_channel import ChannelProfile, Grid, make_grid, sample_gain_matrix, table1_profile
 from .rng import substream
 from .scheduling import batch_schedule
@@ -104,6 +101,8 @@ class ScenarioConfig:
             raise ConfigError("snr_db", "SNR grid must be strictly increasing")
         if self.trials < 1:
             raise ConfigError("trials", "must be >= 1")
+        if not 0 <= self.seed < 2**64:  # substreams key by the seed's low 64 bits
+            raise ConfigError("seed", "must be in [0, 2^64)")
         if not 0.0 < self.delta_f < math.inf:
             raise ConfigError("delta_f", "must be positive and finite")
         for key in ("u0_profile", "noma_profile"):
@@ -137,17 +136,6 @@ class CurvePoint:
 #  Config file parsing (flat key = value text)
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "direction", "n", "m", "delta_f", "k_users", "u0_profile", "noma_profile",
-    "gamma0_sq", "rate_u0", "rate_noma", "rate_mode", "equalizer", "scheduler",
-    "snr_db", "trials", "seed",
-}
-_REQUIRED_KEYS = {
-    "direction", "n", "m", "k_users", "gamma0_sq", "rate_u0", "rate_noma",
-    "equalizer", "snr_db", "trials", "seed",
-}
-
-
 def _parse_profile(text: str) -> ChannelProfile:
     pairs = []
     for piece in text.split(","):
@@ -159,8 +147,20 @@ def _parse_profile(text: str) -> ChannelProfile:
     return ChannelProfile(paths=tuple(pairs))
 
 
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    tuple: lambda text: tuple(float(s) for s in text.split(",") if s.strip()),
+    ChannelProfile: _parse_profile,
+}
+
+
 def parse_config_text(text: str) -> ScenarioConfig:
-    """Parse the flat key = value scenario format; unknown keys are errors."""
+    """Parse the flat key = value scenario format.  The keys are the fields of
+    :class:`ScenarioConfig`; a field without a default is required, and
+    unknown or duplicate keys are errors."""
+    known = {f.name for f in fields(ScenarioConfig)}
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -171,49 +171,21 @@ def parse_config_text(text: str) -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in known:
             raise ConfigError(key, "unknown configuration key")
         if key in raw:
             raise ConfigError(key, "duplicate configuration key")
         raw[key] = value
-    missing = _REQUIRED_KEYS - raw.keys()
-    if missing:
-        raise ConfigError(sorted(missing)[0], "required key is missing")
-
-    def _num(key, cast):
+    kwargs = {}
+    for f in fields(ScenarioConfig):
+        if f.name not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f.name, "required key is missing")
+            continue
         try:
-            return cast(raw[key])
+            kwargs[f.name] = _PARSERS[f.type](raw[f.name])
         except ValueError as exc:
-            raise ConfigError(key, f"invalid value {raw[key]!r}") from exc
-
-    kwargs = dict(
-        direction=raw["direction"],
-        n=_num("n", int),
-        m=_num("m", int),
-        k_users=_num("k_users", int),
-        gamma0_sq=_num("gamma0_sq", float),
-        rate_u0=_num("rate_u0", float),
-        rate_noma=_num("rate_noma", float),
-        equalizer=raw["equalizer"],
-        trials=_num("trials", int),
-        seed=_num("seed", int),
-    )
-    try:
-        kwargs["snr_db"] = tuple(float(s) for s in raw["snr_db"].split(",") if s.strip())
-    except ValueError as exc:
-        raise ConfigError("snr_db", f"invalid value {raw['snr_db']!r}") from exc
-    if "delta_f" in raw:
-        kwargs["delta_f"] = _num("delta_f", float)
-    if "scheduler" in raw:
-        kwargs["scheduler"] = raw["scheduler"]
-    if "rate_mode" in raw:
-        kwargs["rate_mode"] = raw["rate_mode"]
-    for key in ("u0_profile", "noma_profile"):
-        if key in raw:
-            try:
-                kwargs[key] = _parse_profile(raw[key])
-            except ValueError as exc:
-                raise ConfigError(key, str(exc)) from exc
+            raise ConfigError(f.name, f"invalid value {raw[f.name]!r}: {exc}") from exc
     return ScenarioConfig(**kwargs)
 
 
@@ -231,34 +203,22 @@ def parse_config_file(path) -> ScenarioConfig:
 #  Every receiver sees its equalizer through one value ν per symbol: the
 #  FD-LE φ, one per channel, or the FD-DFE 1/λ, one per symbol, with ν = inf
 #  on singular channels.  Its SINR is PowerAllocation.sinr(ρ, ν), whichever
-#  equalizer produced ν.  The per-realization receivers in tests/oracles.py
-#  call the two ν functions below with T = 1.
+#  equalizer produced ν.  A Doppler-free user is the N = 1 grid, so one ν
+#  function below serves every user; the per-realization receivers in
+#  tests/oracles.py call it with T = 1.
 # ---------------------------------------------------------------------------
 
 
-def u0_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.ndarray,
-                         power: np.ndarray) -> np.ndarray:
-    """ν of the high-mobility user from its (T, P₀+1) gains and (T, N, M)
-    eigenvalue powers |D|²: (T, 1) under FD-LE, (T, NM) under FD-DFE."""
+def user_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.ndarray,
+                           power: np.ndarray) -> np.ndarray:
+    """ν of a user from its (..., P+1) gains and (..., N, M) eigenvalue powers
+    |D|²: (..., 1) under FD-LE, (..., NM) under FD-DFE.  A Doppler-free user
+    passes its (..., M) powers as (..., 1, M)."""
     if equalizer == "le":
-        return batch_noise_enhancement(power, (1, 2))[:, None]
-    n, m = power.shape[1:]
-    return dfe_noise_enhancement(*batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps,
-                                                    gains, n, m))
-
-
-def static_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.ndarray,
-                             power: np.ndarray) -> np.ndarray:
-    """ν of Doppler-free users from their (..., P+1) gains and (..., M)
-    eigenvalue powers |D̃|²: (..., 1) under FD-LE, (..., M) under FD-DFE.
-
-    :func:`downlink_kernel` needs only the largest, φ, and takes it from the
-    powers; the per-symbol values serve the tests' T=1 receiver
-    ``noma_stage1``."""
-    if equalizer == "le":
-        return batch_noise_enhancement(power, -1)[..., None]
-    return dfe_noise_enhancement(*batch_static_lambdas(profile.delay_taps, gains,
-                                                       power.shape[-1]))
+        return batch_noise_enhancement(power, (-2, -1))[..., None]
+    n, m = power.shape[-2:]
+    lam, ok = batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps, gains, n, m)
+    return np.where(ok[..., None], 1.0 / lam, np.inf)
 
 
 def _draw(cfg: ScenarioConfig, rng, trials: int):
@@ -289,7 +249,7 @@ def downlink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
     h0, a0, _, ak, sel, gsel = _draw(cfg, rng, trials)
 
     # --- U0 detection (NOMA power split and the OMA baseline) ---
-    nu0 = u0_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
+    nu0 = user_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
     samples = {}
     for name, split in (("u0_outage", power), ("u0_outage_oma", PowerAllocation.oma())):
         flags = split.sinr(rho, nu0) < eps0
@@ -324,7 +284,7 @@ def uplink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
     sinr1 = rho * gsel[:, None, :] / (rho * a0 + 1.0)  # (T, N, M)
 
     # stage-II for U0 is interference-free once the NOMA signals are removed
-    nu0 = u0_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
+    nu0 = user_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
     stage2_out = PowerAllocation.oma().sinr(rho, nu0) < eps0
     stage2_frac = stage2_out.mean(axis=1)
 

@@ -23,8 +23,10 @@ def closed_form_outage(k_users: int, epsilon: float, rho: float) -> float:
     """
     if k_users < 1:
         raise ValueError("k_users must be >= 1")
-    if epsilon <= 0 or rho <= 0:
-        raise ValueError("epsilon and rho must be positive")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if rho <= 0:
+        raise ValueError("rho must be positive")
     with mpmath.workdps(max(30, k_users + 25)):
         eps = mpmath.mpf(epsilon)
         total = mpmath.mpf(0)
@@ -35,18 +37,9 @@ def closed_form_outage(k_users: int, epsilon: float, rho: float) -> float:
 
 
 def error_floor(k_users: int, epsilon: float) -> float:
-    """High-SNR limit of :func:`closed_form_outage`: Σ C(K,k)(−1)^k/(kε+1)."""
-    if k_users < 1:
-        raise ValueError("k_users must be >= 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    with mpmath.workdps(max(30, k_users + 25)):
-        eps = mpmath.mpf(epsilon)
-        total = mpmath.mpf(0)
-        for k in range(k_users + 1):
-            term = mpmath.binomial(k_users, k) / (k * eps + 1)
-            total += term if k % 2 == 0 else -term
-        return float(min(max(total, mpmath.mpf(0)), mpmath.mpf(1)))
+    """High-SNR limit of :func:`closed_form_outage`, its ρ = ∞ case:
+    Σ C(K,k)(−1)^k/(kε+1)."""
+    return closed_form_outage(k_users, epsilon, math.inf)
 
 
 def floor_approx(k_users: int, epsilon: float) -> float:

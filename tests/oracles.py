@@ -17,8 +17,8 @@ import numpy as np
 from otfsnoma.common import SINGULARITY_EPS, McEstimate
 from otfsnoma.equalizers import PowerAllocation, batch_noise_enhancement, gram_taps_from_gains
 from otfsnoma.grid_channel import ChannelProfile, Grid, sample_gain_matrix
-from otfsnoma.harness import (EQUALIZERS, ScenarioConfig, monte_carlo, static_noise_enhancement,
-                              u0_noise_enhancement, uplink_kernel)
+from otfsnoma.harness import (EQUALIZERS, ScenarioConfig, monte_carlo, uplink_kernel,
+                              user_noise_enhancement)
 from otfsnoma.transforms import dense_block_circulant, spectrum_from_taps, static_spectrum_from_taps
 
 
@@ -519,8 +519,8 @@ def u0_receive(tx: Frame, realization: ChannelRealization, rng: np.random.Genera
     y = Frame(grid, channel.apply(x_dd) + noise, Domain.DELAY_DOPPLER)
 
     d = diagonalize(channel)
-    nu = u0_noise_enhancement(equalizer, realization.profile, realization.gains[None],
-                              np.abs(d.d_values[None]) ** 2)
+    nu = user_noise_enhancement(equalizer, realization.profile, realization.gains[None],
+                                np.abs(d.d_values[None]) ** 2)
     sinrs = np.resize(power.sinr(link.rho, nu), (n, m))  # repeats the FD-LE value
     if np.isinf(nu).any():
         estimates = None
@@ -544,8 +544,8 @@ def noma_stage1(realization: ChannelRealization, grid: Grid, rho: float,
     if equalizer not in EQUALIZERS:
         raise ValueError(f"equalizer must be one of {EQUALIZERS}")
     d = nomauser_diagonalize(realization, grid)
-    nu = static_noise_enhancement(equalizer, realization.profile, realization.gains,
-                                  np.abs(d) ** 2)
+    nu = user_noise_enhancement(equalizer, realization.profile, realization.gains,
+                                np.abs(d[None]) ** 2)
     return np.resize(power.sinr(rho, nu), grid.m_delay)
 
 
@@ -658,8 +658,8 @@ def uplink_stage2_sinrs(realization: ChannelRealization, grid: Grid, rho: float,
     if equalizer not in ("le", "dfe"):
         raise ValueError("equalizer must be 'le' or 'dfe'")
     d = diagonalize(build_block_circulant(realization, grid))
-    nu = u0_noise_enhancement(equalizer, realization.profile, realization.gains[None],
-                              np.abs(d.d_values[None]) ** 2)
+    nu = user_noise_enhancement(equalizer, realization.profile, realization.gains[None],
+                                np.abs(d.d_values[None]) ** 2)
     return np.resize(PowerAllocation.oma().sinr(rho, nu), (grid.n_doppler, grid.m_delay))
 
 

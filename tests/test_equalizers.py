@@ -12,7 +12,7 @@ from otfsnoma import equalizers
 from otfsnoma.equalizers import (_schur_errors, batch_dfe_lambdas, batch_noise_enhancement,
                                  batch_static_lambdas, gram_taps_from_gains, static_gram_taps)
 from otfsnoma.grid_channel import sample_gain_matrix
-from otfsnoma.harness import static_noise_enhancement
+from otfsnoma.harness import user_noise_enhancement
 from otfsnoma.rng import substream
 from otfsnoma.transforms import dense_block_circulant, static_spectrum_from_taps
 from oracles import (ChannelRealization, Domain, Frame, GenieFeedback, HardDecisionFeedback,
@@ -400,7 +400,7 @@ def test_static_stage1_verdict_from_phi(m, offset, valid):
     gains = np.array([[_H, _H + offset]])
     power = _static_power(prof.delay_taps, gains, m)
     _, ok = batch_static_lambdas(prof.delay_taps, gains, m)
-    nu = static_noise_enhancement("dfe", prof, gains, power)
+    nu = user_noise_enhancement("dfe", prof, gains, power[..., None, :])
     phi = batch_noise_enhancement(power, -1)
     assert ok[0] == valid
     assert np.isinf(nu).all() == (not valid)
@@ -545,6 +545,23 @@ def test_batch_pivots_match_dense_oracle(channel):
         return
     assert ok[0]
     assert lam[0] == pytest.approx(f.lam, rel=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(channel=_static_channels())
+@example(channel=(8, ChannelProfile(paths=_NULL_PATHS), np.array([_H, _H])))  # φ = inf
+@example(channel=(8, ChannelProfile(paths=_NULL_PATHS), np.array([_H, _H + 1e-7])))  # ok False
+def test_user_noise_enhancement_is_static_at_n1(channel):
+    # A Doppler-free user's (..., M) powers passed as (..., 1, M), the N = 1
+    # grid, give its FD-LE φ and its M-point FD-DFE 1/λ bit for bit
+    m, prof, gains = channel
+    gains = np.stack([gains, gains[::-1]])
+    power = _static_power(prof.delay_taps, gains, m)
+    lam, ok = batch_static_lambdas(prof.delay_taps, gains, m)
+    le = user_noise_enhancement("le", prof, gains, power[..., None, :])
+    dfe = user_noise_enhancement("dfe", prof, gains, power[..., None, :])
+    assert np.array_equal(le, batch_noise_enhancement(power, -1)[..., None])
+    assert np.array_equal(dfe, np.where(ok[..., None], 1.0 / lam, np.inf))
 
 
 @pytest.mark.parametrize("n, m, paths", [(4, 8, ((0, 0), (0, 2))), (8, 3, ((1, 0), (1, 4)))])

@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import math
 import os
@@ -12,7 +13,7 @@ from scipy.special import gammainc
 from otfsnoma import (ChannelProfile, ConfigError, CurvePoint, EstimatorUndefinedError,
                       PowerAllocation, ScenarioConfig, corollary1_outage, diversity_slope, emit_csv,
                       read_csv_points, run_scenario)
-from otfsnoma.harness import _CONFIG_KEYS, _draw, downlink_kernel, parse_config_text, uplink_kernel
+from otfsnoma.harness import _draw, downlink_kernel, parse_config_text, uplink_kernel
 from otfsnoma.rng import substream
 from oracles import (ChannelRealization, LinkConfig, UserPool, build_block_circulant,
                      build_tx_frame, diagonalize, noma_outage, noma_stage1, noma_stage2,
@@ -99,7 +100,8 @@ class TestConfig:
         try:
             parse_config_text("\n".join(lines))
         except ConfigError as exc:
-            assert exc.field in _CONFIG_KEYS or re.fullmatch(r"line \d+", exc.field)
+            keys = {f.name for f in dataclasses.fields(ScenarioConfig)}
+            assert exc.field in keys or re.fullmatch(r"line \d+", exc.field)
 
     @pytest.mark.parametrize("overrides", [
         dict(direction="sideways"),
@@ -140,6 +142,8 @@ class TestConfig:
         (dict(delta_f=math.inf), "delta_f"),
         (dict(u0_profile=ChannelProfile(paths=((10**20, 0),))), "u0_profile"),
         (dict(noma_profile=ChannelProfile(paths=((0, 10**20),))), "noma_profile"),
+        (dict(seed=-1), "seed"),
+        (dict(seed=2**64), "seed"),
     ])
     def test_validation_error_names_one_key(self, overrides, field):
         with pytest.raises(ConfigError) as exc:
