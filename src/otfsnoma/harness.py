@@ -384,9 +384,11 @@ def corollary1_outage(p0: int, rho: float, gamma0_sq: float, gamma1_sq: float,
                       r0: float) -> float:
     """Closed-form DFE outage of the best-protected symbol x₀[N−1, M−1].
 
-    (P₀+1)·Σ|h_p|² is Gamma(P₀+1, 1), so the outage is the Erlang CDF
-    1 − e^{−x} Σ_{j≤P₀} x^j/j! at x = ε₀(P₀+1)/(ρ(γ₀² − γ₁²ε₀)).  When
-    γ₀² ≤ γ₁²ε₀ the outage is one at every SNR.
+    (P₀+1)·Σ|h_p|² is Gamma(s = P₀+1, 1), so the outage is the Erlang CDF
+    P(s, x) at x = ε₀s/(ρ(γ₀² − γ₁²ε₀)), or one when γ₀² ≤ γ₁²ε₀.  Below the
+    mode it is e^{−x} Σ_{j≥s} x^j/j!, else 1 − e^{−x} Σ_{j<s} x^j/j!: sums of
+    positive terms from the largest, by ``math.lgamma``, so nothing cancels.
+    The split must be a valid :class:`PowerAllocation`.
     """
     if p0 < 0:
         raise ValueError("p0 must be >= 0")
@@ -394,17 +396,25 @@ def corollary1_outage(p0: int, rho: float, gamma0_sq: float, gamma1_sq: float,
         raise ValueError("rho must be positive")
     if not 0.0 < r0 < 1024.0:  # so ε₀ = 2^R₀ − 1 is a positive, finite float
         raise ValueError("r0 must be in (0, 1024)")
+    PowerAllocation(gamma0_sq, gamma1_sq)
     eps0 = 2.0**r0 - 1.0
     delta = gamma0_sq - gamma1_sq * eps0
-    if delta <= 0:
-        return 1.0
-    x = eps0 * (p0 + 1) / (rho * delta)
-    term = 1.0
-    series = 1.0
-    for j in range(1, p0 + 1):
-        term *= x / j
+    s = p0 + 1
+    x = eps0 * s / (rho * delta) if delta > 0 else math.inf
+    if x in (0.0, math.inf):  # ρ = ∞; or γ₀² ≤ γ₁²ε₀, or ρ so small that x overflows
+        return min(x, 1.0)
+    if x < s:
+        term = series = math.exp(s * math.log(x) - x - math.lgamma(s + 1))
+        while term > series * 2.0**-53:
+            s += 1
+            term *= x / s
+            series += term
+        return series
+    term = series = math.exp(p0 * math.log(x) - x - math.lgamma(s))
+    for j in range(p0, 0, -1):
+        term *= j / x
         series += term
-    return float(min(1.0, max(0.0, 1.0 - math.exp(-x) * series)))
+    return 1.0 - series
 
 
 def diversity_slope(points: list) -> float:

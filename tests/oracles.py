@@ -5,13 +5,16 @@ spectra and Gram taps.  This module keeps the slower, independent versions
 of the same jobs: tagged-frame transforms, the block-circulant operator and
 its dense NM×NM matrix, the dense Cholesky factorization and both
 equalizers, the per-realization transmitters and receivers, the scalar
-schedulers, and standalone Monte Carlo estimators keyed by (seed, block).
+schedulers, standalone Monte Carlo estimators keyed by (seed, block), and
+the uplink outage's alternating sum in extended precision.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import mpmath
 import numpy as np
 
 from otfsnoma.common import SINGULARITY_EPS, McEstimate
@@ -707,3 +710,19 @@ def uplink_u0_outage(grid: Grid, u0_profile: ChannelProfile, noma_profile: Chann
     estimates = _uplink_estimates(grid, u0_profile, noma_profile, k_users, rate_u0, rate_noma,
                                   rho, equalizer, trials, seed, scheduler, chunk)
     return estimates["u0_outage" if mode == "fixed" else "u0_outage_stage2"]
+
+
+def alternating_sum_outage(k_users: int, epsilon: float, rho: float) -> float:
+    """Fixed-rate uplink outage Σ_{k=0}^{K} C(K,k)(−1)^k e^{−kε/ρ}/(kε + 1).
+
+    The terms reach C(K, K/2) ≤ 10^{0.31K} while the sum can be as small as
+    the floor K!ε^K/∏(1+jε) ≥ min(ε, 1)^K/(K+1), so 40 + K + K·max(0, −log10 ε)
+    digits cover the cancellation with room to spare.
+    """
+    digits = 40 + k_users + math.ceil(k_users * max(0.0, -math.log10(epsilon)))
+    with mpmath.workdps(digits):
+        eps = mpmath.mpf(epsilon)
+        total = mpmath.fsum((-1) ** k * mpmath.binomial(k_users, k)
+                            * mpmath.exp(-k * eps / rho) / (k * eps + 1)
+                            for k in range(k_users + 1))
+        return float(total)

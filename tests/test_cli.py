@@ -143,6 +143,8 @@ class TestSlope:
     (["slope", "--in", "{tmp}/missing.csv", "--metric", "u0_outage"], "in"),
     (["simulate", "--config", "{tmp}/missing.cfg", "--out", "{tmp}/x.csv"], "config"),
     (["simulate", "--config", "{cfg}", "--out", "{tmp}/missing/x.csv"], "out"),
+    (["analytic", "--formula", "corollary1", "--params", "p0=3", "rho_db=10",
+      "gamma0_sq=2", "gamma1_sq=-1", "r0=0.5"], "gamma0_sq"),
 ])
 def test_bad_input_exits_with_one_line_naming_it(argv, name, config_file, tmp_path):
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import glob
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +178,25 @@ class TestCorollary1:
         for rho_db in range(-10, 60, 5):
             v = corollary1_outage(3, 10 ** (rho_db / 10), 0.75, 0.25, 0.5)
             assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("p0", [0, 1, 3, 10, 100, 1024])
+    def test_relative_accuracy_against_gammainc(self, p0):
+        # relative to the normal range: a subnormal has no relative precision,
+        # and scipy flushes some of them to zero
+        eps0 = 2**0.5 - 1
+        for rho_db in range(0, 121, 2):
+            rho = 10 ** (rho_db / 10)
+            x = eps0 * (p0 + 1) / (rho * (0.75 - 0.25 * eps0))
+            assert corollary1_outage(p0, rho, 0.75, 0.25, 0.5) == pytest.approx(
+                float(gammainc(p0 + 1, x)), rel=1e-11, abs=sys.float_info.min), rho_db
+
+    def test_split_is_a_power_allocation(self):
+        # the same split PowerAllocation accepts, or the same ValueError
+        for g0, g1 in ((2.0, -1.0), (0.75, 0.75), (0.0, 1.0)):
+            with pytest.raises(ValueError):
+                PowerAllocation(g0, g1)
+            with pytest.raises(ValueError):
+                corollary1_outage(3, 10.0, g0, g1, 0.5)
 
 
 class TestDiversitySlope:

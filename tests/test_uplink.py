@@ -1,20 +1,32 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+import otfsnoma
 from otfsnoma import (ChannelProfile, PowerAllocation, closed_form_outage, error_floor,
                       floor_approx, make_grid, table1_profile)
 from otfsnoma.harness import default_noma_profile
 from otfsnoma.rng import substream
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.transforms import spectrum_from_taps, static_spectrum_from_taps
-from oracles import (ChannelRealization, adaptive_rate, build_block_circulant, build_observation,
-                     cholesky_factors, diagonalize, fd_dfe_sinrs, fd_le_sinr, fixed_rate_outage_mc,
+from oracles import (ChannelRealization, adaptive_rate, alternating_sum_outage,
+                     build_block_circulant, build_observation, cholesky_factors, diagonalize,
+                     fd_dfe_sinrs, fd_le_sinr, fixed_rate_outage_mc,
                      uplink_stage1_sinr, uplink_stage2_sinrs, uplink_u0_outage)
 
 from conftest import flat_realization, random_realization
 
 U0_SMALL = ChannelProfile(paths=((2, 0), (6, 0), (5, 1), (7, 1)))  # fits 8x8
+
+_LOG_EPSILON = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)
+_RHO = st.one_of(st.floats(-3.0, 12.0).map(lambda e: 10.0**e), st.just(math.inf))
 
 
 class TestStage1Sinr:
@@ -104,6 +116,17 @@ class TestClosedForm:
                 assert val >= last - 1e-12
                 last = val
 
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 64), eps=_LOG_EPSILON, rho=_RHO)
+    @example(k=16, eps=1e-4, rho=math.inf)
+    @example(k=6, eps=1e-6, rho=math.inf)
+    @example(k=10, eps=1e-4, rho=100.0)
+    @example(k=64, eps=1e-6, rho=1e-3)
+    @example(k=64, eps=1e3, rho=1e-3)
+    def test_relative_accuracy_in_the_deep_tail(self, k, eps, rho):
+        ref = alternating_sum_outage(k, eps, rho)
+        assert closed_form_outage(k, eps, rho) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             closed_form_outage(0, 1.0, 1.0)
@@ -129,6 +152,14 @@ class TestErrorFloor:
             assert error_floor(k, 1.0) == pytest.approx(
                 closed_form_outage(k, 1.0, 1e14), abs=1e-10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 64), eps=_LOG_EPSILON)
+    @example(k=16, eps=1e-4)
+    @example(k=6, eps=1e-6)
+    def test_relative_accuracy_in_the_deep_tail(self, k, eps):
+        ref = alternating_sum_outage(k, eps, math.inf)
+        assert error_floor(k, eps) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_floor_ordering_in_k(self):
         # floors strictly decrease with K while (K+1)eps < 1
         for eps in (0.01, 0.05):
@@ -153,6 +184,23 @@ class TestFloorApprox:
             gap = (floor_approx(k, eps) - error_floor(k, eps)) / error_floor(k, eps)
             predicted = eps * k * (k + 1) / 2
             assert gap == pytest.approx(predicted, rel=0.2)
+
+    def test_ratio_to_the_floor_is_the_product(self):
+        # error_floor = K!eps^K / prod_{j<=K}(1 + j*eps) exactly
+        for k in (1, 2, 4, 16, 64):
+            for eps in (1e-4, 0.0125, 1.0, 1e3):
+                ratio = floor_approx(k, eps) / error_floor(k, eps)
+                assert ratio == pytest.approx(math.prod(1 + j * eps for j in range(1, k + 1)),
+                                              rel=1e-13)
+
+
+def test_import_leaves_mpmath_unloaded():
+    src = os.path.dirname(os.path.dirname(otfsnoma.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, otfsnoma; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestStage2:
