@@ -18,16 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import SINGULARITY_EPS
+from .common import SINGULARITY_EPS, sub_batches
 # Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
 # wraps names where callers look them up, still finds it in this module.
 from .transforms import dense_block_circulant  # noqa: F401
-
-# Trials × grid cells per sub-batch of batch_dfe_lambdas.  Its peak working
-# memory is about 120 B per trial per cell, so a sub-batch holds about 16 MB
-# whatever the block size; at 16×16 that is 512 trials, which ran about twice
-# as fast per trial as one 4096-trial batch.
-SCHUR_BATCH_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -146,8 +140,8 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
        symbols l = 0..M−1.
 
     The cost is O(NM(N+M)) per trial.  The trials run in sub-batches of
-    about SCHUR_BATCH_CELLS / NM, so the working memory does not grow with
-    T.  A trial with any pivot non-finite or below SINGULARITY_EPS is
+    about ``common.SUB_BATCH_CELLS`` / NM, so the working memory does not
+    grow with T.  A trial with any pivot non-finite or below SINGULARITY_EPS is
     singular: it gets ``ok=False`` and λ = 1 as a placeholder, which
     ``harness.user_noise_enhancement`` turns into ν = inf, an outage on every
     symbol.  Trials never mix, so neither a singular trial nor the
@@ -156,9 +150,8 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     gains = np.asarray(gains, dtype=np.complex128)
     flat = gains.reshape((-1, gains.shape[-1]))
     lam = np.empty((flat.shape[0], n * m))
-    step = max(1, SCHUR_BATCH_CELLS // (n * m))
-    for lo in range(0, flat.shape[0], step):
-        lam[lo:lo + step] = _dfe_lambdas(doppler_taps, delay_taps, flat[lo:lo + step], n, m)
+    for part in sub_batches(flat.shape[0], n * m):
+        lam[part] = _dfe_lambdas(doppler_taps, delay_taps, flat[part], n, m)
     ok = np.isfinite(lam).all(axis=-1) & (lam.min(axis=-1) >= SINGULARITY_EPS)
     lam[~ok] = 1.0
     return lam.reshape(gains.shape[:-1] + (n * m,)), ok.reshape(gains.shape[:-1])

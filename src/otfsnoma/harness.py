@@ -20,15 +20,16 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .common import ConfigError, EstimatorUndefinedError, McEstimate
+from .common import ConfigError, EstimatorUndefinedError, McEstimate, sub_batches
 from .equalizers import PowerAllocation, batch_dfe_lambdas, batch_noise_enhancement
 # Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
-# wraps names where callers look them up, still finds it in this module.
+# wraps names where callers look them up, still finds them in this module.
 from .equalizers import batch_static_lambdas  # noqa: F401
 from .grid_channel import ChannelProfile, Grid, make_grid, sample_gain_matrix, table1_profile
 from .rng import substream
-from .scheduling import batch_schedule
-from .transforms import MAX_DENSE_CELLS, spectrum_from_taps, static_spectrum_from_taps
+from .scheduling import batch_schedule, schedule_draws
+from .transforms import MAX_DENSE_CELLS, power_spectrum
+from .transforms import spectrum_from_taps, static_spectrum_from_taps  # noqa: F401
 
 BLOCK_TRIALS = 4096  # fixed work-unit size; part of the determinism contract
 
@@ -200,6 +201,13 @@ def parse_config_file(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 #  Per-block trial kernels: (cfg, rho, rng, trials) -> {metric: per-trial samples}
 #
+#  A kernel first takes every random number of its block, in a fixed order
+#  (_block_draws).  It then computes the channel state (_channel_state: the
+#  spectra and the schedule) and the samples on sub-batches of about
+#  SUB_BATCH_CELLS trial-cells, so its working memory does not grow with the
+#  block.  Each trial's samples depend on its own draws alone, so they keep
+#  their bits whatever the sub-batch size.
+#
 #  Every receiver sees its equalizer through one value ν per symbol: the
 #  FD-LE φ, one per channel, or the FD-DFE 1/λ, one per symbol, with ν = inf
 #  on singular channels.  Its SINR is PowerAllocation.sinr(ρ, ν), whichever
@@ -221,32 +229,52 @@ def user_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.nd
     return np.where(ok[..., None], 1.0 / lam, np.inf)
 
 
+def _block_draws(cfg: ScenarioConfig, rng, trials: int):
+    """Every random number of one block, in the fixed draw order: U0's
+    (T, P₀+1) gains, the K static users' (T, K, Pᵢ+1) gains, then the
+    scheduler's (T, ·) draws."""
+    h0 = sample_gain_matrix(cfg.u0_profile, rng, trials)
+    hk = sample_gain_matrix(cfg.noma_profile, rng, trials * cfg.k_users)
+    hk = hk.reshape(trials, cfg.k_users, cfg.noma_profile.num_paths)
+    return h0, hk, schedule_draws(cfg.scheduler, rng, trials, cfg.k_users)
+
+
+def _channel_state(cfg: ScenarioConfig, h0, hk, draws):
+    """(h0, a0, hk, ak, sel, gsel) of some trials: their gains, U0's (T, N, M)
+    and the static users' (T, K, M) squared spectra, then the scheduled user
+    per subchannel and its squared gain, both (T, M)."""
+    a0 = power_spectrum(cfg.u0_profile, h0, cfg.n, cfg.m)
+    ak = power_spectrum(cfg.noma_profile, hk, 1, cfg.m)[..., 0, :]
+    sel = batch_schedule(ak, cfg.scheduler, draws, cfg.m)
+    return h0, a0, hk, ak, sel, ak[np.arange(len(sel))[:, None], sel, np.arange(cfg.m)]
+
+
 def _draw(cfg: ScenarioConfig, rng, trials: int):
-    """Gains and squared spectra of one block, U0's (T, P₀+1) and (T, N, M)
-    and the K static users' (T, K, Pᵢ+1) and (T, K, M), then the scheduled
-    user per subchannel and its squared gain, both (T, M).  The draw order is
-    fixed: U0 gains, then the K users, then scheduling draws."""
-    u0p, nomap = cfg.u0_profile, cfg.noma_profile
-    h0 = sample_gain_matrix(u0p, rng, trials)
-    hk = sample_gain_matrix(nomap, rng, trials * cfg.k_users)
-    hk = hk.reshape(trials, cfg.k_users, nomap.num_paths)
-    taps0 = np.zeros((trials, cfg.n, cfg.m), dtype=np.complex128)
-    taps0[:, u0p.doppler_taps, u0p.delay_taps] = h0
-    tapsk = np.zeros((trials, cfg.k_users, cfg.m), dtype=np.complex128)
-    tapsk[:, :, nomap.delay_taps] = hk
-    a0 = np.abs(spectrum_from_taps(taps0)) ** 2
-    ak = np.abs(static_spectrum_from_taps(tapsk)) ** 2
-    sel = batch_schedule(ak, cfg.scheduler, rng, cfg.m)
-    return h0, a0, hk, ak, sel, ak[np.arange(trials)[:, None], sel, np.arange(cfg.m)]
+    """The channel state of a whole block in one batch; the kernels compute
+    the same per sub-batch."""
+    return _channel_state(cfg, *_block_draws(cfg, rng, trials))
+
+
+def _sub_batched(samples_of, cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
+    """Draw the block, then run ``samples_of(cfg, rho, *channel state)`` on
+    sub-batches sized by the larger of U0's N×M and the static users' K×M
+    arrays, and join each metric's per-trial samples in trial order."""
+    h0, hk, draws = _block_draws(cfg, rng, trials)
+    parts = [samples_of(cfg, rho, *_channel_state(cfg, h0[part], hk[part], draws[part]))
+             for part in sub_batches(trials, max(cfg.n, cfg.k_users) * cfg.m)]
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 
 
 def downlink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
     """Downlink outages of U0 (NOMA split and OMA baseline) and of the
     scheduled NOMA users' two-stage SIC, with the outage sum rates."""
+    return _sub_batched(_downlink_samples, cfg, rho, rng, trials)
+
+
+def _downlink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
     power = PowerAllocation.split(cfg.gamma0_sq)
     eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
-    h0, a0, _, ak, sel, gsel = _draw(cfg, rng, trials)
 
     # --- U0 detection (NOMA power split and the OMA baseline) ---
     nu0 = user_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
@@ -278,9 +306,12 @@ def downlink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
 def uplink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
     """Uplink stage-I cell SINRs of the scheduled NOMA users and U0's
     stage-II outage; fixed-rate outages or the adaptive ergodic rate gain."""
+    return _sub_batched(_uplink_samples, cfg, rho, rng, trials)
+
+
+def _uplink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
     eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
-    h0, a0, _, _, _, gsel = _draw(cfg, rng, trials)
     sinr1 = rho * gsel[:, None, :] / (rho * a0 + 1.0)  # (T, N, M)
 
     # stage-II for U0 is interference-free once the NOMA signals are removed

@@ -8,18 +8,28 @@ lowest user index so results are deterministic.
 import numpy as np
 
 
-def batch_schedule(gains_sq: np.ndarray, scheduler: str, rng: np.random.Generator,
+def schedule_draws(scheduler: str, rng: np.random.Generator, trials: int,
+                   k_users: int) -> np.ndarray:
+    """The random numbers :func:`batch_schedule` consumes, one row per trial:
+    (T, K) uniforms under random scheduling; the others draw nothing, (T, 0)."""
+    if scheduler == "random":
+        return rng.random((trials, k_users))
+    return np.empty((trials, 0))
+
+
+def batch_schedule(gains_sq: np.ndarray, scheduler: str, draws: np.ndarray,
                    m: int) -> np.ndarray:
     """Vectorized scheduling over trials: ``gains_sq`` is (T, K, M) squared
-    magnitudes; returns the selected user per (trial, subchannel), (T, M).
+    magnitudes and ``draws`` the trials' rows of :func:`schedule_draws`;
+    returns the selected user per (trial, subchannel), (T, M).
     """
-    trials, k_users = gains_sq.shape[0], gains_sq.shape[1]
+    k_users = gains_sq.shape[1]
     if scheduler == "per_subchannel":
         return gains_sq.argmax(axis=1)
     if scheduler == "random":
         if k_users < m:
             raise ValueError("random scheduling needs K >= M")
-        return rng.random((trials, k_users)).argsort(axis=1)[:, :m]
+        return draws.argsort(axis=1)[:, :m]
     if scheduler == "greedy":
         sel = gains_sq.min(axis=2).argmax(axis=1)
         return np.repeat(sel[:, None], m, axis=1)

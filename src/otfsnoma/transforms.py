@@ -9,7 +9,16 @@ permutations, is block-circulant with circulant blocks: as an N×N pattern
 of M×M blocks, block (r, c) equals A_{(r−c) mod N}, and the path lands in
 A_{k_p}.  The detection transform F_N ⊗ F_M^H diagonalizes every such
 operator, and its eigenvalues are the 2-D spectrum of the tap array.
+
+A channel has only P ≤ 4 paths, so the simulator computes that spectrum
+from the paths themselves (:func:`power_spectrum`), with a Doppler and a
+delay steering factor per profile and grid, not by FFTs of a zero-filled
+N×M tap array.  The FFT forms, :func:`spectrum_from_taps` and
+:func:`static_spectrum_from_taps`, are the tests' independent references.
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -46,3 +55,33 @@ def static_spectrum_from_taps(taps: np.ndarray) -> np.ndarray:
     """M-point reduction for Doppler-free channels: D̃[l] = Σ_m taps[m] e^{+j2πlm/M}."""
     m = taps.shape[-1]
     return np.fft.ifft(taps, axis=-1) * m
+
+
+@functools.lru_cache(maxsize=16)
+def _steering(profile, n: int, m: int) -> tuple:
+    """Read-only steering factors of ``profile`` on the N×M grid: the
+    (N, P) Doppler phasors e^{−j2πk·k_p/N} and the (P, M) delay phasors
+    e^{+j2πl·l_p/M}, each phase reduced exactly in integers first."""
+    doppler = np.exp(-2j * np.pi / n * (np.outer(np.arange(n), profile.doppler_taps) % n))
+    delay = np.exp(2j * np.pi / m * (np.outer(profile.delay_taps, np.arange(m)) % m))
+    doppler.flags.writeable = delay.flags.writeable = False
+    return doppler, delay
+
+
+def power_spectrum(profile, gains: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Eigenvalue powers |D|² on the N×M grid, shape (..., N, M), of channels
+    with ``profile``'s paths and (..., P) ``gains``.
+
+    D[k, l] = Σ_p h_p e^{−j2πk·k_p/N} e^{+j2πl·l_p/M}, the convention of
+    :func:`spectrum_from_taps`, is the product (A·diag(h))·B of the cached
+    (N, P) Doppler and (P, M) delay steering factors.  A Doppler-free user's
+    M-point spectrum D̃ is the N = 1 case.  Each matrix product covers one
+    leading-axis entry (one trial), so a trial's bits do not depend on how
+    many trials share the call, and each BLAS call is an N·P·M product that
+    OpenBLAS keeps on one thread up to 64×64 with 4 paths.
+    """
+    gains = np.asarray(gains, dtype=np.complex128)
+    doppler, delay = _steering(profile, n, m)
+    rows = gains[..., None, :] * doppler  # (..., N, P)
+    rows = rows.reshape((-1, math.prod(gains.shape[1:-1]) * n, gains.shape[-1]))
+    return (np.abs(rows @ delay) ** 2).reshape(gains.shape[:-1] + (n, m))

@@ -39,7 +39,22 @@ def error_floor(k_users: int, epsilon: float) -> float:
 
 def floor_approx(k_users: int, epsilon: float) -> float:
     """Small-Kε approximation of the error floor, K!·ε^K.  Monotone decreasing
-    in K while (K+1)ε < 1, so inviting more opportunistic users lowers it."""
+    in K while (K+1)ε < 1, so inviting more opportunistic users lowers it.
+
+    Computed as the running product of jε, brought back into [0.5, 1) by an
+    exact power of two after each factor, so no partial product overflows
+    or underflows: the result is within 2K roundings of K!εᴷ, and it is inf,
+    subnormal or 0 only where K!εᴷ itself is.
+    """
     if k_users < 1:
         raise ValueError("k_users must be >= 1")
-    return math.factorial(k_users) * epsilon**k_users
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    mantissa, exponent = 1.0, 0
+    for j in range(1, k_users + 1):
+        mantissa, shift = math.frexp(mantissa * j * epsilon)
+        exponent += shift
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf

@@ -34,15 +34,18 @@ def test_traced_run_sees_dfe_layers():
         harness.run_scenario(cfg)
     finally:
         tracer.restore()
-    # the FD-DFE pivots come from the Gram taps without a dense matrix, and
-    # the static users' stage I is decided by their FD-LE φ = 1/λ₀, so
-    # neither the static pivots nor static_gram_taps are on the production path
+    # the FD-DFE pivots come from the Gram taps without a dense matrix, the
+    # static users' stage I is decided by their FD-LE φ = 1/λ₀, and the
+    # spectra come from the paths, not from FFTs of the taps, so neither the
+    # static pivots, static_gram_taps nor the FFT spectra are on the
+    # production path
     seen = set(tracer.self_times())
     assert "transforms.dense_block_circulant" not in seen
     assert "equalizers.batch_static_lambdas" not in seen
+    assert "transforms.spectrum_from_taps" not in seen
+    assert "transforms.static_spectrum_from_taps" not in seen
     assert seen == {
         "harness.run_scenario", "rng.substream", "grid_channel.sample_gain_matrix",
-        "transforms.spectrum_from_taps", "transforms.static_spectrum_from_taps",
         "equalizers.gram_taps_from_gains", "equalizers.batch_dfe_lambdas",
         "scheduling.batch_schedule",
     }

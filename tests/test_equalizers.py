@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otfsnoma import ChannelProfile, PowerAllocation, make_grid, table1_profile
-from otfsnoma import equalizers
+from otfsnoma import common, equalizers
 from otfsnoma.equalizers import (_schur_errors, batch_dfe_lambdas, batch_noise_enhancement,
                                  batch_static_lambdas, gram_taps_from_gains, static_gram_taps)
 from otfsnoma.grid_channel import sample_gain_matrix
@@ -429,7 +429,7 @@ def test_sub_batches_never_mix_trials(monkeypatch):
              for lo, hi in ((0, 1), (1, 600), (600, trials))]
     assert np.array_equal(lam, np.concatenate([p[0] for p in parts]))
     assert np.array_equal(ok, np.concatenate([p[1] for p in parts]))
-    monkeypatch.setattr(equalizers, "SCHUR_BATCH_CELLS", 7 * n * m)
+    monkeypatch.setattr(common, "SUB_BATCH_CELLS", 7 * n * m)
     small = batch_dfe_lambdas(*args, gains, n, m)
     assert np.array_equal(lam, small[0]) and np.array_equal(ok, small[1])
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otfsnoma.rng import substream
-from otfsnoma.scheduling import batch_schedule
+from otfsnoma.scheduling import batch_schedule, schedule_draws
 from oracles import UserPool, greedy_schedule, per_subchannel_schedule, random_schedule
 
 
@@ -109,8 +109,8 @@ class TestBatchSchedule:
     def test_matches_pool_functions(self):
         rng = substream(7, 0)
         gains = rng.random((10, 5, 3)) + 0.01
-        per = batch_schedule(gains, "per_subchannel", rng, 3)
-        greedy = batch_schedule(gains, "greedy", rng, 3)
+        per = batch_schedule(gains, "per_subchannel", schedule_draws("per_subchannel", rng, 10, 5), 3)
+        greedy = batch_schedule(gains, "greedy", schedule_draws("greedy", rng, 10, 5), 3)
         for t in range(10):
             pool = UserPool(diag_magnitudes=np.sqrt(gains[t]))
             assert np.all(per[t] == per_subchannel_schedule(pool))
@@ -119,13 +119,13 @@ class TestBatchSchedule:
     def test_random_without_replacement(self):
         rng = substream(8, 0)
         gains = rng.random((50, 6, 4))
-        sel = batch_schedule(gains, "random", rng, 4)
+        sel = batch_schedule(gains, "random", schedule_draws("random", rng, 50, 6), 4)
         for row in sel:
             assert len(set(row.tolist())) == 4
 
     def test_unknown_scheduler(self):
         with pytest.raises(ValueError):
-            batch_schedule(np.ones((1, 2, 2)), "best", substream(9, 0), 2)
+            batch_schedule(np.ones((1, 2, 2)), "best", schedule_draws("best", substream(9, 0), 1, 2), 2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +185,23 @@ class TestFloorApprox:
             gap = (floor_approx(k, eps) - error_floor(k, eps)) / error_floor(k, eps)
             predicted = eps * k * (k + 1) / 2
             assert gap == pytest.approx(predicted, rel=0.2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 1024), eps=st.floats(-6.0, 1.0).map(lambda e: 10.0**e))
+    @example(k=1024, eps=1.0)  # K! alone overflows a float
+    @example(k=64, eps=1e-6)  # 1e-6**64 underflows; K!εᴷ = 1.27e-295
+    @example(k=1023, eps=1 / 720)  # normal, though j!εʲ is subnormal near j = 720
+    @example(k=1024, eps=1e-6)
+    @example(k=1024, eps=10.0)
+    def test_relative_accuracy_against_the_exact_product(self, k, eps):
+        exact = math.factorial(k) * Fraction(eps) ** k
+        got = floor_approx(k, eps)
+        if exact > sys.float_info.max:
+            assert got == math.inf
+        elif exact < sys.float_info.min:
+            assert got < sys.float_info.min
+        else:
+            assert got == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     def test_ratio_to_the_floor_is_the_product(self):
         # error_floor = K!eps^K / prod_{j<=K}(1 + j*eps) exactly
