@@ -67,11 +67,13 @@ class PowerAllocation:
 def batch_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
     """FD-LE φ = mean |D|⁻² over ``axis`` of the eigenvalue powers |D|².
 
-    A channel with any |D|² < SINGULARITY_EPS² is singular and gets φ = inf,
-    which puts every one of its symbols in outage.
+    A channel with some |D|² < SINGULARITY_EPS² or NaN is singular and gets
+    φ = inf, which puts every one of its symbols in outage; its mean of the
+    reciprocals, which may be inf or NaN, is discarded.
     """
-    phi = (1.0 / np.where(power > 0, power, np.inf)).mean(axis=axis)
-    return np.where(power.min(axis=axis) < SINGULARITY_EPS**2, np.inf, phi)
+    with np.errstate(all="ignore"):  # only a singular channel's mean can warn
+        phi = (1.0 / power).mean(axis=axis)
+    return np.where((power >= SINGULARITY_EPS**2).all(axis=axis), phi, np.inf)
 
 
 def gram_taps_from_gains(doppler_taps, delay_taps, gains, n: int, m: int) -> np.ndarray:

@@ -125,11 +125,15 @@ def sample_gain_matrix(profile: ChannelProfile, rng: np.random.Generator, count:
     """Draw ``count`` independent gain vectors, shape (count, P+1).
 
     Gains are i.i.d. circular complex Gaussian with variance 1/(P+1), so the
-    expected total power per realization is one.
+    expected total power per realization is one.  The (count, P+1, 2) normals
+    are scaled in place and read as complex numbers, (re, im) pairs, so the
+    draw holds 16 B per gain and no temporaries; the bits are those of
+    ``scale * (raw[..., 0] + 1j * raw[..., 1])``.
     """
     p = profile.num_paths
     scale = np.sqrt(1.0 / (2.0 * p))
     raw = rng.standard_normal((count, p, 2))
-    return scale * (raw[..., 0] + 1j * raw[..., 1])
+    raw *= scale
+    return raw.view(np.complex128)[..., 0]
 
 

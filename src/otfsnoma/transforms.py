@@ -84,4 +84,6 @@ def power_spectrum(profile, gains: np.ndarray, n: int, m: int) -> np.ndarray:
     doppler, delay = _steering(profile, n, m)
     rows = gains[..., None, :] * doppler  # (..., N, P)
     rows = rows.reshape((-1, math.prod(gains.shape[1:-1]) * n, gains.shape[-1]))
-    return (np.abs(rows @ delay) ** 2).reshape(gains.shape[:-1] + (n, m))
+    power = np.abs(rows @ delay)
+    np.multiply(power, power, out=power)  # the bits of ** 2, without a second array
+    return power.reshape(gains.shape[:-1] + (n, m))

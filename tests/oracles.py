@@ -5,8 +5,10 @@ spectra and Gram taps.  This module keeps the slower, independent versions
 of the same jobs: tagged-frame transforms, the block-circulant operator and
 its dense NM×NM matrix, the dense Cholesky factorization and both
 equalizers, the per-realization transmitters and receivers, the scalar
-schedulers, standalone Monte Carlo estimators keyed by (seed, block), and
-the uplink outage's alternating sum in extended precision.
+schedulers, standalone Monte Carlo estimators keyed by (seed, block), the
+uplink outage's alternating sum in extended precision, and the gain draw and
+FD-LE φ in forms that spend temporary arrays, which the package's in-place
+forms must match bit for bit.
 """
 
 import enum
@@ -81,6 +83,16 @@ class ChannelRealization:
     @property
     def total_power(self) -> float:
         return float(np.sum(np.abs(self.gains) ** 2))
+
+
+def complex_multiply_gains(profile: ChannelProfile, rng: np.random.Generator,
+                           count: int) -> np.ndarray:
+    """The (count, P+1) gains of :func:`sample_gain_matrix` by a complex
+    multiply of the normals, ``scale * (re + 1j·im)``, which builds three
+    complex temporaries; the package scales the normals in place instead."""
+    scale = np.sqrt(1.0 / (2.0 * profile.num_paths))
+    raw = rng.standard_normal((count, profile.num_paths, 2))
+    return scale * (raw[..., 0] + 1j * raw[..., 1])
 
 
 def sample_realization(profile: ChannelProfile, rng: np.random.Generator) -> ChannelRealization:
@@ -246,6 +258,16 @@ def noise_enhancement(d: DiagonalizedChannel) -> float:
     Equal to (1/NM)·trace(D⁻¹D⁻ᴴ); returns inf for a singular channel.
     """
     return float(batch_noise_enhancement(np.abs(d.d_values) ** 2, None))
+
+
+def where_min_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
+    """φ of :func:`batch_noise_enhancement` by a masked reciprocal and a
+    per-row min: zero powers read as inf before the division, and a channel
+    is singular when its smallest |D|² < SINGULARITY_EPS².  A NaN power
+    slips past that test (NaN < ε² is false), so this form returns a finite
+    φ where the package returns inf."""
+    phi = (1.0 / np.where(power > 0, power, np.inf)).mean(axis=axis)
+    return np.where(power.min(axis=axis) < SINGULARITY_EPS**2, np.inf, phi)
 
 
 def fd_le_equalize(y: Frame, d: DiagonalizedChannel) -> Frame:

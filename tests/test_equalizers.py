@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from otfsnoma import ChannelProfile, PowerAllocation, make_grid, table1_profile
 from otfsnoma import common, equalizers
@@ -18,7 +19,7 @@ from otfsnoma.transforms import dense_block_circulant, static_spectrum_from_taps
 from oracles import (ChannelRealization, Domain, Frame, GenieFeedback, HardDecisionFeedback,
                      SingularChannelError, build_block_circulant, cholesky_factors, diagonalize,
                      fd_dfe_equalize, fd_dfe_sinrs, fd_le_equalize, fd_le_sinr, isfft2,
-                     noise_enhancement, qpsk_alphabet, sfft2)
+                     noise_enhancement, qpsk_alphabet, sfft2, where_min_noise_enhancement)
 
 from conftest import flat_realization, random_realization, worked_example_realization
 
@@ -413,6 +414,59 @@ def test_static_stage1_verdict_from_phi(m, offset, valid):
         assert np.array_equal(by_pivots, P34.sinr(rho, phi) > eps0)
         verdicts.append(by_pivots[0])
     assert any(verdicts) == valid  # the valid draw passes stage I at a high enough SNR
+
+
+_EPS2 = common.SINGULARITY_EPS**2
+_EDGE_POWERS = st.one_of(
+    st.sampled_from([0.0, _EPS2, np.nextafter(_EPS2, 0.0), np.nextafter(_EPS2, np.inf),
+                     5e-324, np.nextafter(2.2250738585072014e-308, 0.0), np.inf]),
+    st.floats(min_value=0.0, allow_nan=False))
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=hnp.array_shapes(min_dims=3, max_dims=3, max_side=6))
+def test_noise_enhancement_keeps_the_where_min_bits(data, shape):
+    # one reciprocal pass and an all(>= ε²) test give the bits of the masked
+    # reciprocal and the per-row min for every power that is not NaN: exact
+    # zeros, ε² ties, subnormals and inf among well-conditioned powers
+    power = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(1e-30, 1e30)))
+    flat = power.reshape(-1)
+    for i in data.draw(st.lists(st.integers(0, flat.size - 1), max_size=4)):
+        flat[i] = data.draw(_EDGE_POWERS)
+    for axis in (-1, (-2, -1)):
+        with np.errstate(all="ignore"):
+            ref = where_min_noise_enhancement(power, axis)
+        assert _same_bits(batch_noise_enhancement(power, axis), ref)
+
+
+def test_noise_enhancement_edge_rows():
+    tiny = np.nextafter(_EPS2, 0.0)
+    power = np.array([[1.0, 4.0], [_EPS2, _EPS2], [_EPS2, tiny], [0.0, 1.0],
+                      [5e-324, 1.0], [np.inf, np.inf], [np.inf, 0.5]])
+    phi = batch_noise_enhancement(power, -1)
+    assert _same_bits(phi, [0.625, 1.0 / _EPS2, np.inf, np.inf, np.inf, 0.0, 1.0])
+    with np.errstate(all="ignore"):
+        assert _same_bits(phi, where_min_noise_enhancement(power, -1))
+
+
+def test_nan_power_is_singular():
+    # a NaN |D|² counts as singular, like a non-finite FD-DFE pivot: φ = inf,
+    # so the SINR is 0 and the channel is in outage at any SNR
+    power = np.full((3, 2, 4), 0.5)
+    power[1, 0, 3] = np.nan
+    power[2, 1, 1] = np.nan
+    power[2, 0, 0] = 0.0
+    phi = batch_noise_enhancement(power, (-2, -1))
+    assert np.array_equal(phi, [2.0, np.inf, np.inf])
+    assert np.array_equal(batch_noise_enhancement(power, -1),
+                          [[2.0, 2.0], [np.inf, 2.0], [np.inf, np.inf]])
+    assert np.array_equal(P34.sinr(1e12, phi) > 0.0, [True, False, False])
+    with np.errstate(all="ignore"):
+        assert np.isfinite(where_min_noise_enhancement(power[1], (-2, -1)))
 
 
 def test_sub_batches_never_mix_trials(monkeypatch):

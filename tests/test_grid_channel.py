@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from otfsnoma import ChannelProfile, make_grid, table1_profile
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.rng import substream
-from oracles import ChannelRealization, sample_realization, static_profile
+from oracles import (ChannelRealization, complex_multiply_gains, sample_realization,
+                     static_profile)
 
 
 class TestMakeGrid:
@@ -111,6 +112,27 @@ class TestSampling:
     def test_wrong_gain_length_rejected(self):
         with pytest.raises(ValueError):
             ChannelRealization(profile=table1_profile(), gains=np.ones(3, dtype=complex))
+
+    @pytest.mark.parametrize("prof", [
+        table1_profile(), ChannelProfile(paths=((0, 0),)), static_profile(3, [0, 2, 5]),
+        ChannelProfile(paths=tuple((d, d % 2) for d in range(8))),
+    ], ids=["table1", "one-path", "static-3", "eight-paths"])
+    @pytest.mark.parametrize("count", [0, 1, 50_000])
+    def test_in_place_draw_keeps_the_complex_multiply_bits(self, prof, count):
+        # the same substream through both forms; comparing the raw words
+        # tells a signed zero from its opposite
+        gains = sample_gain_matrix(prof, substream(17, count), count)
+        ref = complex_multiply_gains(prof, substream(17, count), count)
+        assert gains.shape == ref.shape == (count, prof.num_paths)
+        assert gains.dtype == np.complex128
+        assert np.array_equal(gains.view(np.uint64), ref.view(np.uint64))
+
+    def test_drawn_gains_are_contiguous_and_writeable(self):
+        # _block_draws reshapes the users' gains without a copy, and a
+        # test writes a singular draw into them
+        gains = sample_gain_matrix(table1_profile(), substream(18, 0), 5)
+        assert gains.flags.c_contiguous and gains.flags.writeable
+        assert np.shares_memory(gains.reshape(5, 1, 4), gains)
 
     def test_gains_are_readonly(self):
         r = sample_realization(table1_profile(), substream(2, 0))

@@ -15,7 +15,7 @@ from scipy.special import gammainc
 from otfsnoma import (ChannelProfile, ConfigError, CurvePoint, EstimatorUndefinedError,
                       PowerAllocation, ScenarioConfig, corollary1_outage, diversity_slope, emit_csv,
                       read_csv_points, run_scenario)
-from otfsnoma import common, harness
+from otfsnoma import cli, common, harness
 from otfsnoma.harness import (_draw, downlink_kernel, parse_config_file, parse_config_text,
                               uplink_kernel)
 from otfsnoma.rng import substream
@@ -270,6 +270,18 @@ class TestCsv:
         with open(golden, "rb") as fh:
             assert out.read_bytes() == fh.read()
 
+    @pytest.mark.parametrize("name", ["downlink_outage_dfe", "downlink_sum_rate_le",
+                                      "uplink_fixed_per_subchannel", "uplink_adaptive_gain"])
+    def test_shipped_config_golden(self, tmp_path, name):
+        # `otfsnoma simulate --config configs/<name>.cfg --trials 512 --seed 1`,
+        # byte for byte as frozen in tests/data
+        out = tmp_path / "fresh.csv"
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.cfg")
+        assert cli.main(["simulate", "--config", config, "--out", str(out),
+                         "--trials", "512", "--seed", "1"]) == 0
+        with open(os.path.join(DATA_DIR, f"golden_{name}.csv"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
 
 class TestRunScenario:
     def test_single_trial_deterministic(self):
@@ -428,6 +440,7 @@ class TestSubBatches:
 
         def with_a_singular_u0(profile, rng, count):
             gains = draw_gains(profile, rng, count)
+            assert gains.flags.writeable  # the kernel sees the write below
             if profile == cfg.u0_profile:
                 gains[self.SINGULAR] = [0.5, 0.5, 0.0, 0.0]
             return gains
@@ -451,11 +464,49 @@ class TestSubBatches:
         assert whole[stage2].mean() < 1.0
 
 
+def test_nan_spectrum_puts_the_trial_in_outage(monkeypatch):
+    # a NaN |D|² makes φ = inf: U0 is in outage in trial 3, and in trial 5
+    # every static user fails stage I, so every scheduled user is in outage
+    cfg = small_config()
+    spectrum = harness.power_spectrum
+
+    def with_nans(profile, gains, n, m):
+        power = spectrum(profile, gains, n, m)
+        if profile == cfg.u0_profile:
+            power[3, 1, 2] = np.nan
+        else:
+            power[5, :, 0, 4] = np.nan
+        return power
+
+    monkeypatch.setattr(harness, "power_spectrum", with_nans)
+    samples = downlink_kernel(cfg, 1e6, substream(cfg.seed, 0), 8)
+    assert samples["u0_outage"][3] == samples["u0_outage_oma"][3] == 1.0
+    assert samples["noma_outage"][5] == 1.0
+    assert samples["u0_outage"].mean() < 1.0 and samples["noma_outage"].mean() < 1.0
+
+
+def test_block_draws_hold_16_bytes_per_gain():
+    # the gains are the normals scaled in place and read as complex numbers:
+    # 16 B per gain value, plus the random scheduler's (T, K) uniforms.  A
+    # complex multiply of the normals peaked at about 48 B per gain value.
+    cfg = small_config(n=16, m=16, k_users=64)
+    trials = 4096
+    gains = trials * (cfg.k_users * cfg.noma_profile.num_paths + cfg.u0_profile.num_paths)
+    expected = 16 * gains + 8 * trials * cfg.k_users
+    tracemalloc.start()
+    try:
+        harness._block_draws(cfg, substream(1, 0), trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert expected <= peak < expected + 2**20
+
+
 @pytest.mark.parametrize("equalizer, bound_mib", [("le", 24), ("dfe", 32)])
 def test_block_memory_is_bounded_by_the_sub_batch(equalizer, bound_mib):
     # a 4096-trial block on 16×16 peaked at 68.3 MiB under either equalizer
     # when every (T, N, M) array was held for the whole block; with
-    # sub-batches it peaks at 12.3 MiB (FD-LE) and 16.0 MiB (FD-DFE)
+    # sub-batches it peaks at 7.2 MiB (FD-LE) and 16.0 MiB (FD-DFE)
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "downlink_sum_rate_le.cfg")
     cfg = dataclasses.replace(parse_config_file(path), equalizer=equalizer)
     downlink_kernel(cfg, 10.0, substream(1, 0), 8)  # fill the steering-factor cache
