@@ -69,11 +69,16 @@ def batch_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
 
     A channel with some |D|² < SINGULARITY_EPS² or NaN is singular and gets
     φ = inf, which puts every one of its symbols in outage; its mean of the
-    reciprocals, which may be inf or NaN, is discarded.
+    reciprocals, which may be inf or NaN, is discarded.  The rule is tested
+    once on the whole array, and per channel only when some power fails it,
+    which a Gaussian draw all but never does.
     """
     with np.errstate(all="ignore"):  # only a singular channel's mean can warn
         phi = (1.0 / power).mean(axis=axis)
-    return np.where((power >= SINGULARITY_EPS**2).all(axis=axis), phi, np.inf)
+    regular = power >= SINGULARITY_EPS**2
+    if regular.all():
+        return phi
+    return np.where(regular.all(axis=axis), phi, np.inf)
 
 
 def gram_taps_from_gains(doppler_taps, delay_taps, gains, n: int, m: int) -> np.ndarray:

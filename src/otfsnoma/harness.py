@@ -391,6 +391,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
                               cfg.trials, BLOCK_TRIALS)
                  for si, snr in enumerate(cfg.snr_db)]
     tasks = [task for point_tasks in per_point for task in point_tasks]
+    workers = min(workers, len(tasks))  # a pool starts all its processes at once
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             sums = iter(list(pool.map(_block_sums, *zip(*tasks))))

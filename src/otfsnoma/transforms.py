@@ -68,6 +68,20 @@ def _steering(profile, n: int, m: int) -> tuple:
     return doppler, delay
 
 
+# Complex multiply-adds per BLAS call of :func:`power_spectrum`, which groups
+# the trials of one spectrum product into calls of at most this size.  On a
+# 2-vCPU box (numpy 2.4.6, OpenBLAS 0.3.31) zgemm ran on both cores from 2¹⁶
+# multiply-adds per call: with 2¹⁶ here, the blocks that
+# tests/test_transforms.py times in a fresh process spent 1.8 to 2.0 times
+# their wall time in process time, and 1.0 times with 2¹⁵.  One 16×4×16
+# product per trial cost 1.0 µs a trial, and one call for 32 trials 0.38 µs.
+# A flat product over a whole sub-batch is faster in one process only
+# because it takes both cores: two pool workers running
+# downlink_sum_rate_le.cfg at 8192 trials per point then took 1.7 to 3.0 s,
+# against 0.7 to 0.8 s for one worker and 0.4 s for two with this grouping.
+SPECTRUM_CALL_MACS = 1 << 15
+
+
 def power_spectrum(profile, gains: np.ndarray, n: int, m: int) -> np.ndarray:
     """Eigenvalue powers |D|² on the N×M grid, shape (..., N, M), of channels
     with ``profile``'s paths and (..., P) ``gains``.
@@ -75,15 +89,34 @@ def power_spectrum(profile, gains: np.ndarray, n: int, m: int) -> np.ndarray:
     D[k, l] = Σ_p h_p e^{−j2πk·k_p/N} e^{+j2πl·l_p/M}, the convention of
     :func:`spectrum_from_taps`, is the product (A·diag(h))·B of the cached
     (N, P) Doppler and (P, M) delay steering factors.  A Doppler-free user's
-    M-point spectrum D̃ is the N = 1 case.  Each matrix product covers one
-    leading-axis entry (one trial), so a trial's bits do not depend on how
-    many trials share the call, and each BLAS call is an N·P·M product that
-    OpenBLAS keeps on one thread up to 64×64 with 4 paths.
+    M-point spectrum D̃ is the N = 1 case, where A is exactly 1 and the
+    gains are the rows themselves.
+
+    A trial (leading-axis entry) has R = (its entries)·N rows.  The rows of
+    max(1, SPECTRUM_CALL_MACS // (R·P·M)) consecutive trials share one BLAS
+    product, small enough that OpenBLAS keeps it on one thread, and each
+    output row gets the bits of a per-trial product, so a trial's bits do
+    not depend on how many trials share the call.  A trial with one row
+    keeps one call of its own: numpy sends a one-row product to gemv, whose
+    bits differ from gemm's.
     """
     gains = np.asarray(gains, dtype=np.complex128)
     doppler, delay = _steering(profile, n, m)
-    rows = gains[..., None, :] * doppler  # (..., N, P)
-    rows = rows.reshape((-1, math.prod(gains.shape[1:-1]) * n, gains.shape[-1]))
-    power = np.abs(rows @ delay)
+    npaths = gains.shape[-1]
+    rows_per_trial = math.prod(gains.shape[1:-1]) * n
+    if n == 1:  # the Doppler phasors are exactly 1
+        rows = np.ascontiguousarray(gains).reshape((-1, npaths))
+    else:  # each trial's (N, P) rows in turn
+        rows = (gains[..., None, :] * doppler).reshape((-1, npaths))
+    macs = rows_per_trial * npaths * m
+    group = max(1, SPECTRUM_CALL_MACS // macs) if rows_per_trial > 1 else 1
+    call_rows = group * rows_per_trial
+    whole = len(rows) // call_rows * call_rows
+    spectra = np.empty((len(rows), m), dtype=np.complex128)
+    np.matmul(rows[:whole].reshape((-1, call_rows, npaths)), delay,
+              out=spectra[:whole].reshape((-1, call_rows, m)))
+    if whole < len(rows):
+        np.matmul(rows[whole:], delay, out=spectra[whole:])
+    power = np.abs(spectra)
     np.multiply(power, power, out=power)  # the bits of ** 2, without a second array
     return power.reshape(gains.shape[:-1] + (n, m))

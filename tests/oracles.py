@@ -6,9 +6,9 @@ of the same jobs: tagged-frame transforms, the block-circulant operator and
 its dense NM×NM matrix, the dense Cholesky factorization and both
 equalizers, the per-realization transmitters and receivers, the scalar
 schedulers, standalone Monte Carlo estimators keyed by (seed, block), the
-uplink outage's alternating sum in extended precision, and the gain draw and
-FD-LE φ in forms that spend temporary arrays, which the package's in-place
-forms must match bit for bit.
+uplink outage's alternating sum in extended precision, and the gain draw,
+the spectra and FD-LE φ in forms that spend temporary arrays or BLAS calls,
+which the package's forms must match bit for bit.
 """
 
 import enum
@@ -24,7 +24,8 @@ from otfsnoma.equalizers import PowerAllocation, batch_noise_enhancement, gram_t
 from otfsnoma.grid_channel import ChannelProfile, Grid, sample_gain_matrix
 from otfsnoma.harness import (EQUALIZERS, ScenarioConfig, monte_carlo, uplink_kernel,
                               user_noise_enhancement)
-from otfsnoma.transforms import dense_block_circulant, spectrum_from_taps, static_spectrum_from_taps
+from otfsnoma.transforms import (_steering, dense_block_circulant, spectrum_from_taps,
+                                 static_spectrum_from_taps)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,19 @@ def complex_multiply_gains(profile: ChannelProfile, rng: np.random.Generator,
     scale = np.sqrt(1.0 / (2.0 * profile.num_paths))
     raw = rng.standard_normal((count, profile.num_paths, 2))
     return scale * (raw[..., 0] + 1j * raw[..., 1])
+
+
+def per_trial_power_spectrum(profile: ChannelProfile, gains: np.ndarray, n: int,
+                             m: int) -> np.ndarray:
+    """|D|² of :func:`otfsnoma.transforms.power_spectrum` by one matrix
+    product per trial (leading-axis entry): a stacked (T, R, P) @ (P, M)
+    product, one BLAS call per trial; the package groups trials into fewer
+    calls."""
+    gains = np.asarray(gains, dtype=np.complex128)
+    doppler, delay = _steering(profile, n, m)
+    rows = gains[..., None, :] * doppler
+    rows = rows.reshape((-1, math.prod(gains.shape[1:-1]) * n, gains.shape[-1]))
+    return (np.abs(rows @ delay) ** 2).reshape(gains.shape[:-1] + (n, m))
 
 
 def sample_realization(profile: ChannelProfile, rng: np.random.Generator) -> ChannelRealization:

@@ -428,15 +428,19 @@ def _same_bits(a, b):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), shape=hnp.array_shapes(min_dims=3, max_dims=3, max_side=6))
-def test_noise_enhancement_keeps_the_where_min_bits(data, shape):
-    # one reciprocal pass and an all(>= ε²) test give the bits of the masked
-    # reciprocal and the per-row min for every power that is not NaN: exact
-    # zeros, ε² ties, subnormals and inf among well-conditioned powers
-    power = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(1e-30, 1e30)))
+@given(power=hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=6),
+                        elements=st.floats(1e-30, 1e30)),
+       edits=st.lists(st.tuples(st.integers(0, 6**3 - 1), _EDGE_POWERS), max_size=4))
+@example(power=np.full((2, 3, 4), 0.5), edits=[])  # all regular: the whole-array test
+@example(power=np.full((2, 3, 4), 0.5), edits=[(13, 0.0)])  # one singular: the row-wise test
+def test_noise_enhancement_keeps_the_where_min_bits(power, edits):
+    # one reciprocal pass and an all(>= ε²) test, on the whole array and
+    # per row only when that fails, give the bits of the masked reciprocal
+    # and the per-row min for every power that is not NaN: exact zeros, ε²
+    # ties, subnormals and inf among well-conditioned powers
     flat = power.reshape(-1)
-    for i in data.draw(st.lists(st.integers(0, flat.size - 1), max_size=4)):
-        flat[i] = data.draw(_EDGE_POWERS)
+    for i, value in edits:
+        flat[i % flat.size] = value
     for axis in (-1, (-2, -1)):
         with np.errstate(all="ignore"):
             ref = where_min_noise_enhancement(power, axis)

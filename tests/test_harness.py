@@ -309,6 +309,32 @@ class TestRunScenario:
         cfg = small_config(**{"trials": 300, "snr_db": (0.0, 10.0), **overrides})
         assert run_scenario(cfg, workers=1) == run_scenario(cfg, workers=2)
 
+    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch):
+        # a fork-started pool launches all its processes at the first task,
+        # so asking for 64 workers on a 2-block run must start only 2; the
+        # stand-in executor records its size and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        two_blocks = small_config(trials=300)
+        assert run_scenario(two_blocks, workers=64) == run_scenario(two_blocks, workers=1)
+        one_block = small_config(trials=300, snr_db=(0.0,))
+        assert run_scenario(one_block, workers=2) == run_scenario(one_block, workers=1)
+        assert sizes == [2]  # the 1-block run started no pool
+
     def test_probabilities_in_unit_interval(self):
         cfg = small_config(trials=2048)
         for p in run_scenario(cfg):
@@ -432,7 +458,14 @@ class TestSubBatches:
         dict(equalizer="dfe"),
         dict(direction="uplink", scheduler="per_subchannel"),
         dict(direction="uplink", scheduler="greedy", rate_mode="adaptive", equalizer="dfe"),
-    ], ids=["downlink-le-random", "downlink-dfe-random", "uplink-fixed", "uplink-adaptive"])
+        # one spectrum row per trial, where numpy calls gemv instead of gemm;
+        # the adaptive rate reads the spectra's bits, not only outage flags
+        dict(direction="uplink", rate_mode="adaptive", k_users=1, scheduler="greedy",
+             noma_profile=ChannelProfile(paths=((0, 0), (1, 0), (3, 0)))),
+        dict(direction="uplink", rate_mode="adaptive", n=1, scheduler="per_subchannel",
+             u0_profile=ChannelProfile(paths=((2, 0), (6, 0), (5, 0), (7, 0)))),
+    ], ids=["downlink-le-random", "downlink-dfe-random", "uplink-fixed", "uplink-adaptive",
+            "uplink-adaptive-one-static-user", "uplink-adaptive-n1"])
     def test_samples_keep_their_bits(self, monkeypatch, overrides):
         cfg = small_config(**overrides)
         kernel = downlink_kernel if cfg.direction == "downlink" else uplink_kernel

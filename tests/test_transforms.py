@@ -1,6 +1,11 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otfsnoma import ChannelProfile, make_grid, table1_profile
@@ -8,7 +13,8 @@ from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.rng import substream
 from otfsnoma.transforms import power_spectrum, spectrum_from_taps, static_spectrum_from_taps
 from oracles import (ChannelRealization, Domain, DomainMismatchError, Frame, build_block_circulant,
-                     diagonalize, isfft, isfft2, nomauser_diagonalize, sfft, sfft2)
+                     diagonalize, isfft, isfft2, nomauser_diagonalize, per_trial_power_spectrum,
+                     sfft, sfft2)
 
 from conftest import flat_realization, random_realization, worked_example_realization
 
@@ -311,3 +317,82 @@ def test_power_spectrum_matches_the_fft_oracles(grid, seed, log_scale):
     # a trial's (leading-axis entry's) bits do not depend on the trials
     # that share the call
     assert np.array_equal(power_spectrum(prof, gains[1:], n, m), power[1:])
+
+
+@st.composite
+def _spectrum_batch(draw):
+    # (n, m, profile, trials, k): (trials, k, P) gains, or (trials, P) when
+    # k is None, so a trial has k·N or N rows; at most 2¹⁸ trial-cells
+    n, m = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    cells = draw(st.lists(st.integers(0, n * m - 1), min_size=1, max_size=min(8, n * m),
+                          unique=True))
+    prof = ChannelProfile(paths=tuple((c % m, c // m) for c in cells))
+    k = draw(st.sampled_from([None, 1, 4, 16]))
+    trials = draw(st.sampled_from([t for t in (1, 3, 17, 256) if t * (k or 1) * n * m <= 2**18]))
+    return n, m, prof, trials, k
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=_spectrum_batch(), seed=st.integers(0, 2**32),
+       log_scale=st.floats(min_value=-6, max_value=6))
+# one row per trial (k·N = 1), where numpy calls gemv instead of gemm
+@example(batch=(1, 8, ChannelProfile(paths=((0, 0), (3, 0))), 17, 1), seed=1, log_scale=0.0)
+@example(batch=(1, 16, ChannelProfile(paths=((0, 0), (1, 0), (5, 0))), 256, 1), seed=2,
+         log_scale=0.0)
+@example(batch=(1, 9, ChannelProfile(paths=tuple((d, 0) for d in (0, 2, 3, 4, 8))), 3, None),
+         seed=3, log_scale=0.0)
+# 32 trials a call on 16×16, with a remainder; two trials a call on 64×64
+@example(batch=(16, 16, table1_profile(), 256, None), seed=4, log_scale=0.0)
+@example(batch=(64, 64, table1_profile(), 17, 1), seed=5, log_scale=0.0)
+def test_power_spectrum_keeps_the_per_trial_bits(batch, seed, log_scale):
+    # the trials grouped into BLAS calls of at most SPECTRUM_CALL_MACS
+    # multiply-adds give the bits of one product per trial, and a 1-trial
+    # call gives the bits of the same trial in a T-trial call
+    n, m, prof, trials, k = batch
+    shape = (trials, prof.num_paths) if k is None else (trials, k, prof.num_paths)
+    rng = substream(seed, 0)
+    gains = sample_gain_matrix(prof, rng, math.prod(shape[:-1])).reshape(shape)
+    gains *= 10.0 ** (log_scale * rng.random(shape))
+    power = power_spectrum(prof, gains, n, m)
+    assert _same_bits(power, per_trial_power_spectrum(prof, gains, n, m))
+    for i in {0, trials // 2, trials - 1}:
+        assert _same_bits(power_spectrum(prof, gains[i:i + 1], n, m), power[i:i + 1])
+
+
+_ONE_THREAD_CODE = """
+import time
+from otfsnoma import table1_profile
+from otfsnoma.harness import default_noma_profile
+from otfsnoma.grid_channel import sample_gain_matrix
+from otfsnoma.rng import substream
+from otfsnoma.transforms import power_spectrum
+for prof, trials, k, n, m in ((default_noma_profile(), 4096, 16, 1, 16),
+                              (table1_profile(), 4096, 1, 16, 16),
+                              (table1_profile(), 64, 1, 64, 64)):
+    gains = sample_gain_matrix(prof, substream(1, 0), trials * k).reshape(trials, k, -1)
+    power_spectrum(prof, gains, n, m)
+    wall, cpu = time.perf_counter(), time.process_time()
+    for _ in range(20):
+        power_spectrum(prof, gains, n, m)
+    print(trials, k, n, m, time.process_time() - cpu, time.perf_counter() - wall)
+"""
+
+
+def test_power_spectrum_stays_on_one_thread():
+    # OpenBLAS runs a zgemm of 2¹⁶ multiply-adds or more on several threads,
+    # which a pool of workers pays for many times over.  In a fresh process
+    # (a thread pool, once started, would stay), the grouped products of a
+    # 4096-trial block on 16×16 (K = 16 static users, and U0) and of a
+    # 64-trial block on 64×64 spend no more process time than wall time;
+    # multithreaded products showed 1.4 to 2.0 times the wall time.
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", _ONE_THREAD_CODE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    for line in out.splitlines():
+        *case, cpu, wall = line.split()
+        assert float(cpu) <= 1.3 * float(wall), case
