@@ -1,11 +1,13 @@
 """Link-level simulator for OTFS-NOMA downlink and uplink transmission."""
 
-from .common import ConfigError, EstimatorUndefinedError, McEstimate
 from .grid_channel import ChannelProfile, Grid, make_grid, table1_profile
 from .equalizers import PowerAllocation
 from .uplink import closed_form_outage, error_floor, floor_approx
 from .harness import (
+    ConfigError,
     CurvePoint,
+    EstimatorUndefinedError,
+    McEstimate,
     ScenarioConfig,
     corollary1_outage,
     diversity_slope,

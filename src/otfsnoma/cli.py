@@ -6,8 +6,9 @@ import math
 import sys
 from dataclasses import replace
 
-from .common import ConfigError, EstimatorUndefinedError, db_to_linear
 from .harness import (
+    ConfigError,
+    EstimatorUndefinedError,
     corollary1_outage,
     diversity_slope,
     emit_csv,
@@ -82,11 +83,11 @@ def _cmd_analytic(args) -> int:
         if args.formula == "corollary1":
             p0, rho_db, g0, g1, r0 = _require(params, "p0", "rho_db", "gamma0_sq",
                                               "gamma1_sq", "r0")
-            value = corollary1_outage(_count("p0", p0, 0), float(db_to_linear(rho_db)),
+            value = corollary1_outage(_count("p0", p0, 0), 10.0 ** (rho_db / 10.0),
                                       g0, g1, r0)
         elif args.formula == "closedform":
             k, eps, rho_db = _require(params, "k", "epsilon", "rho_db")
-            value = closed_form_outage(_count("k", k, 1), eps, float(db_to_linear(rho_db)))
+            value = closed_form_outage(_count("k", k, 1), eps, 10.0 ** (rho_db / 10.0))
         else:
             k, eps = _require(params, "k", "epsilon")
             value = error_floor(_count("k", k, 1), eps)

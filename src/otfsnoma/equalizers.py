@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import SINGULARITY_EPS, sub_batches
 # Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
 # wraps names where callers look them up, still finds it in this module.
 from .transforms import dense_block_circulant  # noqa: F401
+
+# Magnitudes / pivots below this are treated as a numerically singular channel.
+SINGULARITY_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,33 +148,27 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     4. its prediction-error powers of order M−1..0 are the pivots of
        symbols l = 0..M−1.
 
-    The cost is O(NM(N+M)) per trial.  The trials run in sub-batches of
-    about ``common.SUB_BATCH_CELLS`` / NM, so the working memory does not
-    grow with T.  A trial with any pivot non-finite or below SINGULARITY_EPS is
-    singular: it gets ``ok=False`` and λ = 1 as a placeholder, which
+    The cost is O(NM(N+M)) per trial, and the working memory about 120 B
+    per trial per cell, for all the trials passed at once; the harness
+    kernel bounds it by passing one of its sub-batches at a time.  A trial
+    with any pivot non-finite or below SINGULARITY_EPS is singular: it gets
+    ``ok=False`` and λ = 1 as a placeholder, which
     ``harness.user_noise_enhancement`` turns into ν = inf, an outage on every
-    symbol.  Trials never mix, so neither a singular trial nor the
-    sub-batching changes the other trials' bits.
+    symbol.  Trials never mix, so neither a singular trial nor the number of
+    trials in a call changes the other trials' bits.
     """
     gains = np.asarray(gains, dtype=np.complex128)
     flat = gains.reshape((-1, gains.shape[-1]))
-    lam = np.empty((flat.shape[0], n * m))
-    for part in sub_batches(flat.shape[0], n * m):
-        lam[part] = _dfe_lambdas(doppler_taps, delay_taps, flat[part], n, m)
-    ok = np.isfinite(lam).all(axis=-1) & (lam.min(axis=-1) >= SINGULARITY_EPS)
-    lam[~ok] = 1.0
-    return lam.reshape(gains.shape[:-1] + (n * m,)), ok.reshape(gains.shape[:-1])
-
-
-def _dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Raw (T, NM) pivots of :func:`batch_dfe_lambdas` for (T, P) gains."""
-    taps = gram_taps_from_gains(doppler_taps, delay_taps, gains, n, m)
+    taps = gram_taps_from_gains(doppler_taps, delay_taps, flat, n, m)
     with np.errstate(all="ignore"):  # a singular trial's powers may be 0, < 0 or nan
         powers = _schur_errors(np.moveaxis(np.fft.fft(taps, axis=-1), -2, 0))
         blocks = np.fft.ifft(powers[::-1], axis=-1)
         blocks[-1] = taps[:, 0, :]
         lam = _schur_errors(np.moveaxis(blocks, -1, 0))[::-1]
-    return np.moveaxis(lam, (0, 1), (-1, -2)).reshape(len(gains), n * m)
+    lam = np.moveaxis(lam, (0, 1), (-1, -2)).reshape(len(flat), n * m)
+    ok = np.isfinite(lam).all(axis=-1) & (lam.min(axis=-1) >= SINGULARITY_EPS)
+    lam[~ok] = 1.0
+    return lam.reshape(gains.shape[:-1] + (n * m,)), ok.reshape(gains.shape[:-1])
 
 
 def batch_static_lambdas(delay_taps, gains: np.ndarray, m: int):

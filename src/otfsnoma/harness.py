@@ -6,8 +6,8 @@ fixed-size blocks, each drawing from a substream keyed by the caller's key
 and the block index, and the blocks' partial sums are merged in block order,
 so a run is bit-reproducible regardless of the worker count.  Scenarios key
 their blocks by (seed, snr_index, block_index); the tests' standalone
-estimators (``tests/oracles.py``) wrap the same kernels with
-(seed, block_index).
+estimators (``tests/oracles.py``) run kernels through the same block tasks
+and accumulator, keyed by (seed, block_index).
 Every metric carries a 95% normal-approximation confidence halfwidth
 computed from the per-trial spread.
 """
@@ -20,7 +20,6 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .common import ConfigError, EstimatorUndefinedError, McEstimate, sub_batches
 from .equalizers import PowerAllocation, batch_dfe_lambdas, batch_noise_enhancement
 # Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
 # wraps names where callers look them up, still finds them in this module.
@@ -28,15 +27,53 @@ from .equalizers import batch_static_lambdas  # noqa: F401
 from .grid_channel import ChannelProfile, Grid, make_grid, sample_gain_matrix, table1_profile
 from .rng import substream
 from .scheduling import batch_schedule, schedule_draws
-from .transforms import MAX_DENSE_CELLS, power_spectrum
+from .transforms import power_spectrum
 from .transforms import spectrum_from_taps, static_spectrum_from_taps  # noqa: F401
 
 BLOCK_TRIALS = 4096  # fixed work-unit size; part of the determinism contract
+
+# Trials × grid cells per sub-batch.  The kernel works through a block's
+# trials in sub-batches of this size, so its working memory does not grow
+# with the block: the FD-DFE pivots peak at about 120 B per trial per cell,
+# about 8 MB a sub-batch, 256 trials at 16×16.  Twice this budget was as
+# fast for FD-LE, but under FD-DFE the allocator handed the pivots' working
+# memory back to the system after every sub-batch, and the 4096-trial 16×16
+# block took 8.5 page faults and about 78 µs per trial, against 0.5 and
+# 58 µs here.
+SUB_BATCH_CELLS = 1 << 16
+
+# The largest N·M grid that the FD-DFE equalizer accepts.
+MAX_DFE_CELLS = 4096
 
 DIRECTIONS = ("downlink", "uplink")
 EQUALIZERS = ("le", "dfe")
 SCHEDULERS = ("random", "greedy", "per_subchannel")
 RATE_MODES = ("fixed", "adaptive")
+
+
+class ConfigError(ValueError):
+    """A scenario configuration field failed validation."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field}: {message}")
+
+
+class EstimatorUndefinedError(ValueError):
+    """Too few reliable points for the requested estimator."""
+
+
+@dataclass(frozen=True)
+class McEstimate:
+    """One Monte Carlo estimate with its normal-approximation uncertainty."""
+
+    value: float
+    std_error: float
+    trials: int
+
+    @property
+    def ci_halfwidth(self) -> float:
+        return 1.96 * self.std_error
 
 
 def default_noma_profile() -> ChannelProfile:
@@ -88,10 +125,9 @@ class ScenarioConfig:
                 raise ConfigError(key, "target rates must be in (0, 1024) bits per use")
         if self.equalizer not in EQUALIZERS:
             raise ConfigError("equalizer", f"must be one of {EQUALIZERS}")
-        if self.equalizer == "dfe" and self.n * self.m > MAX_DENSE_CELLS:
-            raise ConfigError("equalizer", f"dfe returns n*m pivots for every trial "
-                              f"of a {BLOCK_TRIALS}-trial block and needs "
-                              f"n*m <= {MAX_DENSE_CELLS}, got {self.n * self.m}")
+        if self.equalizer == "dfe" and self.n * self.m > MAX_DFE_CELLS:
+            raise ConfigError("equalizer", f"dfe needs n*m <= {MAX_DFE_CELLS}, "
+                              f"got {self.n * self.m}")
         if self.rate_mode not in RATE_MODES:
             raise ConfigError("rate_mode", f"must be one of {RATE_MODES}")
         if not self.snr_db:
@@ -199,14 +235,15 @@ def parse_config_file(path) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-#  Per-block trial kernels: (cfg, rho, rng, trials) -> {metric: per-trial samples}
+#  The per-block trial kernel: (cfg, rho, rng, trials) -> {metric: per-trial samples}
 #
-#  A kernel first takes every random number of its block, in a fixed order
+#  The kernel first takes every random number of its block, in a fixed order
 #  (_block_draws).  It then computes the channel state (_channel_state: the
-#  spectra and the schedule) and the samples on sub-batches of about
-#  SUB_BATCH_CELLS trial-cells, so its working memory does not grow with the
-#  block.  Each trial's samples depend on its own draws alone, so they keep
-#  their bits whatever the sub-batch size.
+#  spectra and the schedule) and the samples of the config's direction on
+#  sub-batches of about SUB_BATCH_CELLS trial-cells, so its working memory,
+#  the FD-DFE pivots' included, does not grow with the block.  Each trial's
+#  samples depend on its own draws alone, so they keep their bits whatever
+#  the sub-batch size.
 #
 #  Every receiver sees its equalizer through one value ν per symbol: the
 #  FD-LE φ, one per channel, or the FD-DFE 1/λ, one per symbol, with ν = inf
@@ -249,29 +286,24 @@ def _channel_state(cfg: ScenarioConfig, h0, hk, draws):
     return h0, a0, hk, ak, sel, ak[np.arange(len(sel))[:, None], sel, np.arange(cfg.m)]
 
 
-def _draw(cfg: ScenarioConfig, rng, trials: int):
-    """The channel state of a whole block in one batch; the kernels compute
-    the same per sub-batch."""
-    return _channel_state(cfg, *_block_draws(cfg, rng, trials))
-
-
-def _sub_batched(samples_of, cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
-    """Draw the block, then run ``samples_of(cfg, rho, *channel state)`` on
-    sub-batches sized by the larger of U0's N×M and the static users' K×M
-    arrays, and join each metric's per-trial samples in trial order."""
+def scenario_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
+    """Draw the block, then run ``cfg.direction``'s samples function on
+    sub-batches of at most SUB_BATCH_CELLS // (max(N, K)·M) trials, at least
+    one, sized by the larger of U0's N×M and the static users' K×M arrays,
+    and join each metric's per-trial samples in trial order."""
+    samples_of = _downlink_samples if cfg.direction == "downlink" else _uplink_samples
     h0, hk, draws = _block_draws(cfg, rng, trials)
-    parts = [samples_of(cfg, rho, *_channel_state(cfg, h0[part], hk[part], draws[part]))
-             for part in sub_batches(trials, max(cfg.n, cfg.k_users) * cfg.m)]
+    step = max(1, SUB_BATCH_CELLS // (max(cfg.n, cfg.k_users) * cfg.m))
+    parts = []
+    for lo in range(0, trials, step):
+        part = slice(lo, lo + step)
+        parts.append(samples_of(cfg, rho, *_channel_state(cfg, h0[part], hk[part], draws[part])))
     return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 
 
-def downlink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
+def _downlink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
     """Downlink outages of U0 (NOMA split and OMA baseline) and of the
     scheduled NOMA users' two-stage SIC, with the outage sum rates."""
-    return _sub_batched(_downlink_samples, cfg, rho, rng, trials)
-
-
-def _downlink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
     power = PowerAllocation.split(cfg.gamma0_sq)
     eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
@@ -303,13 +335,9 @@ def _downlink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
     return samples
 
 
-def uplink_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
+def _uplink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
     """Uplink stage-I cell SINRs of the scheduled NOMA users and U0's
     stage-II outage; fixed-rate outages or the adaptive ergodic rate gain."""
-    return _sub_batched(_uplink_samples, cfg, rho, rng, trials)
-
-
-def _uplink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
     eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
     sinr1 = rho * gsel[:, None, :] / (rho * a0 + 1.0)  # (T, N, M)
@@ -371,14 +399,6 @@ def _accumulate(block_sums) -> dict:
     return out
 
 
-def monte_carlo(kernel, cfg, rho: float, key: tuple, trials: int,
-                chunk: int = BLOCK_TRIALS) -> dict:
-    """{metric: McEstimate} of ``kernel`` over ``trials`` trials, run serially
-    in blocks of ``chunk``; block b draws from substream(*key, b)."""
-    return _accumulate(itertools.starmap(_block_sums,
-                                         _block_tasks(kernel, cfg, rho, key, trials, chunk)))
-
-
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     """Run every SNR point of a scenario and return sorted curve points.
 
@@ -386,8 +406,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     keyed by (seed, snr_index, block_index) and the partial sums merged in
     block order, so the output is bit-identical for any ``workers`` count.
     """
-    kernel = downlink_kernel if cfg.direction == "downlink" else uplink_kernel
-    per_point = [_block_tasks(kernel, cfg, 10.0 ** (snr / 10.0), (cfg.seed, si),
+    per_point = [_block_tasks(scenario_kernel, cfg, 10.0 ** (snr / 10.0), (cfg.seed, si),
                               cfg.trials, BLOCK_TRIALS)
                  for si, snr in enumerate(cfg.snr_db)]
     tasks = [task for point_tasks in per_point for task in point_tasks]

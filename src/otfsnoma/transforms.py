@@ -22,8 +22,7 @@ import math
 
 import numpy as np
 
-# Dense NM×NM matrices are only materialized for oracle-scale problems.  The
-# same bound caps FD-DFE grids, whose pivots hold NM values per block trial.
+# Dense NM×NM matrices are only materialized for oracle-scale problems.
 MAX_DENSE_CELLS = 4096
 
 

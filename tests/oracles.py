@@ -5,13 +5,15 @@ spectra and Gram taps.  This module keeps the slower, independent versions
 of the same jobs: tagged-frame transforms, the block-circulant operator and
 its dense NM×NM matrix, the dense Cholesky factorization and both
 equalizers, the per-realization transmitters and receivers, the scalar
-schedulers, standalone Monte Carlo estimators keyed by (seed, block), the
+schedulers, standalone Monte Carlo estimators keyed by (seed, block) and
+their serial block driver ``monte_carlo``, the
 uplink outage's alternating sum in extended precision, and the gain draw,
 the spectra and FD-LE φ in forms that spend temporary arrays or BLAS calls,
 which the package's forms must match bit for bit.
 """
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,10 +21,11 @@ from functools import cached_property
 import mpmath
 import numpy as np
 
-from otfsnoma.common import SINGULARITY_EPS, McEstimate
-from otfsnoma.equalizers import PowerAllocation, batch_noise_enhancement, gram_taps_from_gains
+from otfsnoma.equalizers import (SINGULARITY_EPS, PowerAllocation, batch_noise_enhancement,
+                                  gram_taps_from_gains)
 from otfsnoma.grid_channel import ChannelProfile, Grid, sample_gain_matrix
-from otfsnoma.harness import (EQUALIZERS, ScenarioConfig, monte_carlo, uplink_kernel,
+from otfsnoma.harness import (BLOCK_TRIALS, EQUALIZERS, McEstimate, ScenarioConfig, _accumulate,
+                              _block_sums, _block_tasks, scenario_kernel,
                               user_noise_enhancement)
 from otfsnoma.transforms import (_steering, dense_block_circulant, spectrum_from_taps,
                                  static_spectrum_from_taps)
@@ -610,6 +613,14 @@ def noma_outage(stage1_sinrs: np.ndarray, stage2_snr: float, link: LinkConfig) -
     return not (ok1 and ok2)
 
 
+def monte_carlo(kernel, cfg, rho: float, key: tuple, trials: int,
+                chunk: int = BLOCK_TRIALS) -> dict:
+    """{metric: McEstimate} of ``kernel`` over ``trials`` trials, run serially
+    in blocks of ``chunk``; block b draws from substream(*key, b)."""
+    return _accumulate(itertools.starmap(_block_sums,
+                                         _block_tasks(kernel, cfg, rho, key, trials, chunk)))
+
+
 def dfe_last_symbol_outage_mc(profile: ChannelProfile, rho: float, power: PowerAllocation,
                               rate_u0: float, trials: int, seed: int,
                               chunk: int = 1 << 18) -> McEstimate:
@@ -713,7 +724,7 @@ def _uplink_estimates(grid: Grid, u0_profile: ChannelProfile, noma_profile: Chan
                          rate_u0=rate_u0, rate_noma=rate_noma, equalizer=equalizer,
                          scheduler=scheduler, snr_db=(linear_to_db(rho),), trials=trials,
                          seed=seed, u0_profile=u0_profile, noma_profile=noma_profile)
-    return monte_carlo(uplink_kernel, cfg, rho, (seed,), trials, chunk)
+    return monte_carlo(scenario_kernel, cfg, rho, (seed,), trials, chunk)
 
 
 def fixed_rate_outage_mc(grid: Grid, u0_profile: ChannelProfile, noma_profile: ChannelProfile,

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from otfsnoma import ChannelProfile, PowerAllocation, make_grid, table1_profile
-from otfsnoma import common, equalizers
+from otfsnoma import equalizers
 from otfsnoma.equalizers import (_schur_errors, batch_dfe_lambdas, batch_noise_enhancement,
                                  batch_static_lambdas, gram_taps_from_gains, static_gram_taps)
 from otfsnoma.grid_channel import sample_gain_matrix
@@ -416,7 +417,7 @@ def test_static_stage1_verdict_from_phi(m, offset, valid):
     assert any(verdicts) == valid  # the valid draw passes stage I at a high enough SNR
 
 
-_EPS2 = common.SINGULARITY_EPS**2
+_EPS2 = equalizers.SINGULARITY_EPS**2
 _EDGE_POWERS = st.one_of(
     st.sampled_from([0.0, _EPS2, np.nextafter(_EPS2, 0.0), np.nextafter(_EPS2, np.inf),
                      5e-324, np.nextafter(2.2250738585072014e-308, 0.0), np.inf]),
@@ -473,7 +474,7 @@ def test_nan_power_is_singular():
         assert np.isfinite(where_min_noise_enhancement(power[1], (-2, -1)))
 
 
-def test_sub_batches_never_mix_trials(monkeypatch):
+def test_sub_batches_never_mix_trials():
     # a block's pivots equal, bit for bit, the concatenation of its parts'
     # pivots, whatever the sub-batch size; one trial is singular
     prof = table1_profile()
@@ -487,9 +488,6 @@ def test_sub_batches_never_mix_trials(monkeypatch):
              for lo, hi in ((0, 1), (1, 600), (600, trials))]
     assert np.array_equal(lam, np.concatenate([p[0] for p in parts]))
     assert np.array_equal(ok, np.concatenate([p[1] for p in parts]))
-    monkeypatch.setattr(common, "SUB_BATCH_CELLS", 7 * n * m)
-    small = batch_dfe_lambdas(*args, gains, n, m)
-    assert np.array_equal(lam, small[0]) and np.array_equal(ok, small[1])
 
 
 def test_schur_errors_ignore_layout():
@@ -665,3 +663,33 @@ def test_package_has_no_dense_factorization():
             if any("linalg" in name.split(".") for name in names):
                 uses.append(f"{path.name}:{node.lineno}")
     assert not uses
+
+
+def test_package_has_no_dead_names():
+    """Every top-level function, class and constant of the package is used by
+    package code (a name, an attribute or an import, which covers the
+    re-exports of ``otfsnoma/__init__.py``) or wrapped by the benchmark's
+    tracer.  Code that only the tests reach belongs in ``tests/oracles.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    defined, used = [], {name for _, name in tracing.TRACED}
+    for path in sorted(Path(equalizers.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name for alias in node.names)
+    dead = [f"{module}:{name}" for module, name in defined
+            if name not in used and not (name.startswith("__") and name.endswith("__"))]
+    assert not dead

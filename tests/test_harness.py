@@ -15,9 +15,9 @@ from scipy.special import gammainc
 from otfsnoma import (ChannelProfile, ConfigError, CurvePoint, EstimatorUndefinedError,
                       PowerAllocation, ScenarioConfig, corollary1_outage, diversity_slope, emit_csv,
                       read_csv_points, run_scenario)
-from otfsnoma import cli, common, harness
-from otfsnoma.harness import (_draw, downlink_kernel, parse_config_file, parse_config_text,
-                              uplink_kernel)
+from otfsnoma import cli, harness
+from otfsnoma.harness import (_block_draws, _channel_state, parse_config_file, parse_config_text,
+                              scenario_kernel)
 from otfsnoma.rng import substream
 from oracles import (ChannelRealization, LinkConfig, UserPool, build_block_circulant,
                      build_tx_frame, diagonalize, noma_outage, noma_stage1, noma_stage2,
@@ -122,7 +122,7 @@ class TestConfig:
         dict(rate_u0=0.0),
         dict(u0_profile=ChannelProfile(paths=((9, 0),))),
         dict(noma_profile=ChannelProfile(paths=((0, 1),))),
-        dict(equalizer="dfe", n=128, m=64, k_users=64),  # dense Gram beyond MAX_DENSE_CELLS
+        dict(equalizer="dfe", n=128, m=64, k_users=64),  # beyond MAX_DFE_CELLS
     ])
     def test_validation_errors(self, overrides):
         with pytest.raises(ConfigError):
@@ -405,8 +405,9 @@ class TestKernelsMatchReceivers:
         grid, power = cfg.grid(), PowerAllocation.split(cfg.gamma0_sq)
         tx = build_tx_frame(grid, np.zeros((4, 4)), np.zeros((4, 4)), power)
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
-            samples = downlink_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
-            h0, _, hk, _, sel, _ = _draw(cfg, substream(cfg.seed, 0), self.TRIALS)
+            samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
+            h0, _, hk, _, sel, _ = _channel_state(
+                cfg, *_block_draws(cfg, substream(cfg.seed, 0), self.TRIALS))
             link = LinkConfig(rho=rho, rate_u0=cfg.rate_u0, rate_noma=cfg.rate_noma)
             for t in range(self.TRIALS):
                 r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
@@ -429,8 +430,9 @@ class TestKernelsMatchReceivers:
         grid = cfg.grid()
         eps0, epsi = 2.0**cfg.rate_u0 - 1.0, 2.0**cfg.rate_noma - 1.0
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
-            samples = uplink_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
-            h0, _, hk, _, sel, _ = _draw(cfg, substream(cfg.seed, 0), self.TRIALS)
+            samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
+            h0, _, hk, _, sel, _ = _channel_state(
+                cfg, *_block_draws(cfg, substream(cfg.seed, 0), self.TRIALS))
             for t in range(self.TRIALS):
                 r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
                 stage2_out = uplink_stage2_sinrs(r0, grid, rho, equalizer) < eps0
@@ -446,8 +448,8 @@ class TestKernelsMatchReceivers:
 
 
 class TestSubBatches:
-    """A kernel takes its block's draws first and computes the rest on
-    sub-batches of common.SUB_BATCH_CELLS trial-cells; each trial's samples
+    """The kernel takes its block's draws first and computes the rest on
+    sub-batches of harness.SUB_BATCH_CELLS trial-cells; each trial's samples
     keep their bits whatever the sub-batch size."""
 
     TRIALS = 100
@@ -468,7 +470,6 @@ class TestSubBatches:
             "uplink-adaptive-one-static-user", "uplink-adaptive-n1"])
     def test_samples_keep_their_bits(self, monkeypatch, overrides):
         cfg = small_config(**overrides)
-        kernel = downlink_kernel if cfg.direction == "downlink" else uplink_kernel
         draw_gains = harness.sample_gain_matrix
 
         def with_a_singular_u0(profile, rng, count):
@@ -481,8 +482,8 @@ class TestSubBatches:
         monkeypatch.setattr(harness, "sample_gain_matrix", with_a_singular_u0)
 
         def run(step):  # sub-batches of ``step`` trials, the last one shorter
-            monkeypatch.setattr(common, "SUB_BATCH_CELLS", step * max(cfg.n, cfg.k_users) * cfg.m)
-            return kernel(cfg, 10.0, substream(cfg.seed, 0), self.TRIALS)
+            monkeypatch.setattr(harness, "SUB_BATCH_CELLS", step * max(cfg.n, cfg.k_users) * cfg.m)
+            return scenario_kernel(cfg, 10.0, substream(cfg.seed, 0), self.TRIALS)
 
         whole = run(self.TRIALS)
         for step in (7, 1):
@@ -495,6 +496,34 @@ class TestSubBatches:
             else "u0_outage_stage2"
         assert whole[stage2][self.SINGULAR] == 1.0
         assert whole[stage2].mean() < 1.0
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n=32, k_users=8),
+        dict(n=4, k_users=32),
+        dict(direction="uplink", scheduler="per_subchannel", n=32, k_users=8),
+        dict(direction="uplink", scheduler="per_subchannel", n=4, k_users=32),
+    ], ids=["downlink-n>k", "downlink-n<k", "uplink-n>k", "uplink-n<k"])
+    def test_dfe_pivots_fit_one_sub_batch(self, monkeypatch, overrides):
+        # the kernel's sub-batches, sized by max(N, K)·M, never hand the
+        # FD-DFE pivots more trials than SUB_BATCH_CELLS // (N·M), so the
+        # pivots need no sub-batches of their own
+        cfg = small_config(equalizer="dfe", **overrides)
+        trials = 600
+        whole = scenario_kernel(cfg, 10.0, substream(cfg.seed, 0), trials)
+        pivots, calls = harness.batch_dfe_lambdas, []
+
+        def recorded(doppler_taps, delay_taps, gains, n, m):
+            calls.append((len(gains), n, m))
+            return pivots(doppler_taps, delay_taps, gains, n, m)
+
+        monkeypatch.setattr(harness, "batch_dfe_lambdas", recorded)
+        samples = scenario_kernel(cfg, 10.0, substream(cfg.seed, 0), trials)
+        bound = max(1, harness.SUB_BATCH_CELLS // (cfg.n * cfg.m))
+        assert len(calls) > 1 and sum(t for t, _, _ in calls) == trials
+        assert all(t <= bound and (n, m) == (cfg.n, cfg.m) for t, n, m in calls)
+        assert samples.keys() == whole.keys()
+        for name, values in whole.items():
+            assert np.array_equal(samples[name], values), name
 
 
 def test_nan_spectrum_puts_the_trial_in_outage(monkeypatch):
@@ -512,7 +541,7 @@ def test_nan_spectrum_puts_the_trial_in_outage(monkeypatch):
         return power
 
     monkeypatch.setattr(harness, "power_spectrum", with_nans)
-    samples = downlink_kernel(cfg, 1e6, substream(cfg.seed, 0), 8)
+    samples = scenario_kernel(cfg, 1e6, substream(cfg.seed, 0), 8)
     assert samples["u0_outage"][3] == samples["u0_outage_oma"][3] == 1.0
     assert samples["noma_outage"][5] == 1.0
     assert samples["u0_outage"].mean() < 1.0 and samples["noma_outage"].mean() < 1.0
@@ -542,10 +571,10 @@ def test_block_memory_is_bounded_by_the_sub_batch(equalizer, bound_mib):
     # sub-batches it peaks at 7.2 MiB (FD-LE) and 16.0 MiB (FD-DFE)
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "downlink_sum_rate_le.cfg")
     cfg = dataclasses.replace(parse_config_file(path), equalizer=equalizer)
-    downlink_kernel(cfg, 10.0, substream(1, 0), 8)  # fill the steering-factor cache
+    scenario_kernel(cfg, 10.0, substream(1, 0), 8)  # fill the steering-factor cache
     tracemalloc.start()
     try:
-        downlink_kernel(cfg, 10.0, substream(1, 0), 4096)
+        scenario_kernel(cfg, 10.0, substream(1, 0), 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
