@@ -8,6 +8,16 @@ positive diagonal), so symbol i gets ν = 1/λ_i.  The last pivot always
 equals Σ_p |h_p|², and the first equals 1/φ, which is why the first DFE
 decision is exactly as reliable as FD-LE.
 
+Every pivot lies in that bracket, 1/φ ≤ λ_i ≤ Σ_p |h_p|², with G = H^H H:
+
+- λ_i = 1/[(G_{i:,i:})⁻¹]₀₀ ≥ 1/[G⁻¹]_ii = 1/φ: conditioning on fewer
+  symbols cannot shrink the error, and every diagonal entry of the
+  block-circulant G⁻¹ is φ;
+- a Schur complement is at most its diagonal entry, G_ii = Σ_p |h_p|².
+
+So a symbol's outage is known without its pivot when the SINRs at both
+ends agree (``harness.u0_outage_flags``).
+
 The pivots (:func:`batch_dfe_lambdas`) use the structure of H^H H,
 block-circulant with circulant blocks: an FFT over delay splits it into
 Hermitian-Toeplitz problems that Schur's recursion solves in O(NM(N+M)) per
@@ -155,7 +165,8 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     ``ok=False`` and λ = 1 as a placeholder, which
     ``harness.user_noise_enhancement`` turns into ν = inf, an outage on every
     symbol.  Trials never mix, so neither a singular trial nor the number of
-    trials in a call changes the other trials' bits.
+    trials in a call changes the other trials' bits: the harness passes only
+    the trials whose pivot bracket leaves an outage flag open.
     """
     gains = np.asarray(gains, dtype=np.complex128)
     flat = gains.reshape((-1, gains.shape[-1]))

@@ -20,7 +20,8 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .equalizers import PowerAllocation, batch_dfe_lambdas, batch_noise_enhancement
+from .equalizers import (SINGULARITY_EPS, PowerAllocation, batch_dfe_lambdas,
+                         batch_noise_enhancement)
 # Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
 # wraps names where callers look them up, still finds them in this module.
 from .equalizers import batch_static_lambdas  # noqa: F401
@@ -44,6 +45,17 @@ SUB_BATCH_CELLS = 1 << 16
 
 # The largest N·M grid that the FD-DFE equalizer accepts.
 MAX_DFE_CELLS = 4096
+
+# U0's FD-DFE outage flags are decided from the bracket [1/φ, Σ|h_p|²] of
+# its pivots (u0_outage_flags) with the relative slack BRACKET_SLACK on both
+# ends, and only where φ·Σ|h_p|², which tracks the Gram matrix's condition
+# number and is at least 1 exactly, lies in [1 − BRACKET_SLACK,
+# BRACKET_MAX_COND].  There the computed pivots leave the bracket by at most
+# 7.4e-12·φ·Σ|h_p|² relative (the largest excursion measured, on the 1×4096
+# grid; 5e-13 on 64×64, 2e-14 on 16×16), so by at most 4.9e-7, 30 times less
+# than the slack.  Every other trial gets its exact pivots.
+BRACKET_SLACK = 2.0**-16
+BRACKET_MAX_COND = 2.0**16
 
 DIRECTIONS = ("downlink", "uplink")
 EQUALIZERS = ("le", "dfe")
@@ -250,7 +262,9 @@ def parse_config_file(path) -> ScenarioConfig:
 #  on singular channels.  Its SINR is PowerAllocation.sinr(ρ, ν), whichever
 #  equalizer produced ν.  A Doppler-free user is the N = 1 grid, so one ν
 #  function below serves every user; the per-realization receivers in
-#  tests/oracles.py call it with T = 1.
+#  tests/oracles.py call it with T = 1.  U0's FD-DFE flags need the pivots
+#  only in the trials whose bracket [1/φ, Σ|h_p|²] straddles an outage
+#  threshold (u0_outage_flags).
 # ---------------------------------------------------------------------------
 
 
@@ -264,6 +278,43 @@ def user_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.nd
     n, m = power.shape[-2:]
     lam, ok = batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps, gains, n, m)
     return np.where(ok[..., None], 1.0 / lam, np.inf)
+
+
+def u0_outage_flags(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> list:
+    """U0's per-symbol outage flags SINR < ε₀ under each of ``splits``, from
+    its (T, P+1) gains and (T, N, M) eigenvalue powers: (T, 1) each under
+    FD-LE, (T, NM) under FD-DFE.
+
+    Every FD-DFE ν = 1/λ lies in [1/Σ|h_p|², φ] (see :mod:`equalizers`), and
+    the flag only grows with ν, also in floating point.  So a trial whose
+    flag is False at ν = φ(1+δ) has no symbol in outage, provided φ(1+δ) ≤
+    1/SINGULARITY_EPS keeps every pivot above the singularity threshold; and
+    one whose flag is True at ν = (1−δ)/Σ|h_p|² has every symbol in outage,
+    singular or not.  Only a trial that some split leaves undecided, or whose
+    φ·Σ|h_p|² is outside the trusted range (NaN and inf included), gets its
+    pivots from ``batch_dfe_lambdas``, so every flag keeps the bits of the
+    exact pivots.
+    """
+    eps0 = 2.0**cfg.rate_u0 - 1.0
+    if cfg.equalizer == "le":
+        nu = user_noise_enhancement("le", cfg.u0_profile, h0, a0)
+        return [split.sinr(rho, nu) < eps0 for split in splits]
+    phi = batch_noise_enhancement(a0, (-2, -1))
+    energy = (h0.real**2 + h0.imag**2).sum(axis=-1)
+    with np.errstate(all="ignore"):  # φ is inf on a singular trial
+        cond = phi * energy
+        hi, lo = phi * (1.0 + BRACKET_SLACK), (1.0 - BRACKET_SLACK) / energy
+        trusted = (1.0 - BRACKET_SLACK <= cond) & (cond <= BRACKET_MAX_COND)
+        clear = trusted & (hi <= 1.0 / SINGULARITY_EPS)
+        every = [trusted & (split.sinr(rho, lo) < eps0) for split in splits]
+        none = [clear & (split.sinr(rho, hi) >= eps0) for split in splits]
+    exact = ~np.logical_and.reduce([e | n for e, n in zip(every, none)])
+    flags = [np.repeat(e[:, None], cfg.n * cfg.m, axis=1) for e in every]
+    if exact.any():
+        nu = user_noise_enhancement("dfe", cfg.u0_profile, h0[exact], a0[exact])
+        for f, split in zip(flags, splits):
+            f[exact] = split.sinr(rho, nu) < eps0
+    return flags
 
 
 def _block_draws(cfg: ScenarioConfig, rng, trials: int):
@@ -309,10 +360,9 @@ def _downlink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
     epsi = 2.0**cfg.rate_noma - 1.0
 
     # --- U0 detection (NOMA power split and the OMA baseline) ---
-    nu0 = user_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
     samples = {}
-    for name, split in (("u0_outage", power), ("u0_outage_oma", PowerAllocation.oma())):
-        flags = split.sinr(rho, nu0) < eps0
+    for name, flags in zip(("u0_outage", "u0_outage_oma"),
+                           u0_outage_flags(cfg, rho, h0, a0, (power, PowerAllocation.oma()))):
         samples[name] = flags.mean(axis=1)
         samples[name + "_first"] = flags[:, 0]
         samples[name + "_last"] = flags[:, -1]
@@ -338,13 +388,11 @@ def _downlink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
 def _uplink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
     """Uplink stage-I cell SINRs of the scheduled NOMA users and U0's
     stage-II outage; fixed-rate outages or the adaptive ergodic rate gain."""
-    eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
     sinr1 = rho * gsel[:, None, :] / (rho * a0 + 1.0)  # (T, N, M)
 
     # stage-II for U0 is interference-free once the NOMA signals are removed
-    nu0 = user_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
-    stage2_out = PowerAllocation.oma().sinr(rho, nu0) < eps0
+    stage2_out, = u0_outage_flags(cfg, rho, h0, a0, (PowerAllocation.oma(),))
     stage2_frac = stage2_out.mean(axis=1)
 
     if cfg.rate_mode == "adaptive":

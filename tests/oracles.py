@@ -605,6 +605,16 @@ def noma_stage2(realization: ChannelRealization, grid: Grid, rho: float,
     return float(rho * gamma1_sq * np.abs(d[user_index - 1]) ** 2)
 
 
+def exact_u0_outage_flags(cfg, rho: float, h0, a0, splits) -> list:
+    """U0's per-symbol outage flags under each of ``splits``, with every
+    trial's ν from ``user_noise_enhancement``: under FD-DFE, the pivots of
+    every trial, where ``harness.u0_outage_flags`` decides most trials from
+    the bracket [1/φ, Σ|h_p|²] and must give the same bits."""
+    eps0 = 2.0**cfg.rate_u0 - 1.0
+    nu = user_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
+    return [split.sinr(rho, nu) < eps0 for split in splits]
+
+
 def noma_outage(stage1_sinrs: np.ndarray, stage2_snr: float, link: LinkConfig) -> bool:
     """Joint SIC outage: success needs stage-II SNR > ε_i AND every stage-I
     SINR > ε₀; the flag is the complement."""

@@ -25,7 +25,7 @@ def test_traced_run_sees_dfe_layers():
     from otfsnoma import harness
 
     cfg = ScenarioConfig(direction="downlink", n=4, m=4, k_users=4, gamma0_sq=0.75,
-                         rate_u0=0.5, rate_noma=1.0, equalizer="dfe", snr_db=(10.0,),
+                         rate_u0=0.5, rate_noma=1.0, equalizer="dfe", snr_db=(0.0,),
                          trials=8, seed=3,
                          u0_profile=ChannelProfile(paths=((0, 0), (1, 1), (2, 3))))
     tracer = tracing.Tracer()

@@ -14,9 +14,9 @@ from otfsnoma import equalizers
 from otfsnoma.equalizers import (_schur_errors, batch_dfe_lambdas, batch_noise_enhancement,
                                  batch_static_lambdas, gram_taps_from_gains, static_gram_taps)
 from otfsnoma.grid_channel import sample_gain_matrix
-from otfsnoma.harness import user_noise_enhancement
+from otfsnoma.harness import BRACKET_MAX_COND, BRACKET_SLACK, user_noise_enhancement
 from otfsnoma.rng import substream
-from otfsnoma.transforms import dense_block_circulant, static_spectrum_from_taps
+from otfsnoma.transforms import dense_block_circulant, power_spectrum, static_spectrum_from_taps
 from oracles import (ChannelRealization, Domain, Frame, GenieFeedback, HardDecisionFeedback,
                      SingularChannelError, build_block_circulant, cholesky_factors, diagonalize,
                      fd_dfe_equalize, fd_dfe_sinrs, fd_le_equalize, fd_le_sinr, isfft2,
@@ -601,6 +601,29 @@ def test_batch_pivots_match_dense_oracle(channel):
         return
     assert ok[0]
     assert lam[0] == pytest.approx(f.lam, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@example(channel=(4, 8, _NULL_PATHS, [_H, _H + 1e-7]))
+@example(channel=(4, 8, _NULL_PATHS, [_H, _H + 1e-4]))
+@given(channel=_small_channels())
+def test_pivots_lie_in_the_bracket(channel):
+    # every FD-DFE ν = 1/λ of a valid channel lies in [1/Σ|h_p|², φ], and the
+    # computed ones leave it by at most the harness's BRACKET_SLACK, which
+    # the harness trusts up to φ·Σ|h_p|² = BRACKET_MAX_COND; past that the
+    # rounding grows with φ·Σ|h_p|² (cond(G) ~ 1e8 at the 1e-4 null)
+    n, m, paths, gains = channel
+    prof = ChannelProfile(paths=paths)
+    gains = np.asarray(gains, dtype=complex)[None]
+    lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, gains, n, m)
+    if not ok[0]:
+        return
+    phi = batch_noise_enhancement(power_spectrum(prof, gains, n, m), (-2, -1))[0]
+    energy = np.sum(np.abs(gains[0]) ** 2)
+    slack = BRACKET_SLACK * max(1.0, phi * energy / BRACKET_MAX_COND)
+    nu = 1.0 / lam[0]
+    assert nu.max() <= phi * (1.0 + slack)
+    assert nu.min() >= (1.0 - slack) / energy
 
 
 @settings(max_examples=100, deadline=None)

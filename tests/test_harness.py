@@ -16,13 +16,14 @@ from otfsnoma import (ChannelProfile, ConfigError, CurvePoint, EstimatorUndefine
                       PowerAllocation, ScenarioConfig, corollary1_outage, diversity_slope, emit_csv,
                       read_csv_points, run_scenario)
 from otfsnoma import cli, harness
+from otfsnoma.equalizers import SINGULARITY_EPS
 from otfsnoma.harness import (_block_draws, _channel_state, parse_config_file, parse_config_text,
                               scenario_kernel)
 from otfsnoma.rng import substream
 from oracles import (ChannelRealization, LinkConfig, UserPool, build_block_circulant,
-                     build_tx_frame, diagonalize, noma_outage, noma_stage1, noma_stage2,
-                     nomauser_diagonalize, per_subchannel_schedule, u0_receive, uplink_stage1_sinr,
-                     uplink_stage2_sinrs)
+                     build_tx_frame, diagonalize, exact_u0_outage_flags, noma_outage, noma_stage1,
+                     noma_stage2, nomauser_diagonalize, per_subchannel_schedule, u0_receive,
+                     uplink_stage1_sinr, uplink_stage2_sinrs)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 SHIPPED_CONFIGS = [open(p, encoding="utf-8").read() for p in
@@ -506,24 +507,169 @@ class TestSubBatches:
     def test_dfe_pivots_fit_one_sub_batch(self, monkeypatch, overrides):
         # the kernel's sub-batches, sized by max(N, K)·M, never hand the
         # FD-DFE pivots more trials than SUB_BATCH_CELLS // (N·M), so the
-        # pivots need no sub-batches of their own
+        # pivots need no sub-batches of their own; and the pivots see only
+        # the trials that U0's pivot bracket leaves undecided
         cfg = small_config(equalizer="dfe", **overrides)
-        trials = 600
-        whole = scenario_kernel(cfg, 10.0, substream(cfg.seed, 0), trials)
+        trials, rho = 600, 10.0
+        whole = scenario_kernel(cfg, rho, substream(cfg.seed, 0), trials)
         pivots, calls = harness.batch_dfe_lambdas, []
 
         def recorded(doppler_taps, delay_taps, gains, n, m):
-            calls.append((len(gains), n, m))
+            calls.append((gains.copy(), n, m))
             return pivots(doppler_taps, delay_taps, gains, n, m)
 
         monkeypatch.setattr(harness, "batch_dfe_lambdas", recorded)
-        samples = scenario_kernel(cfg, 10.0, substream(cfg.seed, 0), trials)
+        samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), trials)
         bound = max(1, harness.SUB_BATCH_CELLS // (cfg.n * cfg.m))
-        assert len(calls) > 1 and sum(t for t, _, _ in calls) == trials
-        assert all(t <= bound and (n, m) == (cfg.n, cfg.m) for t, n, m in calls)
+        assert len(calls) > 1
+        assert all(0 < len(g) <= bound and (n, m) == (cfg.n, cfg.m) for g, n, m in calls)
+        h0, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(cfg.seed, 0), trials))
+        undecided = _bracket_undecided(cfg, rho, h0, a0)
+        assert 0 < undecided.sum() < trials
+        assert np.array_equal(np.concatenate([g for g, _, _ in calls]), h0[undecided])
         assert samples.keys() == whole.keys()
         for name, values in whole.items():
             assert np.array_equal(samples[name], values), name
+
+
+def _bracket_undecided(cfg, rho, h0, a0):
+    """The trials whose U0 outage flags some split leaves open between the
+    pivot bracket's ends ν = (1−δ)/Σ|h_p|² and φ(1+δ), or whose φ·Σ|h_p|² is
+    outside [1 − δ, BRACKET_MAX_COND]."""
+    eps0, slack = 2.0**cfg.rate_u0 - 1.0, harness.BRACKET_SLACK
+    splits = [PowerAllocation.oma()]
+    if cfg.direction == "downlink":
+        splits.append(PowerAllocation.split(cfg.gamma0_sq))
+    phi = harness.batch_noise_enhancement(a0, (-2, -1))
+    energy = np.sum(np.abs(h0) ** 2, axis=1)
+    with np.errstate(all="ignore"):
+        cond, hi, lo = phi * energy, phi * (1.0 + slack), (1.0 - slack) / energy
+    trusted = (cond >= 1.0 - slack) & (cond <= harness.BRACKET_MAX_COND)
+    decided = [trusted & ((split.sinr(rho, lo) < eps0)
+                          | ((split.sinr(rho, hi) >= eps0) & (hi <= 1.0 / SINGULARITY_EPS)))
+               for split in splits]
+    return ~np.logical_and.reduce(decided)
+
+
+class TestPivotBracket:
+    """U0's FD-DFE flags, decided for most trials from the pivot bracket
+    [1/φ, Σ|h_p|²] (harness.u0_outage_flags), keep the bits of the exact
+    pivots of every trial (oracles.exact_u0_outage_flags)."""
+
+    TRIALS = 100
+    SINGULAR, TINY = TestSubBatches.SINGULAR, 17
+    RHO_DB = tuple(range(-30, 301, 5)) + (3000,)
+
+    @staticmethod
+    def _both(monkeypatch, cfg, rho, trials):
+        """The kernel's samples, and those of the kernel with every trial's
+        flags from exact pivots."""
+        fast = scenario_kernel(cfg, rho, substream(cfg.seed, 0), trials)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "u0_outage_flags", exact_u0_outage_flags)
+            exact = scenario_kernel(cfg, rho, substream(cfg.seed, 0), trials)
+        assert fast.keys() == exact.keys()
+        return fast, exact
+
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(gamma0_sq=0.55, n=4, u0_profile=ChannelProfile(paths=((2, 0), (6, 0), (5, 1)))),
+        dict(direction="uplink", scheduler="per_subchannel"),
+        dict(direction="uplink", scheduler="per_subchannel", rate_mode="adaptive"),
+    ], ids=["downlink", "downlink-0.55", "uplink-fixed", "uplink-adaptive"])
+    def test_samples_equal_the_exact_pivots(self, monkeypatch, overrides):
+        # from -30 to 300 dB and at 3000 dB, with an equal-gain singular U0 in
+        # trial 42; U0 gains scaled by 1e-7 in trial 17, well conditioned but
+        # with every pivot below SINGULARITY_EPS; and U0 spectra that do not
+        # fit the gains: a NaN, so φ = inf, in trial 3, and all inf, so φ = 0,
+        # in trial 7
+        cfg = small_config(equalizer="dfe", **overrides)
+        draw_gains, spectrum = harness.sample_gain_matrix, harness.power_spectrum
+
+        def with_odd_u0_gains(profile, rng, count):
+            gains = draw_gains(profile, rng, count)
+            if profile == cfg.u0_profile:
+                gains[self.SINGULAR] = [0.5, 0.5] + [0.0] * (profile.num_paths - 2)
+                gains[self.TINY] *= 1e-7
+            return gains
+
+        def with_odd_u0_spectra(profile, gains, n, m):
+            power = spectrum(profile, gains, n, m)
+            if profile == cfg.u0_profile:
+                power[3, 1, 2] = np.nan
+                power[7] = np.inf
+            return power
+
+        monkeypatch.setattr(harness, "sample_gain_matrix", with_odd_u0_gains)
+        monkeypatch.setattr(harness, "power_spectrum", with_odd_u0_spectra)
+        for rho_db in self.RHO_DB:
+            fast, exact = self._both(monkeypatch, cfg, 10.0 ** (rho_db / 10.0), self.TRIALS)
+            for name, samples in exact.items():
+                assert np.array_equal(fast[name], samples, equal_nan=True), (rho_db, name)
+            assert fast["u0_outage"][self.SINGULAR] == fast["u0_outage"][self.TINY] == 1.0
+
+    @pytest.mark.parametrize("offsets", [None, np.geomspace(1e-6, 2e-6, 13)],
+                             ids=["typical", "ill-conditioned"])
+    def test_epsilon_tie(self, monkeypatch, offsets):
+        # ρ is set where U0's OMA flag changes between ν = φ·(1 + s) and the
+        # trial's largest computed ν, which rounding puts above φ: by about
+        # 1e-12 in a typical trial (s = 0), and by more than the slack in an
+        # ill-conditioned one (s = BRACKET_SLACK, φ·Σ|h_p|² ~ 1e11) made of
+        # equal gains on U0's delays 2 and 6 at an offset.  The exact flag
+        # of that symbol is True, so the trial must not be decided "none in
+        # outage": neither with no slack nor without the trust bound.
+        cfg = small_config(equalizer="dfe", direction="uplink", scheduler="per_subchannel")
+        profile, trials, t = cfg.u0_profile, 64, 5
+        h0, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(cfg.seed, 0), trials))
+        s = 0.0
+        if offsets is not None:  # the offset whose pivots leave the bracket furthest
+            s = harness.BRACKET_SLACK
+            rows = np.zeros((len(offsets), profile.num_paths), dtype=complex)
+            rows[:, 0], rows[:, 1] = 0.6 - 0.3j, 0.6 - 0.3j + offsets
+            phis = harness.batch_noise_enhancement(harness.power_spectrum(profile, rows, 8, 8),
+                                                   (-2, -1))
+            lam, ok = harness.batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps, rows,
+                                                8, 8)
+            best = np.argmax(np.where(ok, (1.0 / lam).max(axis=1) / phis, 0.0))
+            assert (1.0 / lam[best]).max() > phis[best] * (1.0 + 2 * s)
+            draw_gains = harness.sample_gain_matrix
+
+            def with_a_null(prof, rng, count):
+                gains = draw_gains(prof, rng, count)
+                if prof == profile:
+                    gains[t] = rows[best]
+                return gains
+
+            monkeypatch.setattr(harness, "sample_gain_matrix", with_a_null)
+            h0, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(cfg.seed, 0), trials))
+        lam, ok = harness.batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps, h0, 8, 8)
+        phi = harness.batch_noise_enhancement(a0, (-2, -1))
+        if offsets is None:  # the typical trial whose pivots leave the bracket furthest
+            t = int(np.argmax(np.where(ok, (1.0 / lam).max(axis=1) / phi, 0.0)))
+        oma, eps0 = PowerAllocation.oma(), 2.0**cfg.rate_u0 - 1.0
+        rho = eps0 * phi[t] * (1.0 + s)
+        while oma.sinr(rho, phi[t] * (1.0 + s)) < eps0:
+            rho = np.nextafter(rho, np.inf)
+        assert ok[t] and oma.sinr(rho, (1.0 / lam[t]).max()) < eps0
+        fast, exact = self._both(monkeypatch, cfg, rho, trials)
+        assert exact["u0_outage_stage2"][t] > 0.0
+        for name, samples in exact.items():
+            assert np.array_equal(fast[name], samples), name
+
+    def test_most_trials_skip_the_pivots_at_20_db(self, monkeypatch):
+        # the shipped FD-DFE config at its top SNR point: in this block 31
+        # trials' brackets (0.8%) straddle ε₀
+        cfg = parse_config_file(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                             "downlink_outage_dfe.cfg"))
+        pivots, counts = harness.batch_dfe_lambdas, []
+
+        def counted(doppler_taps, delay_taps, gains, n, m):
+            counts.append(len(gains))
+            return pivots(doppler_taps, delay_taps, gains, n, m)
+
+        monkeypatch.setattr(harness, "batch_dfe_lambdas", counted)
+        scenario_kernel(cfg, 100.0, substream(cfg.seed, 5, 0), 4096)
+        assert 0 < sum(counts) < 0.1 * 4096
 
 
 def test_nan_spectrum_puts_the_trial_in_outage(monkeypatch):
