@@ -20,10 +20,17 @@ ends agree (``harness.u0_outage_flags``).
 
 The pivots (:func:`batch_dfe_lambdas`) use the structure of H^H H,
 block-circulant with circulant blocks: an FFT over delay splits it into
-Hermitian-Toeplitz problems that Schur's recursion solves in O(NM(N+M)) per
-trial, without forming the NM×NM Gram matrix.
+Hermitian-Toeplitz problems that Schur's recursion solves without forming
+the NM×NM Gram matrix.  The Gram matrix is banded over Doppler, since every
+path pair's Doppler lag k_q − k_p lies in [−h, h] mod N with h = max k_p −
+min k_p (h = 1 for Table 1), and the recursion's generators stay zero
+outside that band; so the cost is O(NM(h+M)) per trial.  The recursions run
+in place on a per-thread workspace that persists across calls, so repeated
+calls reuse its memory instead of faulting new memory in.
 """
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,11 @@ from .transforms import dense_block_circulant  # noqa: F401
 
 # Magnitudes / pivots below this are treated as a numerically singular channel.
 SINGULARITY_EPS = 1e-12
+
+# Trials × grid cells per sub-batch: the harness kernel's sub-batch, and the
+# most trial-cells that one pass of batch_dfe_lambdas works on, which bounds
+# its workspace.
+SUB_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,14 +105,19 @@ def batch_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
     return np.where(regular.all(axis=axis), phi, np.inf)
 
 
-def gram_taps_from_gains(doppler_taps, delay_taps, gains, n: int, m: int) -> np.ndarray:
-    """(..., N, M) taps of the Gram operator H^H H (itself block-circulant).
+def gram_taps_from_gains(doppler_taps, delay_taps, gains, n: int, m: int,
+                         out=None) -> np.ndarray:
+    """(..., N, M) taps of the Gram operator H^H H (itself block-circulant),
+    written to ``out`` if given.
 
     Path pair (p, q) contributes conj(h_p)h_q at Doppler (k_q−k_p) mod N and
     delay (l_q−l_p) mod M; gains may carry leading batch axes.
     """
     gains = np.asarray(gains, dtype=np.complex128)
-    out = np.zeros(gains.shape[:-1] + (n, m), dtype=np.complex128)
+    if out is None:
+        out = np.zeros(gains.shape[:-1] + (n, m), dtype=np.complex128)
+    else:
+        out.fill(0.0)
     npaths = len(delay_taps)
     for p in range(npaths):
         hp = np.conj(gains[..., p])
@@ -118,27 +135,79 @@ def static_gram_taps(delay_taps, gains, m: int) -> np.ndarray:
     return gram_taps_from_gains(np.zeros_like(delay_taps), delay_taps, gains, 1, m)[..., 0, :]
 
 
-def _schur_errors(r: np.ndarray) -> np.ndarray:
-    """Prediction-error powers P_0..P_L of Hermitian-Toeplitz autocorrelations.
+class _Workspace(threading.local):
+    """One thread's pivot buffers, kept across calls: flat arrays for the
+    Gram taps, the two Schur generators, their two products with the
+    reflection coefficient, and the prediction-error powers.  Threads never
+    share one.  Each array holds SUB_BATCH_CELLS items, or one trial of a
+    larger grid, so a thread allocates its workspace once in practice."""
 
-    ``r[0..L]`` holds the lags along axis 0, any batch axes after it.  P_p is
-    the Schur complement of one end element of the (p+1)×(p+1) Toeplitz
-    matrix given the other p, i.e. 1/[T_{p+1}⁻¹]₀₀; it never increases with
-    p.  Schur's recursion (Kailath & Sayed, SIAM Review 1995) carries the
-    forward and backward error correlations ``fwd``, ``bwd`` and never forms
-    a predictor; a singular matrix gives a zero, negative or non-finite
-    power.  ``r`` is copied to lag-major contiguous memory first, since every
-    step sweeps whole lags; a strided view gives the same bits, only slower.
+    cells = 0
+
+    def reserve(self, cells: int) -> "_Workspace":
+        """The buffers, grown to at least ``cells`` items if need be."""
+        if cells > self.cells:
+            self.cells = cells = max(cells, SUB_BATCH_CELLS)
+            self.taps, self.fwd, self.bwd, self.fwd_prod, self.bwd_prod = (
+                np.empty(cells, dtype=np.complex128) for _ in range(5))
+            self.errors = np.empty(cells)
+        return self
+
+
+_WORKSPACE = _Workspace()
+
+
+def _schur_errors(r: np.ndarray, out: np.ndarray, band=None) -> None:
+    """Prediction-error powers P_0..P_L of Hermitian-Toeplitz autocorrelations,
+    written to ``out``.
+
+    ``r[0..L]`` holds the lags along axis 0, any batch axes after it, in any
+    layout.  P_p is the Schur complement of one end element of the
+    (p+1)×(p+1) Toeplitz matrix given the other p, i.e. 1/[T_{p+1}⁻¹]₀₀; it
+    never increases with p.  Schur's recursion (Kailath & Sayed, SIAM Review
+    1995) carries the forward and backward error correlations and never
+    forms a predictor; a singular matrix gives a zero, negative or
+    non-finite power.
+
+    Both generators live in the thread's workspace, aligned so that each
+    step updates them element by element: position q of the forward one
+    gains k times position q of the backward one, and vice versa with
+    conj(k).  With ``band`` = h, every lag of ``r`` outside [−h, h] mod L+1
+    must be exactly zero.  The generators then stay zero outside a head
+    window of h+1 positions and a tail window of h, so only those are
+    updated, with the same operations, until the windows meet; the zeros
+    never change.  ``band=None`` updates every position.
     """
-    r = np.ascontiguousarray(r)
-    out = np.empty(r.shape, dtype=np.float64)
+    lags = r.shape[0]
     out[0] = r[0].real
-    fwd, bwd = r[1:], r[:-1]
-    for p in range(1, r.shape[0]):
-        k = -fwd[0] / bwd[0]
-        out[p] = (bwd[0] + k.conj() * fwd[0]).real
-        fwd, bwd = fwd[1:] + k * bwd[1:], bwd[:-1] + k.conj() * fwd[:-1]
-    return out
+    ws = _WORKSPACE.reserve(r.size)
+    shape = (lags - 1,) + r.shape[1:]
+    size = math.prod(shape)
+    fwd = ws.fwd[:size].reshape(shape)
+    bwd = ws.bwd[:size].reshape(shape)
+    fwd_prod = ws.fwd_prod[:size].reshape(shape)
+    bwd_prod = ws.bwd_prod[:size].reshape(shape)
+    np.copyto(fwd, r[1:])
+    np.copyto(bwd, r[:-1])
+    for p in range(1, lags):
+        length = lags - p  # of both generators; the forward one starts at p − 1
+        f = fwd[p - 1:]
+        k = -f[0] / bwd[0]
+        kc = k.conj()
+        out[p] = (bwd[0] + kc * f[0]).real
+        if band is None or 2 * band + 3 > length:
+            windows = ((0, length),)
+        else:
+            windows = ((0, band + 1), (length - band, length))
+        for lo, hi in windows:
+            if lo == hi:  # h = 0 has no tail window
+                continue
+            # forward positions 1.., backward positions ..length−2, from the old values
+            flo, bhi = max(lo, 1), min(hi, length - 1)
+            np.multiply(k, bwd[flo:hi], out=fwd_prod[:hi - flo])
+            np.multiply(kc, f[lo:bhi], out=bwd_prod[:bhi - lo])
+            np.add(f[flo:hi], fwd_prod[:hi - flo], out=f[flo:hi])
+            np.add(bwd[lo:bhi], bwd_prod[:bhi - lo], out=bwd[lo:bhi])
 
 
 def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: int):
@@ -149,7 +218,7 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     symbol, found from G's (T, N, M) taps without forming G:
 
     1. an FFT over delay splits G into M Hermitian-Toeplitz problems over
-       Doppler, one per delay bin;
+       Doppler, one per delay bin, each banded with h = max k_p − min k_p;
     2. each bin's order-(N−1−k) prediction-error power is that bin's
        eigenvalue of block k's M×M circulant Schur complement given blocks
        k+1..N−1;
@@ -158,25 +227,40 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     4. its prediction-error powers of order M−1..0 are the pivots of
        symbols l = 0..M−1.
 
-    The cost is O(NM(N+M)) per trial, and the working memory about 120 B
-    per trial per cell, for all the trials passed at once; the harness
-    kernel bounds it by passing one of its sub-batches at a time.  A trial
-    with any pivot non-finite or below SINGULARITY_EPS is singular: it gets
-    ``ok=False`` and λ = 1 as a placeholder, which
-    ``harness.user_noise_enhancement`` turns into ν = inf, an outage on every
-    symbol.  Trials never mix, so neither a singular trial nor the number of
-    trials in a call changes the other trials' bits: the harness passes only
-    the trials whose pivot bracket leaves an outage flag open.
+    The cost is O(NM(h+M)) per trial.  The working memory is the calling
+    thread's workspace, about 88 B per trial-cell, kept across calls, plus
+    the two FFTs' outputs, 16 B each, and the returned pivots; it covers
+    SUB_BATCH_CELLS trial-cells (one trial at least), and a larger call works
+    through its trials in passes of that many.  A trial with any pivot
+    non-finite or below SINGULARITY_EPS is singular: it gets ``ok=False``
+    and λ = 1 as a placeholder, which ``harness.user_noise_enhancement``
+    turns into ν = inf, an outage on every symbol.  Trials never mix, so
+    neither a singular trial nor the number of trials in a call or a pass
+    changes the other trials' bits: the harness passes only the trials
+    whose pivot bracket leaves an outage flag open.
     """
     gains = np.asarray(gains, dtype=np.complex128)
     flat = gains.reshape((-1, gains.shape[-1]))
-    taps = gram_taps_from_gains(doppler_taps, delay_taps, flat, n, m)
-    with np.errstate(all="ignore"):  # a singular trial's powers may be 0, < 0 or nan
-        powers = _schur_errors(np.moveaxis(np.fft.fft(taps, axis=-1), -2, 0))
-        blocks = np.fft.ifft(powers[::-1], axis=-1)
-        blocks[-1] = taps[:, 0, :]
-        lam = _schur_errors(np.moveaxis(blocks, -1, 0))[::-1]
-    lam = np.moveaxis(lam, (0, 1), (-1, -2)).reshape(len(flat), n * m)
+    band = int(np.max(doppler_taps) - np.min(doppler_taps))
+    step = max(1, SUB_BATCH_CELLS // (n * m))
+    ws = _WORKSPACE.reserve(step * n * m)
+    lam = np.empty((len(flat), n, m))
+    for lo in range(0, len(flat), step):
+        part = flat[lo:lo + step]
+        cells = len(part) * n * m
+        taps = gram_taps_from_gains(doppler_taps, delay_taps, part, n, m,
+                                    out=ws.taps[:cells].reshape(len(part), n, m))
+        # the delay sweep's errors overwrite the Doppler sweep's powers once
+        # the IFFT has read them
+        powers = ws.errors[:cells].reshape(n, len(part), m)
+        errors = ws.errors[:cells].reshape(m, n, len(part))
+        with np.errstate(all="ignore"):  # a singular trial's powers may be 0, < 0 or nan
+            _schur_errors(np.moveaxis(np.fft.fft(taps, axis=-1), -2, 0), powers, band)
+            blocks = np.fft.ifft(powers[::-1], axis=-1)
+            blocks[-1] = taps[:, 0, :]
+            _schur_errors(np.moveaxis(blocks, -1, 0), errors)
+        lam[lo:lo + len(part)] = np.moveaxis(errors[::-1], (0, 1), (-1, -2))
+    lam = lam.reshape(len(flat), n * m)
     ok = np.isfinite(lam).all(axis=-1) & (lam.min(axis=-1) >= SINGULARITY_EPS)
     lam[~ok] = 1.0
     return lam.reshape(gains.shape[:-1] + (n * m,)), ok.reshape(gains.shape[:-1])

@@ -20,8 +20,8 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .equalizers import (SINGULARITY_EPS, PowerAllocation, batch_dfe_lambdas,
-                         batch_noise_enhancement)
+from .equalizers import (SINGULARITY_EPS, SUB_BATCH_CELLS, PowerAllocation,
+                         batch_dfe_lambdas, batch_noise_enhancement)
 # Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
 # wraps names where callers look them up, still finds them in this module.
 from .equalizers import batch_static_lambdas  # noqa: F401
@@ -33,15 +33,12 @@ from .transforms import spectrum_from_taps, static_spectrum_from_taps  # noqa: F
 
 BLOCK_TRIALS = 4096  # fixed work-unit size; part of the determinism contract
 
-# Trials × grid cells per sub-batch.  The kernel works through a block's
-# trials in sub-batches of this size, so its working memory does not grow
-# with the block: the FD-DFE pivots peak at about 120 B per trial per cell,
-# about 8 MB a sub-batch, 256 trials at 16×16.  Twice this budget was as
-# fast for FD-LE, but under FD-DFE the allocator handed the pivots' working
-# memory back to the system after every sub-batch, and the 4096-trial 16×16
-# block took 8.5 page faults and about 78 µs per trial, against 0.5 and
-# 58 µs here.
-SUB_BATCH_CELLS = 1 << 16
+# SUB_BATCH_CELLS (from equalizers): trials × grid cells per sub-batch.  The
+# kernel works through a block's trials in sub-batches of this size, so its
+# working memory does not grow with the block: 256 trials a sub-batch at
+# 16×16.  The same budget bounds the FD-DFE pivots' per-thread workspace,
+# about 88 B per trial-cell, 5.5 MiB, which is kept across sub-batches and
+# blocks instead of being returned to the system and faulted in again.
 
 # The largest N·M grid that the FD-DFE equalizer accepts.
 MAX_DFE_CELLS = 4096
@@ -364,8 +361,8 @@ def _downlink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
     for name, flags in zip(("u0_outage", "u0_outage_oma"),
                            u0_outage_flags(cfg, rho, h0, a0, (power, PowerAllocation.oma()))):
         samples[name] = flags.mean(axis=1)
-        samples[name + "_first"] = flags[:, 0]
-        samples[name + "_last"] = flags[:, -1]
+        samples[name + "_first"] = flags[:, 0].copy()  # a view would pin the (T, NM) flags
+        samples[name + "_last"] = flags[:, -1].copy()
 
     # --- NOMA users: stage-I (decode U0) then stage-II (own symbol) ---
     # Stage I needs all M of a user's symbols, so the worst one decides it.

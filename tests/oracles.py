@@ -323,6 +323,21 @@ def _reversed_cholesky(gram: np.ndarray):
     return chol, (diag * diag)[..., ::-1]
 
 
+def schur_errors_reference(r: np.ndarray) -> np.ndarray:
+    """Prediction-error powers P_0..P_L of Hermitian-Toeplitz autocorrelations
+    ``r[0..L]`` (lags along axis 0) by Schur's recursion on new arrays at
+    every step, over every lag: the reference that ``equalizers._schur_errors``,
+    in place and within the Doppler band, must match bit for bit."""
+    out = np.empty(r.shape)
+    out[0] = r[0].real
+    fwd, bwd = r[1:], r[:-1]
+    for p in range(1, r.shape[0]):
+        k = -fwd[0] / bwd[0]
+        out[p] = (bwd[0] + k.conj() * fwd[0]).real
+        fwd, bwd = fwd[1:] + k * bwd[1:], bwd[:-1] + k.conj() * fwd[:-1]
+    return out
+
+
 def cholesky_factors(channel: BlockCirculantChannel) -> DfeFactors:
     """Factor H^H H = L^H Λ L for the FD-DFE.
 

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import importlib.util
 from pathlib import Path
 
@@ -11,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from otfsnoma import ChannelProfile, PowerAllocation, make_grid, table1_profile
 from otfsnoma import equalizers
-from otfsnoma.equalizers import (_schur_errors, batch_dfe_lambdas, batch_noise_enhancement,
-                                 batch_static_lambdas, gram_taps_from_gains, static_gram_taps)
+from otfsnoma.equalizers import (batch_dfe_lambdas, batch_noise_enhancement, batch_static_lambdas,
+                                 gram_taps_from_gains, static_gram_taps)
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.harness import BRACKET_MAX_COND, BRACKET_SLACK, user_noise_enhancement
 from otfsnoma.rng import substream
@@ -20,7 +21,8 @@ from otfsnoma.transforms import dense_block_circulant, power_spectrum, static_sp
 from oracles import (ChannelRealization, Domain, Frame, GenieFeedback, HardDecisionFeedback,
                      SingularChannelError, build_block_circulant, cholesky_factors, diagonalize,
                      fd_dfe_equalize, fd_dfe_sinrs, fd_le_equalize, fd_le_sinr, isfft2,
-                     noise_enhancement, qpsk_alphabet, sfft2, where_min_noise_enhancement)
+                     noise_enhancement, qpsk_alphabet, schur_errors_reference, sfft2,
+                     where_min_noise_enhancement)
 
 from conftest import flat_realization, random_realization, worked_example_realization
 
@@ -475,30 +477,107 @@ def test_nan_power_is_singular():
 
 
 def test_sub_batches_never_mix_trials():
-    # a block's pivots equal, bit for bit, the concatenation of its parts'
-    # pivots, whatever the sub-batch size; one trial is singular
+    # a call larger than the workspace bound works through passes of
+    # SUB_BATCH_CELLS // (N·M) trials, and its pivots equal, bit for bit, the
+    # concatenation of smaller calls' pivots, whatever their sizes; one trial
+    # is singular.  A fresh thread starts with an empty workspace, which the
+    # call fills to the bound and no further.
     prof = table1_profile()
     n, m, trials = 16, 16, 1030
+    bound = equalizers.SUB_BATCH_CELLS // (n * m)
+    assert trials > 4 * bound
     gains = sample_gain_matrix(prof, substream(41, 0), trials)
     gains[700] = [0.5, 0.5, 0.0, 0.0]  # equal taps 4 delays apart null 4 delay bins
     args = (prof.doppler_taps, prof.delay_taps)
-    lam, ok = batch_dfe_lambdas(*args, gains, n, m)
+
+    def in_a_fresh_thread():
+        return (*batch_dfe_lambdas(*args, gains, n, m), equalizers._WORKSPACE.cells)
+
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        lam, ok, cells = pool.submit(in_a_fresh_thread).result()
+    assert cells == bound * n * m
     assert not ok[700] and ok.sum() == trials - 1
     parts = [batch_dfe_lambdas(*args, gains[lo:hi], n, m)
-             for lo, hi in ((0, 1), (1, 600), (600, trials))]
+             for lo, hi in ((0, 1), (1, 1 + bound), (1 + bound, 600), (600, trials))]
     assert np.array_equal(lam, np.concatenate([p[0] for p in parts]))
     assert np.array_equal(ok, np.concatenate([p[1] for p in parts]))
+    stacked = batch_dfe_lambdas(*args, gains[:1000].reshape(4, 250, -1), n, m)
+    assert np.array_equal(stacked[0].reshape(1000, -1), lam[:1000])
+    assert np.array_equal(stacked[1].reshape(1000), ok[:1000])
+
+
+def _doppler_lags(prof, gains, n, m):
+    """The Doppler sweep's input: (N, T, M) Gram taps after the FFT over delay."""
+    taps = gram_taps_from_gains(prof.doppler_taps, prof.delay_taps, gains, n, m)
+    return np.moveaxis(np.fft.fft(taps, axis=-1), -2, 0)
 
 
 def test_schur_errors_ignore_layout():
     # the Doppler sweep's input is a strided view of the FFT output; a
-    # contiguous copy of it gives the same bits
+    # contiguous copy of it gives the same bits, and so does the reference
+    # recursion on new arrays
     prof = table1_profile()
     gains = sample_gain_matrix(prof, substream(42, 0), 64)
-    taps = gram_taps_from_gains(prof.doppler_taps, prof.delay_taps, gains, 16, 16)
-    view = np.moveaxis(np.fft.fft(taps, axis=-1), -2, 0)
+    view = _doppler_lags(prof, gains, 16, 16)
     assert not view.flags.c_contiguous
-    assert np.array_equal(_schur_errors(view), _schur_errors(np.ascontiguousarray(view)))
+    strided, contiguous = np.empty(view.shape), np.empty(view.shape)
+    equalizers._schur_errors(view, strided, 1)
+    equalizers._schur_errors(np.ascontiguousarray(view), contiguous, 1)
+    assert np.array_equal(strided, contiguous)
+    assert np.array_equal(strided, schur_errors_reference(view))
+
+
+# Equal gains at delays 0 and M/2 with zero Doppler null every odd delay bin:
+# exactly (Cholesky fails), within 1e-7 (a pivot below ε) and within 1e-4 (valid).
+_NULL_PATHS, _H = ((0, 0), (4, 0)), 0.6 - 0.3j
+
+
+# Doppler taps (0, h, h // 2) on 16×8 give every band h = 0..15; from h = 7
+# the windows meet at once and every position is updated.
+_BAND_GRIDS = ([(16, 8, ((0, 0), (1, h), (3, h // 2))) for h in range(16)]
+               + [(1, 16, ((0, 0), (3, 0))),
+                  (64, 64, ((2, 0), (6, 0), (10, 1), (14, 1))),
+                  (4, 8, _NULL_PATHS),
+                  (4, 8, ((0, 0), (0, 2)))])  # a Doppler null, h = 2 on N = 4
+
+
+@pytest.mark.parametrize("n, m, paths", _BAND_GRIDS,
+                         ids=[f"{n}x{m}-h{max(k for _, k in p) - min(k for _, k in p)}-{i}"
+                              for i, (n, m, p) in enumerate(_BAND_GRIDS)])
+def test_banded_sweep_equals_the_full_sweep(monkeypatch, n, m, paths):
+    # The Doppler sweep updates only the windows of the band h; its powers
+    # equal, bit for bit and NaN for NaN, those of the sweep over every
+    # position and of the reference recursion, and the pivots and mask equal
+    # those of batch_dfe_lambdas with the full sweep.  The gains are random;
+    # equal across paths, which is singular on the last four grids; scaled
+    # by 1e-7, which puts every pivot below SINGULARITY_EPS; and scaled by
+    # 1e200, where the Gram taps overflow.
+    prof = ChannelProfile(paths=tuple(dict.fromkeys(paths)))
+    band = int(np.ptp(prof.doppler_taps))
+    trials = 2 if n * m > 1024 else 7
+    gains = sample_gain_matrix(prof, substream(43, n, m, band), trials)
+    if paths == _NULL_PATHS:
+        gains[0] = [_H, _H]
+    cases = {"random": gains, "equal": np.broadcast_to(gains[:, :1], gains.shape).copy(),
+             "tiny": gains * 1e-7, "huge": gains * 1e200}
+    args = (prof.doppler_taps, prof.delay_taps)
+    sweep = equalizers._schur_errors
+    for name, g in cases.items():
+        with np.errstate(all="ignore"):  # the huge gains' Gram taps overflow
+            lags = _doppler_lags(prof, g, n, m)
+            banded, full = np.empty(lags.shape), np.empty(lags.shape)
+            sweep(lags, banded, band)
+            sweep(lags, full)
+            reference = schur_errors_reference(lags)
+            lam, ok = batch_dfe_lambdas(*args, g, n, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(equalizers, "_schur_errors", lambda r, out, band=None: sweep(r, out))
+                full_lam, full_ok = batch_dfe_lambdas(*args, g, n, m)
+        assert np.array_equal(banded, full, equal_nan=True), name
+        assert np.array_equal(banded, reference, equal_nan=True), name
+        assert np.array_equal(lam, full_lam) and np.array_equal(ok, full_ok), name
+        if name in ("tiny", "huge"):
+            assert not ok.any()
 
 
 class TestInvariants:
@@ -575,11 +654,6 @@ def _small_channels(draw):
     paths = tuple(draw(st.lists(cells, min_size=1, max_size=min(4, n * m), unique=True)))
     r = random_realization(ChannelProfile(paths=paths), draw(st.integers(0, 2**32)))
     return n, m, paths, r.gains
-
-
-# Equal gains at delays 0 and M/2 with zero Doppler null every odd delay bin:
-# exactly (Cholesky fails), within 1e-7 (a pivot below ε) and within 1e-4 (valid).
-_NULL_PATHS, _H = ((0, 0), (4, 0)), 0.6 - 0.3j
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,12 @@
+import concurrent.futures
 import dataclasses
 import glob
 import math
 import os
 import re
+import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -710,18 +713,91 @@ def test_block_draws_hold_16_bytes_per_gain():
     assert expected <= peak < expected + 2**20
 
 
-@pytest.mark.parametrize("equalizer, bound_mib", [("le", 24), ("dfe", 32)])
-def test_block_memory_is_bounded_by_the_sub_batch(equalizer, bound_mib):
+@pytest.mark.parametrize("equalizer, grid, trials, snr_db, bound_mib", [
+    ("le", {}, 4096, 10.0, 24),
+    ("dfe", {}, 4096, 10.0, 32),
+    ("dfe", dict(n=64, m=64, k_users=64), 1536, 20.0, 16),
+], ids=["le-24", "dfe-32", "dfe-64x64-16"])
+def test_block_memory_is_bounded_by_the_sub_batch(equalizer, grid, trials, snr_db, bound_mib):
     # a 4096-trial block on 16×16 peaked at 68.3 MiB under either equalizer
     # when every (T, N, M) array was held for the whole block; with
-    # sub-batches it peaks at 7.2 MiB (FD-LE) and 16.0 MiB (FD-DFE)
+    # sub-batches it peaks at 7.2 MiB (FD-LE) and 16.0 MiB (FD-DFE).  On
+    # 64×64 with K = 64 the block holds its 16 B draws per gain value, 5 KiB
+    # a trial, and nothing else per trial: stored as views, U0's first and
+    # last flags pinned each sub-batch's (T, NM) flags, 2 B per trial-cell,
+    # and this block peaked at 21.0 MiB against 9.1 MiB with copies.  The
+    # bound leaves room for the pivots' workspace, 5.5 MiB, in case this
+    # thread's is first reserved in the block.
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "downlink_sum_rate_le.cfg")
-    cfg = dataclasses.replace(parse_config_file(path), equalizer=equalizer)
-    scenario_kernel(cfg, 10.0, substream(1, 0), 8)  # fill the steering-factor cache
+    cfg = dataclasses.replace(parse_config_file(path), equalizer=equalizer, **grid)
+    rho = 10.0 ** (snr_db / 10.0)
+    scenario_kernel(cfg, rho, substream(1, 0), 8)  # fill the steering-factor cache
     tracemalloc.start()
     try:
-        scenario_kernel(cfg, 10.0, substream(1, 0), 4096)
+        scenario_kernel(cfg, rho, substream(1, 0), trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < bound_mib * 2**20
+
+
+def test_concurrent_dfe_kernels_keep_their_samples():
+    # each thread has its own pivot workspace: three FD-DFE kernels on
+    # different grids, run at once at 0 dB, where most trials need their
+    # pivots, with more threads than cores and a short switch interval,
+    # return the samples of the same runs made one after the other
+    cfgs = [small_config(equalizer="dfe", n=16, m=16, k_users=16),
+            small_config(equalizer="dfe", n=32, m=8, k_users=8, seed=77),
+            small_config(equalizer="dfe", n=4, m=8, k_users=8, seed=78)]
+
+    def run(cfg):
+        return scenario_kernel(cfg, 1.0, substream(cfg.seed, 0), 1024)
+
+    alone = [run(cfg) for cfg in cfgs]
+    start = threading.Barrier(len(cfgs), timeout=60)
+
+    def together(cfg):
+        start.wait()
+        return [run(cfg) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(cfgs)) as pool:
+            futures = [pool.submit(together, cfg) for cfg in cfgs]
+            concurrent_runs = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for reference, runs in zip(alone, concurrent_runs):
+        for samples in runs:
+            assert samples.keys() == reference.keys()
+            for name, values in reference.items():
+                assert np.array_equal(samples[name], values), name
+
+
+_FAULTS_PER_TRIAL = """
+import dataclasses, resource, sys
+sys.path.insert(0, sys.argv[1])
+from otfsnoma.harness import parse_config_file, run_scenario
+cfg = dataclasses.replace(parse_config_file(sys.argv[2]), trials=128)
+for _ in range(3):
+    run_scenario(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    run_scenario(cfg)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults / (20 * cfg.trials * len(cfg.snr_db)))
+"""
+
+
+def test_dfe_runs_take_no_page_faults():
+    # After warm-up, the shipped FD-DFE config at 128 trials per point, the
+    # benchmark's size, reuses its memory instead of faulting it back in:
+    # with the pivots' working memory freed after every call, a fresh
+    # interpreter took 1.6 to 5 minor page faults per trial.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "downlink_outage_dfe.cfg")
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_TRIAL, src, path],
+                         capture_output=True, text=True, check=True)
+    assert float(out.stdout) < 0.5
