@@ -1,6 +1,6 @@
 """Link-level simulator for OTFS-NOMA downlink and uplink transmission."""
 
-from .grid_channel import ChannelProfile, Grid, make_grid, table1_profile
+from .grid_channel import ChannelProfile, table1_profile
 from .equalizers import PowerAllocation
 from .uplink import closed_form_outage, error_floor, floor_approx
 from .harness import (

@@ -1,67 +1,16 @@
-"""Discrete OTFS grids and sparse delay-Doppler channel realizations.
+"""Sparse delay-Doppler channel realizations on the N×M OTFS grid.
 
-The time-frequency plane is sampled at (nT, mΔf) and the delay-Doppler plane
-at (k/(NT), l/(MΔf)); a channel is a short list of integer-tap paths with
-i.i.d. complex Gaussian gains normalized to unit total average power.
-Fractional delay/Doppler is excluded by construction: profiles carry integer
-taps only.
+The grid is two integers: N Doppler bins by M delay bins.  A channel is a
+short list of integer-tap paths with i.i.d. complex Gaussian gains
+normalized to unit total average power.  Fractional delay/Doppler is
+excluded by construction: profiles carry integer taps only, so no
+computation reads the subcarrier spacing Δf or the symbol time T, and the
+physical units in :func:`table1_profile`'s docstring are documentation only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Sampling description shared by both planes.
-
-    ``symbol_duration`` (T) and ``subcarrier_spacing`` (Δf) fix the
-    time-frequency lattice; the delay-Doppler resolutions follow as
-    1/(MΔf) and 1/(NT).
-    """
-
-    n_doppler: int
-    m_delay: int
-    symbol_duration: float
-    subcarrier_spacing: float
-
-    def __post_init__(self):
-        if self.n_doppler < 1 or self.m_delay < 1:
-            raise ValueError("grid dimensions must be >= 1")
-        if self.symbol_duration <= 0 or self.subcarrier_spacing <= 0:
-            raise ValueError("symbol duration and subcarrier spacing must be positive")
-
-    @property
-    def delay_resolution(self) -> float:
-        return 1.0 / (self.m_delay * self.subcarrier_spacing)
-
-    @property
-    def doppler_resolution(self) -> float:
-        return 1.0 / (self.n_doppler * self.symbol_duration)
-
-    @property
-    def frame_duration(self) -> float:
-        return self.n_doppler * self.symbol_duration
-
-    @property
-    def bandwidth(self) -> float:
-        return self.m_delay * self.subcarrier_spacing
-
-    @property
-    def cells(self) -> int:
-        return self.n_doppler * self.m_delay
-
-
-def make_grid(n: int, m: int, delta_f: float) -> Grid:
-    """Build an N×M grid with T = 1/Δf (one symbol spans one subcarrier period)."""
-    if int(n) != n or int(m) != m:
-        raise ValueError("grid dimensions must be integers")
-    if n < 1 or m < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    if delta_f <= 0:
-        raise ValueError("subcarrier spacing must be positive")
-    return Grid(int(n), int(m), 1.0 / float(delta_f), float(delta_f))
 
 
 @dataclass(frozen=True)
@@ -101,13 +50,13 @@ class ChannelProfile:
     def is_static(self) -> bool:
         return all(k == 0 for _, k in self.paths)
 
-    def check_fits(self, grid: Grid) -> None:
-        """Raise if any tap falls outside the grid."""
+    def check_fits(self, n: int, m: int) -> None:
+        """Raise if any tap falls outside the N×M grid."""
         delay, doppler = (max(taps) for taps in zip(*self.paths))
-        if delay >= grid.m_delay:
-            raise ValueError(f"delay tap {delay} exceeds grid m_delay={grid.m_delay}")
-        if doppler >= grid.n_doppler:
-            raise ValueError(f"doppler tap {doppler} exceeds grid n_doppler={grid.n_doppler}")
+        if delay >= m:
+            raise ValueError(f"delay tap {delay} exceeds grid m={m}")
+        if doppler >= n:
+            raise ValueError(f"doppler tap {doppler} exceeds grid n={n}")
 
 
 def table1_profile() -> ChannelProfile:

@@ -16,6 +16,7 @@ import concurrent.futures
 import csv
 import itertools
 import math
+import operator
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -25,7 +26,7 @@ from .equalizers import (SINGULARITY_EPS, SUB_BATCH_CELLS, PowerAllocation,
 # Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
 # wraps names where callers look them up, still finds them in this module.
 from .equalizers import batch_static_lambdas  # noqa: F401
-from .grid_channel import ChannelProfile, Grid, make_grid, sample_gain_matrix, table1_profile
+from .grid_channel import ChannelProfile, sample_gain_matrix, table1_profile
 from .rng import substream
 from .scheduling import batch_schedule, schedule_draws
 from .transforms import power_spectrum
@@ -107,7 +108,6 @@ class ScenarioConfig:
     seed: int
     scheduler: str = "random"
     rate_mode: str = "fixed"
-    delta_f: float = 7500.0
     u0_profile: ChannelProfile = field(default_factory=table1_profile)
     noma_profile: ChannelProfile = field(default_factory=default_noma_profile)
 
@@ -118,6 +118,11 @@ class ScenarioConfig:
     def validate(self):
         if self.direction not in DIRECTIONS:
             raise ConfigError("direction", f"must be one of {DIRECTIONS}")
+        for key in ("n", "m", "k_users", "trials", "seed"):
+            try:
+                operator.index(getattr(self, key))
+            except TypeError:
+                raise ConfigError(key, "must be an integer") from None
         for key in ("n", "m"):
             if getattr(self, key) < 1:
                 raise ConfigError(key, "grid dimensions must be >= 1")
@@ -149,18 +154,13 @@ class ScenarioConfig:
             raise ConfigError("trials", "must be >= 1")
         if not 0 <= self.seed < 2**64:  # substreams key by the seed's low 64 bits
             raise ConfigError("seed", "must be in [0, 2^64)")
-        if not 0.0 < self.delta_f < math.inf:
-            raise ConfigError("delta_f", "must be positive and finite")
         for key in ("u0_profile", "noma_profile"):
             try:
-                getattr(self, key).check_fits(self.grid())
+                getattr(self, key).check_fits(self.n, self.m)
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from exc
         if not self.noma_profile.is_static():
             raise ConfigError("noma_profile", "NOMA users must be Doppler-free")
-
-    def grid(self) -> Grid:
-        return make_grid(self.n, self.m, self.delta_f)
 
 
 @dataclass(frozen=True)
@@ -551,7 +551,7 @@ def read_csv_points(path) -> list:
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = tuple(next(reader))
+            header = tuple(next(reader, ()))
             if header != CSV_HEADER:
                 raise ValueError(f"unexpected CSV header {header!r} in {path}")
             return [CurvePoint(snr_db=float(r[0]), metric=r[1], value=float(r[2]),

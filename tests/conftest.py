@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from otfsnoma import ChannelProfile, make_grid
+from otfsnoma import ChannelProfile
 from otfsnoma.rng import substream
-from oracles import ChannelRealization, sample_realization
+from oracles import ChannelRealization, Grid, sample_realization
 
 
 @pytest.fixture
 def grid16():
-    return make_grid(16, 16, 7500.0)
+    return Grid(16, 16)
 
 
 @pytest.fixture
 def grid43():
-    return make_grid(4, 3, 1000.0)
+    return Grid(4, 3)
 
 
 @pytest.fixture

@@ -17,13 +17,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
 from otfsnoma.equalizers import (SINGULARITY_EPS, PowerAllocation, batch_noise_enhancement,
                                   gram_taps_from_gains)
-from otfsnoma.grid_channel import ChannelProfile, Grid, sample_gain_matrix
+from otfsnoma.grid_channel import ChannelProfile, sample_gain_matrix
 from otfsnoma.harness import (BLOCK_TRIALS, EQUALIZERS, McEstimate, ScenarioConfig, _accumulate,
                               _block_sums, _block_tasks, scenario_kernel,
                               user_noise_enhancement)
@@ -123,6 +124,13 @@ def sample_realization(profile: ChannelProfile, rng: np.random.Generator) -> Cha
 # ---------------------------------------------------------------------------
 
 
+class Grid(NamedTuple):
+    """The N×M delay-Doppler grid: N Doppler bins by M delay bins."""
+
+    n_doppler: int
+    m_delay: int
+
+
 class Domain(enum.Enum):
     DELAY_DOPPLER = "delay_doppler"
     TIME_FREQUENCY = "time_frequency"
@@ -180,7 +188,7 @@ def sfft(frame: Frame) -> Frame:
 def tap_array(realization: ChannelRealization, grid: Grid) -> np.ndarray:
     """(N, M) array with gain h_p at [doppler_tap_p, delay_tap_p]."""
     prof = realization.profile
-    prof.check_fits(grid)
+    prof.check_fits(*grid)
     out = np.zeros((grid.n_doppler, grid.m_delay), dtype=np.complex128)
     out[prof.doppler_taps, prof.delay_taps] = realization.gains
     return out
@@ -198,7 +206,7 @@ class BlockCirculantChannel:
     realization: ChannelRealization
 
     def __post_init__(self):
-        self.realization.profile.check_fits(self.grid)
+        self.realization.profile.check_fits(*self.grid)
 
     def tap_array(self) -> np.ndarray:
         return tap_array(self.realization, self.grid)
@@ -250,7 +258,7 @@ def nomauser_diagonalize(realization: ChannelRealization, grid: Grid) -> np.ndar
     prof = realization.profile
     if not prof.is_static():
         raise ValueError("nomauser_diagonalize requires a Doppler-free profile")
-    prof.check_fits(grid)
+    prof.check_fits(*grid)
     taps = np.zeros(grid.m_delay, dtype=np.complex128)
     taps[prof.delay_taps] = realization.gains
     return static_spectrum_from_taps(taps)
@@ -745,10 +753,10 @@ def _uplink_estimates(grid: Grid, u0_profile: ChannelProfile, noma_profile: Chan
     """Fixed-rate uplink metrics from the harness kernel; block b of ``chunk``
     trials draws from substream(seed, b)."""
     cfg = ScenarioConfig(direction="uplink", n=grid.n_doppler, m=grid.m_delay,
-                         delta_f=grid.subcarrier_spacing, k_users=k_users, gamma0_sq=1.0,
-                         rate_u0=rate_u0, rate_noma=rate_noma, equalizer=equalizer,
-                         scheduler=scheduler, snr_db=(linear_to_db(rho),), trials=trials,
-                         seed=seed, u0_profile=u0_profile, noma_profile=noma_profile)
+                         k_users=k_users, gamma0_sq=1.0, rate_u0=rate_u0, rate_noma=rate_noma,
+                         equalizer=equalizer, scheduler=scheduler, snr_db=(linear_to_db(rho),),
+                         trials=trials, seed=seed, u0_profile=u0_profile,
+                         noma_profile=noma_profile)
     return monte_carlo(scenario_kernel, cfg, rho, (seed,), trials, chunk)
 
 

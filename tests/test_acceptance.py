@@ -8,17 +8,17 @@ at run time.
 import numpy as np
 
 from otfsnoma import (ChannelProfile, CurvePoint, PowerAllocation, corollary1_outage,
-                      diversity_slope, emit_csv, error_floor, floor_approx, make_grid, run_scenario,
+                      diversity_slope, emit_csv, error_floor, floor_approx, run_scenario,
                       table1_profile)
 from otfsnoma.uplink import closed_form_outage
 from otfsnoma.harness import ScenarioConfig, default_noma_profile
 from otfsnoma.rng import substream
-from oracles import (build_block_circulant, cholesky_factors, dfe_last_symbol_outage_mc,
+from oracles import (Grid, build_block_circulant, cholesky_factors, dfe_last_symbol_outage_mc,
                      diagonalize, fd_le_sinr, fixed_rate_outage_mc, isfft2, noise_enhancement,
                      sample_realization, sfft2)
 
 P34 = PowerAllocation.split(0.75)
-GRID16 = make_grid(16, 16, 7500.0)
+GRID16 = Grid(16, 16)
 
 
 def _criterion(num: int, desc: str, checks: dict):
@@ -54,7 +54,7 @@ def test_criterion_01_transform_algebra_oracles():
             prof = ChannelProfile(paths=tuple(dict.fromkeys(
                 ((0, 0), (1 % m, 1 % n), (m - 1, n - 1)))))
             r = sample_realization(prof, substream(102, n, m))
-            ch = build_block_circulant(r, make_grid(n, m, 1.0))
+            ch = build_block_circulant(r, Grid(n, m))
             t = np.kron(unitary_dft(n), unitary_dft(m).conj().T)
             conj = t @ ch.matrix @ t.conj().T
             d = diagonalize(ch).d_values.reshape(-1)
@@ -66,7 +66,7 @@ def test_criterion_01_transform_algebra_oracles():
     r = sample_realization(table1_profile(), substream(103, 0))
     small = ChannelProfile(paths=((2, 0), (3, 0), (1, 1), (0, 1)))
     r4 = sample_realization(small, substream(103, 1))
-    ch4 = build_block_circulant(r4, make_grid(4, 4, 1.0))
+    ch4 = build_block_circulant(r4, Grid(4, 4))
     f = cholesky_factors(ch4)
     gram = ch4.matrix.conj().T @ ch4.matrix
     rec = f.l_factor.conj().T @ np.diag(f.lam) @ f.l_factor

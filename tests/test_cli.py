@@ -145,8 +145,10 @@ class TestSlope:
     (["simulate", "--config", "{cfg}", "--out", "{tmp}/missing/x.csv"], "out"),
     (["analytic", "--formula", "corollary1", "--params", "p0=3", "rho_db=10",
       "gamma0_sq=2", "gamma1_sq=-1", "r0=0.5"], "gamma0_sq"),
+    (["slope", "--in", "{tmp}/empty.csv", "--metric", "u0_outage"], "in"),
 ])
 def test_bad_input_exits_with_one_line_naming_it(argv, name, config_file, tmp_path):
+    (tmp_path / "empty.csv").write_text("")
     with pytest.raises(SystemExit) as exc:
         main([a.format(tmp=tmp_path, cfg=config_file) for a in argv])
     message = str(exc.value.code)

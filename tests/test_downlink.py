@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from otfsnoma import ChannelProfile, PowerAllocation, make_grid, table1_profile
+from otfsnoma import ChannelProfile, PowerAllocation, table1_profile
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.harness import corollary1_outage
 from otfsnoma.rng import substream
 from otfsnoma.transforms import spectrum_from_taps
-from oracles import (ChannelRealization, Domain, DownlinkTxFrame, LinkConfig, build_block_circulant,
-                     build_tx_frame, cholesky_factors, dfe_last_symbol_outage_mc, diagonalize,
-                     fd_dfe_sinrs, fd_le_sinr, isfft2, noma_outage, noma_stage1, noma_stage2,
-                     u0_receive)
+from oracles import (ChannelRealization, Domain, DownlinkTxFrame, Grid, LinkConfig,
+                     build_block_circulant, build_tx_frame, cholesky_factors,
+                     dfe_last_symbol_outage_mc, diagonalize, fd_dfe_sinrs, fd_le_sinr, isfft2,
+                     noma_outage, noma_stage1, noma_stage2, u0_receive)
 
 from conftest import flat_realization, random_realization
 
@@ -37,7 +37,7 @@ class TestLinkConfig:
 
 class TestBuildTxFrame:
     def test_oma_reduction(self):
-        grid = make_grid(4, 3, 1.0)
+        grid = Grid(4, 3)
         rng = substream(1, 0)
         u0 = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         tx = build_tx_frame(grid, u0, np.zeros((3, 4)), P34)
@@ -45,12 +45,12 @@ class TestBuildTxFrame:
         assert np.abs(tx.values - P34.gamma0 * isfft2(u0)).max() < 1e-14
 
     def test_unit_noma_symbols_fill_cells(self):
-        grid = make_grid(4, 3, 1.0)
+        grid = Grid(4, 3)
         tx = build_tx_frame(grid, np.zeros((4, 3)), np.ones((3, 4)), P34)
         assert np.allclose(tx.values, P34.gamma1)
 
     def test_mapping_rule(self):
-        grid = make_grid(4, 3, 1.0)
+        grid = Grid(4, 3)
         rng = substream(2, 0)
         u0 = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         noma = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
@@ -61,7 +61,7 @@ class TestBuildTxFrame:
                 assert resid[n, m] == pytest.approx(P34.gamma1 * noma[m, n])
 
     def test_shape_mismatch(self):
-        grid = make_grid(4, 3, 1.0)
+        grid = Grid(4, 3)
         with pytest.raises(ValueError):
             build_tx_frame(grid, np.zeros((3, 4)), np.zeros((3, 4)), P34)
         with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ class TestBuildTxFrame:
 
     def test_power_budget(self):
         # E|X|^2 = rho when both symbol classes carry power rho
-        grid = make_grid(8, 8, 1.0)
+        grid = Grid(8, 8)
         rng = substream(3, 0)
         rho = 4.0
         draws = 4000
@@ -86,7 +86,7 @@ class TestBuildTxFrame:
 
 class TestU0Receive:
     def test_oma_flat_scalar_case(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         link = LinkConfig(rho=3.0, rate_u0=2.0, rate_noma=1.0)
         tx = build_tx_frame(grid, np.ones((2, 2)), np.zeros((2, 2)), PowerAllocation.oma())
         rep = u0_receive(tx, flat_realization(1.0), substream(4, 0), "le",
@@ -97,7 +97,7 @@ class TestU0Receive:
 
     def test_always_one_when_threshold_exceeds_power_ratio(self):
         # eps0 > gamma0^2/gamma1^2 = 3 makes outage certain at every SNR
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         rate = 2.1  # threshold 2^2.1 - 1 = 3.29 > 3
         for rho in (1.0, 100.0, 1e6):
             link = LinkConfig(rho=rho, rate_u0=rate, rate_noma=1.0)
@@ -108,7 +108,7 @@ class TestU0Receive:
                 assert rep.outage.all()
 
     def test_dfe_report_shapes_and_estimates(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         link = LinkConfig(rho=10.0, rate_u0=0.5, rate_noma=1.0)
         r = random_realization(ChannelProfile(paths=((0, 0), (1, 1), (2, 3))), 6)
         rng = substream(6, 1)
@@ -122,7 +122,7 @@ class TestU0Receive:
         assert np.abs(rep.estimates.values - isfft2(u0) * 0).shape == (4, 4)
 
     def test_singular_channel_all_outage(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         link = LinkConfig(rho=10.0, rate_u0=0.5, rate_noma=1.0)
         dead = ChannelRealization(profile=ChannelProfile(paths=((0, 0),)),
                                   gains=np.array([0.0 + 0j]))
@@ -133,7 +133,7 @@ class TestU0Receive:
             assert rep.estimates is None
 
     def test_bad_equalizer_rejected(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         link = LinkConfig(rho=1.0, rate_u0=0.5, rate_noma=1.0)
         tx = build_tx_frame(grid, np.ones((2, 2)), np.zeros((2, 2)), P34)
         with pytest.raises(ValueError):
@@ -142,7 +142,7 @@ class TestU0Receive:
 
 class TestNomaStage1:
     def test_flat_reference(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         sinrs = noma_stage1(flat_realization(1.0), grid, 1.0, P34, "le")
         assert sinrs.shape == (4,)
         assert np.allclose(sinrs, 0.6)
@@ -150,7 +150,7 @@ class TestNomaStage1:
     def test_doppler_invariance_and_cross_check(self):
         # the M-point LE SINR equals the full-size formula on the
         # block-diagonal channel built from the same static realization
-        grid = make_grid(5, 4, 1.0)
+        grid = Grid(5, 4)
         r = _static(seed=11, taps=(0, 1, 3))
         sinrs = noma_stage1(r, grid, 7.0, P34, "le")
         assert np.allclose(sinrs, sinrs[0])
@@ -158,16 +158,16 @@ class TestNomaStage1:
         assert sinrs[0] == pytest.approx(full, rel=1e-12)
 
     def test_dfe_variant_matches_static_sinrs(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         r = _static(seed=12)
         sinrs = noma_stage1(r, grid, 5.0, P34, "dfe")
         # dense oracle: the static channel is the N=1 case of the 2-D one
-        ref = fd_dfe_sinrs(cholesky_factors(build_block_circulant(r, make_grid(1, 4, 1.0))),
+        ref = fd_dfe_sinrs(cholesky_factors(build_block_circulant(r, Grid(1, 4))),
                            5.0, P34)
         assert np.allclose(sinrs, ref)
 
     def test_singular_static_channel(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         dead = ChannelRealization(profile=ChannelProfile(paths=((0, 0),)),
                                   gains=np.array([0.0 + 0j]))
         assert np.all(noma_stage1(dead, grid, 1.0, P34, "le") == 0.0)
@@ -176,18 +176,18 @@ class TestNomaStage1:
 
 class TestNomaStage2:
     def test_unit_gain_reference(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         snr = noma_stage2(flat_realization(1.0), grid, 4.0, 0.25, user_index=1)
         assert snr == pytest.approx(1.0)
 
     def test_flat_channel_index_independent(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         h = 0.8 - 0.6j
         vals = [noma_stage2(flat_realization(h), grid, 10.0, 0.25, i) for i in (1, 2, 3, 4)]
         assert np.allclose(vals, 10.0 * 0.25 * abs(h) ** 2)
 
     def test_direct_sum_oracle(self):
-        grid = make_grid(4, 6, 1.0)
+        grid = Grid(4, 6)
         r = _static(seed=13, taps=(0, 2, 5))
         for i in (1, 3, 6):
             snr = noma_stage2(r, grid, 3.0, 0.25, i)
@@ -196,7 +196,7 @@ class TestNomaStage2:
             assert snr == pytest.approx(3.0 * 0.25 * abs(d) ** 2, rel=1e-12)
 
     def test_user_index_bounds(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         with pytest.raises(ValueError):
             noma_stage2(flat_realization(), grid, 1.0, 0.25, user_index=0)
         with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ class TestNomaStage2:
 
 class TestNomaOutage:
     def test_asymptotic_success(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         link = LinkConfig(rho=1e9, rate_u0=0.5, rate_noma=1.0)
         r = _static(seed=14)
         s1 = noma_stage1(r, grid, link.rho, P34, "le")
@@ -213,7 +213,7 @@ class TestNomaOutage:
         assert not noma_outage(s1, s2, link)
 
     def test_lemma2_condition_forces_outage(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         link = LinkConfig(rho=1e9, rate_u0=2.1, rate_noma=1.0)  # eps0 > 3
         r = _static(seed=15)
         s1 = noma_stage1(r, grid, link.rho, P34, "le")

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from otfsnoma import ChannelProfile, PowerAllocation, make_grid, table1_profile
+from otfsnoma import ChannelProfile, PowerAllocation, table1_profile
 from otfsnoma import equalizers
 from otfsnoma.equalizers import (batch_dfe_lambdas, batch_noise_enhancement, batch_static_lambdas,
                                  gram_taps_from_gains, static_gram_taps)
@@ -18,7 +18,7 @@ from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.harness import BRACKET_MAX_COND, BRACKET_SLACK, user_noise_enhancement
 from otfsnoma.rng import substream
 from otfsnoma.transforms import dense_block_circulant, power_spectrum, static_spectrum_from_taps
-from oracles import (ChannelRealization, Domain, Frame, GenieFeedback, HardDecisionFeedback,
+from oracles import (ChannelRealization, Domain, Frame, GenieFeedback, Grid, HardDecisionFeedback,
                      SingularChannelError, build_block_circulant, cholesky_factors, diagonalize,
                      fd_dfe_equalize, fd_dfe_sinrs, fd_le_equalize, fd_le_sinr, isfft2,
                      noise_enhancement, qpsk_alphabet, schur_errors_reference, sfft2,
@@ -34,7 +34,7 @@ def _random_channel(n, m, seed, paths=None):
         paths = ((0, 0), (1 % m, 1 % n), (min(2, m - 1), min(3, n - 1)))
         paths = tuple(dict.fromkeys(paths))
     r = random_realization(ChannelProfile(paths=paths), seed)
-    return build_block_circulant(r, make_grid(n, m, 1.0))
+    return build_block_circulant(r, Grid(n, m))
 
 
 class TestPowerAllocation:
@@ -55,7 +55,7 @@ class TestPowerAllocation:
 
 class TestFdLeEqualize:
     def test_flat_channel_identity(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         ch = build_block_circulant(flat_realization(1.0), grid)
         rng = substream(1, 0)
         s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -64,7 +64,7 @@ class TestFdLeEqualize:
         assert np.abs(out.values - s).max() < 1e-12
 
     def test_worked_example_matches_dense_inverse(self):
-        grid = make_grid(4, 3, 1000.0)
+        grid = Grid(4, 3)
         ch = build_block_circulant(worked_example_realization(), grid)
         rng = substream(2, 0)
         s = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
@@ -75,14 +75,14 @@ class TestFdLeEqualize:
         assert np.abs(out.values - dense).max() < 1e-10
 
     def test_zero_in_zero_out(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         ch = _random_channel(4, 4, 31)
         y = Frame(grid, np.zeros((4, 4), dtype=complex), Domain.DELAY_DOPPLER)
         out = fd_le_equalize(y, diagonalize(ch))
         assert np.allclose(out.values, 0.0)
 
     def test_singular_channel_raises(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         dead = ChannelRealization(profile=ChannelProfile(paths=((0, 0),)),
                                   gains=np.array([0.0 + 0j]))
         d = diagonalize(build_block_circulant(dead, grid))
@@ -92,7 +92,7 @@ class TestFdLeEqualize:
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (4, 4), (8, 8), (2, 8), (8, 2), (3, 5), (16, 4)])
     def test_equals_dense_inverse_up_to_64_cells(self, n, m):
-        grid = make_grid(n, m, 1.0)
+        grid = Grid(n, m)
         ch = _random_channel(n, m, seed=n * 31 + m)
         rng = substream(n * 100 + m, 0)
         y = Frame(grid, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)),
@@ -104,14 +104,14 @@ class TestFdLeEqualize:
 
 class TestFdLeSinr:
     def test_reference_value(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         d = diagonalize(build_block_circulant(flat_realization(1.0), grid))
         assert fd_le_sinr(d, 1.0, P34) == pytest.approx(0.6)
 
     def test_interference_free_reduction(self):
         # with gamma1 = 0 the SINR reduces to rho*gamma0^2/phi; on a flat
         # unit channel that is just the received signal power
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         d = diagonalize(build_block_circulant(flat_realization(1.0), grid))
         assert fd_le_sinr(d, 7.5, PowerAllocation.oma()) == pytest.approx(7.5)
         phi = noise_enhancement(d)
@@ -119,7 +119,7 @@ class TestFdLeSinr:
         assert rho * g0_sq / (rho * 0.0 + phi) == pytest.approx(7.5)
 
     def test_singular_gives_zero(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         dead = ChannelRealization(profile=ChannelProfile(paths=((0, 0),)),
                                   gains=np.array([0.0 + 0j]))
         d = diagonalize(build_block_circulant(dead, grid))
@@ -129,7 +129,7 @@ class TestFdLeSinr:
         # measure the interference-plus-noise power at the equalizer output
         # over many draws and compare to the closed form
         n = m = 4
-        grid = make_grid(n, m, 1.0)
+        grid = Grid(n, m)
         ch = _random_channel(n, m, seed=8)
         d = diagonalize(ch)
         rho = 8.0
@@ -161,21 +161,21 @@ class TestFdLeSinr:
 
 class TestCholeskyFactors:
     def test_flat_channel(self):
-        grid = make_grid(3, 3, 1.0)
+        grid = Grid(3, 3)
         h = 0.6 - 0.8j
         f = cholesky_factors(build_block_circulant(flat_realization(h), grid))
         assert np.allclose(f.l_factor, np.eye(9))
         assert np.allclose(f.lam, abs(h) ** 2)
 
     def test_last_pivot_identity(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         for seed in range(5):
             r = random_realization(ChannelProfile(paths=((0, 0), (1, 1), (3, 2), (2, 3))), seed)
             f = cholesky_factors(build_block_circulant(r, grid))
             assert abs(f.lam[-1] - r.total_power) < 1e-12
 
     def test_dense_reconstruction(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         ch = _random_channel(4, 4, seed=17)
         f = cholesky_factors(ch)
         gram = ch.matrix.conj().T @ ch.matrix
@@ -185,7 +185,7 @@ class TestCholeskyFactors:
         assert np.abs(np.triu(f.l_factor, 1)).max() == 0.0
 
     def test_rank_deficient_raises(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         dead = ChannelRealization(profile=ChannelProfile(paths=((0, 0),)),
                                   gains=np.array([0.0 + 0j]))
         with pytest.raises(SingularChannelError):
@@ -194,7 +194,7 @@ class TestCholeskyFactors:
 
 class TestFdDfeEqualize:
     def test_flat_channel_is_one_tap(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         h = 0.9 + 0.5j
         ch = build_block_circulant(flat_realization(h), grid)
         rng = substream(4, 0)
@@ -205,7 +205,7 @@ class TestFdDfeEqualize:
         assert np.abs(est.values - (x + z / h)).max() < 1e-12
 
     def test_noiseless_recovery(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         ch = _random_channel(4, 4, seed=5)
         rng = substream(5, 1)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -214,7 +214,7 @@ class TestFdDfeEqualize:
         assert np.abs(est.values - x).max() < 1e-10
 
     def test_genie_matches_dense_expansion(self):
-        grid = make_grid(4, 3, 1.0)
+        grid = Grid(4, 3)
         ch = _random_channel(4, 3, seed=6)
         f = cholesky_factors(ch)
         rng = substream(6, 1)
@@ -228,7 +228,7 @@ class TestFdDfeEqualize:
         assert np.abs(est.values.reshape(-1) - (x.reshape(-1) + noise_term)).max() < 1e-10
 
     def test_hard_decision_equals_genie_when_noiseless(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         ch = _random_channel(4, 4, seed=7)
         rng = substream(7, 1)
         alphabet = qpsk_alphabet(1.0)
@@ -239,7 +239,7 @@ class TestFdDfeEqualize:
         assert np.abs(est_hd.values - est_genie.values).max() < 1e-10
 
     def test_unknown_feedback_rejected(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         ch = build_block_circulant(flat_realization(1.0), grid)
         y = Frame(grid, np.ones((2, 2), dtype=complex), Domain.DELAY_DOPPLER)
         with pytest.raises(TypeError):
@@ -248,7 +248,7 @@ class TestFdDfeEqualize:
 
 class TestDfeSinrs:
     def test_flat_equals_le(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         ch = build_block_circulant(flat_realization(1.0), grid)
         f = cholesky_factors(ch)
         sinrs = fd_dfe_sinrs(f, 2.0, P34)
@@ -256,7 +256,7 @@ class TestDfeSinrs:
         assert np.allclose(sinrs, le)
 
     def test_last_symbol_uses_total_power(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         r = random_realization(table1_profile(), seed=3)
         small = ChannelRealization(
             profile=ChannelProfile(paths=((2, 0), (3, 0), (1, 1), (0, 1))), gains=r.gains)
@@ -268,7 +268,7 @@ class TestDfeSinrs:
 
     def test_interference_noise_covariance_oracle(self):
         # C_cov = rho*gamma1^2 I + Λ^{-1}: dense evaluation of L G^{-1} L^H
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         ch = _random_channel(4, 4, seed=11)
         f = cholesky_factors(ch)
         gram = ch.matrix.conj().T @ ch.matrix
@@ -279,7 +279,7 @@ class TestDfeSinrs:
 
     def test_first_pivot_equals_le_noise_factor(self):
         # lambda_1 = 1/phi exactly, so the first DFE decision matches FD-LE
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         for seed in range(4):
             ch = _random_channel(4, 4, seed=100 + seed)
             f = cholesky_factors(ch)
@@ -295,12 +295,12 @@ def _static_lambdas(r, grid):
 
 class TestStaticDfe:
     def test_flat(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         sinrs = P34.sinr(1.0, 1.0 / _static_lambdas(flat_realization(1.0), grid))
         assert np.allclose(sinrs, 0.6)
 
     def test_two_tap_hand_cholesky(self):
-        grid = make_grid(4, 2, 1.0)
+        grid = Grid(4, 2)
         ha, hb = 0.8 + 0.2j, -0.3 + 0.5j
         r = ChannelRealization(profile=ChannelProfile(paths=((0, 0), (1, 0))),
                                gains=np.array([ha, hb]))
@@ -311,7 +311,7 @@ class TestStaticDfe:
         assert lam[0] == pytest.approx(s - abs(c) ** 2 / s, rel=1e-12)
 
     def test_last_static_pivot(self):
-        grid = make_grid(4, 8, 1.0)
+        grid = Grid(4, 8)
         r = random_realization(ChannelProfile(paths=((0, 0), (1, 0), (5, 0))), seed=9)
         lam = _static_lambdas(r, grid)
         assert lam[-1] == pytest.approx(r.total_power, abs=1e-12)
@@ -615,7 +615,7 @@ class TestInvariants:
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_pivots_positive_and_last_exact(seed):
-    grid = make_grid(4, 4, 1.0)
+    grid = Grid(4, 4)
     r = random_realization(ChannelProfile(paths=((0, 0), (1, 1), (2, 3))), seed)
     try:
         f = cholesky_factors(build_block_circulant(r, grid))
@@ -629,7 +629,7 @@ def test_pivots_positive_and_last_exact(seed):
 @given(seed=st.integers(0, 2**32), rho_lo=st.floats(0.1, 50),
        scale=st.floats(1.01, 10), g0_lo=st.floats(0.05, 0.9))
 def test_sinr_monotone_in_rho_and_gamma0(seed, rho_lo, scale, g0_lo):
-    grid = make_grid(4, 4, 1.0)
+    grid = Grid(4, 4)
     r = random_realization(ChannelProfile(paths=((0, 0), (1, 1), (2, 3))), seed)
     ch = build_block_circulant(r, grid)
     d = diagonalize(ch)
@@ -669,7 +669,7 @@ def test_batch_pivots_match_dense_oracle(channel):
     r = ChannelRealization(profile=prof, gains=gains)
     lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, r.gains[None], n, m)
     try:
-        f = cholesky_factors(build_block_circulant(r, make_grid(n, m, 1.0)))
+        f = cholesky_factors(build_block_circulant(r, Grid(n, m)))
     except SingularChannelError:
         assert not ok[0]
         return
@@ -728,7 +728,7 @@ def test_doppler_null_pivots_match_extended_precision(n, m, paths, offset, valid
     prof = ChannelProfile(paths=paths)
     r = ChannelRealization(profile=prof, gains=np.array([_H, _H + offset]))
     lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, r.gains[None], n, m)
-    ch = build_block_circulant(r, make_grid(n, m, 1.0))
+    ch = build_block_circulant(r, Grid(n, m))
     try:
         cholesky_factors(ch)
         dense_ok = True

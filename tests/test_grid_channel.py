@@ -3,34 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otfsnoma import ChannelProfile, make_grid, table1_profile
+from otfsnoma import ChannelProfile, table1_profile
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.rng import substream
 from oracles import (ChannelRealization, complex_multiply_gains, sample_realization,
                      static_profile)
-
-
-class TestMakeGrid:
-    def test_reference_grid(self):
-        g = make_grid(16, 16, 7500.0)
-        assert g.symbol_duration == pytest.approx(133.333e-6, rel=1e-4)
-        assert g.frame_duration == pytest.approx(2.1333e-3, rel=1e-4)
-        assert g.bandwidth == pytest.approx(120e3)
-
-    def test_degenerate_single_cell(self):
-        g = make_grid(1, 1, 1.0)
-        assert g.symbol_duration == 1.0
-        assert g.cells == 1
-
-    def test_resolutions(self):
-        g = make_grid(4, 3, 1000.0)
-        assert g.delay_resolution == pytest.approx(1.0 / 3000.0)
-        assert g.doppler_resolution == pytest.approx(250.0)
-
-    @pytest.mark.parametrize("n,m,df", [(0, 4, 1.0), (4, 0, 1.0), (4, 4, 0.0), (4, 4, -2.0), (-1, 4, 1.0)])
-    def test_invalid_arguments(self, n, m, df):
-        with pytest.raises(ValueError):
-            make_grid(n, m, df)
 
 
 class TestProfiles:
@@ -42,16 +19,15 @@ class TestProfiles:
 
     def test_table1_fits_minimal_grid(self):
         prof = table1_profile()
-        grid = make_grid(2, 15, 1000.0)
-        prof.check_fits(grid)
+        prof.check_fits(2, 15)
         r = sample_realization(prof, substream(3, 0))
         assert r.gains.shape == (4,)
 
     def test_table1_rejected_on_small_grid(self):
         with pytest.raises(ValueError):
-            table1_profile().check_fits(make_grid(16, 14, 1000.0))
+            table1_profile().check_fits(16, 14)
         with pytest.raises(ValueError):
-            table1_profile().check_fits(make_grid(1, 16, 1000.0))
+            table1_profile().check_fits(1, 16)
 
     def test_static_profile(self):
         prof = static_profile(4, [0, 1, 2, 3])

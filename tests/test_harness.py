@@ -23,14 +23,15 @@ from otfsnoma.equalizers import SINGULARITY_EPS
 from otfsnoma.harness import (_block_draws, _channel_state, parse_config_file, parse_config_text,
                               scenario_kernel)
 from otfsnoma.rng import substream
-from oracles import (ChannelRealization, LinkConfig, UserPool, build_block_circulant,
+from oracles import (ChannelRealization, Grid, LinkConfig, UserPool, build_block_circulant,
                      build_tx_frame, diagonalize, exact_u0_outage_flags, noma_outage, noma_stage1,
                      noma_stage2, nomauser_diagonalize, per_subchannel_schedule, u0_receive,
                      uplink_stage1_sinr, uplink_stage2_sinrs)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED_CONFIGS = [open(p, encoding="utf-8").read() for p in
-                   sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))]
+                   sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))]
 EDGE_VALUES = ("", "nan", "inf", "-inf", "0", "-1", "1e400", "1e-320", "99999999999999999999",
                "99999999999999999999:0", "0:99999999999999999999", "1:2:3", "0:0,0:0", ",", "0,inf",
                "0,nan", "5,0", "dfe", "uplink", "greedy", "adaptive", "1" * 5000)
@@ -50,7 +51,6 @@ CONFIG_TEXT = """
 direction = downlink
 n = 8
 m = 8
-delta_f = 7500
 k_users = 8
 u0_profile = 2:0,6:0,5:1,7:1
 noma_profile = 0:0,1:0,2:0,3:0
@@ -64,11 +64,31 @@ trials = 512
 seed = 1234
 """
 
+# For each ScenarioConfig field: a shipped config in which the field matters,
+# and another valid value for it.
+DEAD_KEY_PROBES = {
+    "direction": ("downlink_sum_rate_le.cfg", "uplink"),
+    "n": ("downlink_sum_rate_le.cfg", 8),
+    "m": ("downlink_sum_rate_le.cfg", 15),
+    "k_users": ("uplink_fixed_per_subchannel.cfg", 4),
+    "gamma0_sq": ("downlink_sum_rate_le.cfg", 0.5),
+    "rate_u0": ("downlink_sum_rate_le.cfg", 1.0),
+    "rate_noma": ("downlink_sum_rate_le.cfg", 0.5),
+    "equalizer": ("downlink_sum_rate_le.cfg", "dfe"),
+    "snr_db": ("downlink_sum_rate_le.cfg", (0.0, 20.0)),
+    "trials": ("downlink_sum_rate_le.cfg", 300),
+    "seed": ("downlink_sum_rate_le.cfg", 1),
+    "scheduler": ("downlink_sum_rate_le.cfg", "greedy"),
+    "rate_mode": ("uplink_fixed_per_subchannel.cfg", "adaptive"),
+    "u0_profile": ("downlink_outage_dfe.cfg", ChannelProfile(paths=((0, 0), (3, 1)))),
+    "noma_profile": ("downlink_sum_rate_le.cfg", ChannelProfile(paths=((0, 0),))),
+}
+
 
 class TestConfig:
     def test_parse_round_trip(self):
         cfg = parse_config_text(CONFIG_TEXT)
-        assert cfg == small_config(scheduler="random", delta_f=7500.0)
+        assert cfg == small_config(scheduler="random")
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="snr_grid"):
@@ -146,17 +166,40 @@ class TestConfig:
         (dict(snr_db=(math.nan,)), "snr_db"),
         (dict(snr_db=(0.0, math.inf)), "snr_db"),
         (dict(snr_db=(0.0, 4000.0)), "snr_db"),
-        (dict(delta_f=math.nan), "delta_f"),
-        (dict(delta_f=math.inf), "delta_f"),
+        (dict(n=16.5), "n"),
+        (dict(k_users=16.5), "k_users"),
         (dict(u0_profile=ChannelProfile(paths=((10**20, 0),))), "u0_profile"),
         (dict(noma_profile=ChannelProfile(paths=((0, 10**20),))), "noma_profile"),
         (dict(seed=-1), "seed"),
         (dict(seed=2**64), "seed"),
+        (dict(trials=100.5), "trials"),
+        (dict(seed=1.5), "seed"),
+        (dict(m=8.0), "m"),
     ])
     def test_validation_error_names_one_key(self, overrides, field):
         with pytest.raises(ConfigError) as exc:
             small_config(**overrides)
         assert exc.value.field == field
+
+    def test_numpy_integers_pass(self):
+        ints = dict(n=np.int64(8), m=np.int32(8), k_users=np.int16(8), trials=np.int64(512),
+                    seed=np.uint64(1234))
+        assert small_config(**ints) == small_config()
+
+    def test_delta_f_is_an_unknown_key(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(CONFIG_TEXT + "\ndelta_f = 7500\n")
+        assert exc.value.field == "delta_f"
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScenarioConfig)])
+    def test_no_config_key_is_dead(self, name):
+        """Every field changes the curves of a shipped config in which it
+        matters.  A field without an entry here fails."""
+        path, value = DEAD_KEY_PROBES[name]
+        base = dataclasses.replace(parse_config_file(os.path.join(CONFIG_DIR, path)),
+                                   trials=256, snr_db=(0.0, 10.0))
+        changed = dataclasses.replace(base, **{name: value})
+        assert run_scenario(changed) != run_scenario(base)
 
 
 class TestCorollary1:
@@ -406,7 +449,7 @@ class TestKernelsMatchReceivers:
     @pytest.mark.parametrize("equalizer", ["le", "dfe"])
     def test_downlink(self, equalizer):
         cfg = self._config(equalizer=equalizer)
-        grid, power = cfg.grid(), PowerAllocation.split(cfg.gamma0_sq)
+        grid, power = Grid(cfg.n, cfg.m), PowerAllocation.split(cfg.gamma0_sq)
         tx = build_tx_frame(grid, np.zeros((4, 4)), np.zeros((4, 4)), power)
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
             samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
@@ -431,7 +474,7 @@ class TestKernelsMatchReceivers:
     @pytest.mark.parametrize("equalizer", ["le", "dfe"])
     def test_uplink(self, equalizer):
         cfg = self._config(direction="uplink", scheduler="per_subchannel", equalizer=equalizer)
-        grid = cfg.grid()
+        grid = Grid(cfg.n, cfg.m)
         eps0, epsi = 2.0**cfg.rate_u0 - 1.0, 2.0**cfg.rate_noma - 1.0
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
             samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)

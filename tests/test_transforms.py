@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from otfsnoma import ChannelProfile, make_grid, table1_profile
+from otfsnoma import ChannelProfile, table1_profile
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.rng import substream
 from otfsnoma.transforms import power_spectrum, spectrum_from_taps, static_spectrum_from_taps
-from oracles import (ChannelRealization, Domain, DomainMismatchError, Frame, build_block_circulant,
-                     diagonalize, isfft, isfft2, nomauser_diagonalize, per_trial_power_spectrum,
-                     sfft, sfft2)
+from oracles import (ChannelRealization, Domain, DomainMismatchError, Frame, Grid,
+                     build_block_circulant, diagonalize, isfft, isfft2, nomauser_diagonalize,
+                     per_trial_power_spectrum, sfft, sfft2)
 
 from conftest import flat_realization, random_realization, worked_example_realization
 
@@ -36,7 +36,7 @@ def _detection_matrix(n, m):
 
 class TestSymplecticTransforms:
     def test_impulse_maps_to_flat(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         x = np.zeros((2, 2), dtype=complex)
         x[0, 0] = 1.0
         out = isfft(Frame(grid, x, Domain.DELAY_DOPPLER))
@@ -44,7 +44,7 @@ class TestSymplecticTransforms:
         assert np.allclose(out.values, 0.5)
 
     def test_flat_maps_back_to_impulse(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         flat = Frame(grid, np.full((2, 2), 0.5, dtype=complex), Domain.TIME_FREQUENCY)
         out = sfft(flat)
         expect = np.zeros((2, 2), dtype=complex)
@@ -53,7 +53,7 @@ class TestSymplecticTransforms:
 
     @pytest.mark.parametrize("n,m", [(2, 2), (4, 3), (3, 4), (16, 16), (1, 5), (5, 1)])
     def test_round_trip(self, n, m):
-        grid = make_grid(n, m, 1.0)
+        grid = Grid(n, m)
         frame = _random_frame(grid, seed=n * 100 + m)
         back = sfft(isfft(frame))
         assert np.abs(back.values - frame.values).max() < 1e-12
@@ -62,7 +62,7 @@ class TestSymplecticTransforms:
 
     def test_isfft_brute_force(self):
         n, m = 4, 3
-        grid = make_grid(n, m, 1.0)
+        grid = Grid(n, m)
         frame = _random_frame(grid, seed=77)
         out = isfft(frame).values
         ref = np.zeros((n, m), dtype=complex)
@@ -77,7 +77,7 @@ class TestSymplecticTransforms:
 
     def test_sfft_brute_force(self):
         n, m = 3, 4
-        grid = make_grid(n, m, 1.0)
+        grid = Grid(n, m)
         frame = _random_frame(grid, seed=78, domain=Domain.TIME_FREQUENCY)
         out = sfft(frame).values
         ref = np.zeros((n, m), dtype=complex)
@@ -91,7 +91,7 @@ class TestSymplecticTransforms:
         assert np.abs(out - ref).max() < 1e-10
 
     def test_domain_mismatch(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         tf = _random_frame(grid, 1, Domain.TIME_FREQUENCY)
         dd = _random_frame(grid, 2, Domain.DELAY_DOPPLER)
         with pytest.raises(DomainMismatchError):
@@ -100,7 +100,7 @@ class TestSymplecticTransforms:
             sfft(dd)
 
     def test_norm_preservation(self):
-        grid = make_grid(8, 8, 1.0)
+        grid = Grid(8, 8)
         frame = _random_frame(grid, seed=5)
         assert np.linalg.norm(isfft(frame).values) == pytest.approx(
             np.linalg.norm(frame.values), rel=1e-13)
@@ -122,7 +122,7 @@ class TestBlockCirculant:
         # positions (r, c) with (r - c) mod 4 == 3; A_1 and A_2 are zero.
         h0, h1 = 1 + 2j, 0.5 - 1j
         r = worked_example_realization(h0, h1)
-        grid = make_grid(4, 3, 1000.0)
+        grid = Grid(4, 3)
         hmat = build_block_circulant(r, grid).matrix
         shift = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
         blocks = {(br, bc): hmat[3 * br:3 * br + 3, 3 * bc:3 * bc + 3]
@@ -137,13 +137,13 @@ class TestBlockCirculant:
                 assert np.allclose(block, 0.0)
 
     def test_single_path_is_identity(self):
-        grid = make_grid(3, 4, 1.0)
+        grid = Grid(3, 4)
         h = 0.3 - 0.9j
         hmat = build_block_circulant(flat_realization(h), grid).matrix
         assert np.allclose(hmat, h * np.eye(12))
 
     def test_apply_matches_dense_and_brute_force(self):
-        grid = make_grid(4, 3, 1.0)
+        grid = Grid(4, 3)
         r = random_realization(ChannelProfile(paths=((0, 0), (1, 2), (2, 1))), seed=41)
         ch = build_block_circulant(r, grid)
         x = _random_frame(grid, seed=42).values
@@ -158,14 +158,14 @@ class TestBlockCirculant:
         assert np.abs(y - ref).max() < 1e-10
 
     def test_tap_out_of_range(self):
-        grid = make_grid(4, 3, 1.0)
+        grid = Grid(4, 3)
         bad = ChannelRealization(profile=ChannelProfile(paths=((3, 0),)),
                                  gains=np.array([1.0 + 0j]))
         with pytest.raises(ValueError):
             build_block_circulant(bad, grid)
 
     def test_batched_apply(self):
-        grid = make_grid(4, 3, 1.0)
+        grid = Grid(4, 3)
         r = random_realization(ChannelProfile(paths=((0, 1), (2, 3))), seed=9)
         ch = build_block_circulant(r, grid)
         rng = substream(10, 0)
@@ -177,14 +177,14 @@ class TestBlockCirculant:
 
 class TestDiagonalize:
     def test_flat_channel_flat_spectrum(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         h = 0.7 + 0.1j
         d = diagonalize(build_block_circulant(flat_realization(h), grid))
         assert np.allclose(d.d_values, h)
 
     def test_worked_example_formula(self):
         h0, h1 = 1 + 2j, 0.5 - 1j
-        grid = make_grid(4, 3, 1000.0)
+        grid = Grid(4, 3)
         d = diagonalize(build_block_circulant(worked_example_realization(h0, h1), grid))
         for k in range(4):
             for l in range(3):
@@ -193,7 +193,7 @@ class TestDiagonalize:
 
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 4), (4, 3), (4, 4)])
     def test_dense_conjugation_oracle(self, n, m):
-        grid = make_grid(n, m, 1.0)
+        grid = Grid(n, m)
         paths = tuple((l % m, k % n) for l, k in [(0, 0), (1, 1), (2, 3)])
         r = random_realization(ChannelProfile(paths=tuple(dict.fromkeys(paths))), seed=n * 7 + m)
         ch = build_block_circulant(r, grid)
@@ -215,13 +215,13 @@ class TestDiagonalize:
 
 class TestStaticDiagonal:
     def test_flat(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         h = 1.1 - 0.4j
         d = nomauser_diagonalize(flat_realization(h), grid)
         assert np.allclose(d, h)
 
     def test_two_tap_hand_case(self):
-        grid = make_grid(4, 2, 1.0)
+        grid = Grid(4, 2)
         ha, hb = 0.8 + 0.2j, -0.3 + 0.5j
         r = ChannelRealization(profile=ChannelProfile(paths=((0, 0), (1, 0))),
                                gains=np.array([ha, hb]))
@@ -230,13 +230,13 @@ class TestStaticDiagonal:
         assert abs(d[1] - (ha - hb)) < 1e-14
 
     def test_nonzero_doppler_rejected(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         r = random_realization(ChannelProfile(paths=((0, 0), (1, 1))), seed=3)
         with pytest.raises(ValueError):
             nomauser_diagonalize(r, grid)
 
     def test_matches_full_diagonalization(self):
-        grid = make_grid(5, 6, 1.0)
+        grid = Grid(5, 6)
         r = random_realization(ChannelProfile(paths=((0, 0), (2, 0), (5, 0))), seed=21)
         d_static = nomauser_diagonalize(r, grid)
         d_full = diagonalize(build_block_circulant(r, grid)).d_values
@@ -256,7 +256,7 @@ class TestSpectrumStatistics:
 
     def test_spectrum_marginals_unit_power(self):
         prof = table1_profile()
-        grid = make_grid(16, 16, 7500.0)
+        grid = Grid(16, 16)
         gains = sample_gain_matrix(prof, substream(56, 0), 100_000)
         taps = np.zeros((100_000, 16, 16), dtype=complex)
         taps[:, prof.doppler_taps, prof.delay_taps] = gains
@@ -270,7 +270,7 @@ class TestSpectrumStatistics:
         prof = table1_profile()
         n = m = 4
         small = ChannelProfile(paths=((2 % m, 0), (1, 0), (3, 1), (0, 1)))
-        grid = make_grid(n, m, 1.0)
+        grid = Grid(n, m)
         gains = sample_gain_matrix(small, substream(57, 0), 100_000)
         taps = np.zeros((100_000, n, m), dtype=complex)
         taps[:, small.doppler_taps, small.delay_taps] = gains

@@ -12,12 +12,12 @@ from scipy import integrate
 
 import otfsnoma
 from otfsnoma import (ChannelProfile, PowerAllocation, closed_form_outage, error_floor,
-                      floor_approx, make_grid, table1_profile)
+                      floor_approx, table1_profile)
 from otfsnoma.harness import default_noma_profile
 from otfsnoma.rng import substream
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.transforms import spectrum_from_taps, static_spectrum_from_taps
-from oracles import (ChannelRealization, adaptive_rate, alternating_sum_outage,
+from oracles import (ChannelRealization, Grid, adaptive_rate, alternating_sum_outage,
                      build_block_circulant, build_observation, cholesky_factors, diagonalize,
                      fd_dfe_sinrs, fd_le_sinr, fixed_rate_outage_mc,
                      uplink_stage1_sinr, uplink_stage2_sinrs, uplink_u0_outage)
@@ -41,7 +41,7 @@ class TestStage1Sinr:
     def test_empirical_estimator_oracle(self):
         # push noise and interference draws through the one-tap estimator
         # and compare the measured SINR to the formula
-        grid = make_grid(8, 8, 1.0)
+        grid = Grid(8, 8)
         rng = substream(71, 0)
         h_i = 0.9 - 0.4j
         h_0 = 0.5 + 0.3j
@@ -223,14 +223,14 @@ def test_import_leaves_mpmath_unloaded():
 
 class TestStage2:
     def test_flat_channel(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         for eq in ("le", "dfe"):
             sinrs = uplink_stage2_sinrs(flat_realization(1.0), grid, 9.0, eq)
             assert sinrs.shape == (4, 4)
             assert np.allclose(sinrs, 9.0)
 
     def test_reduces_to_downlink_formulas_at_full_power(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         r = random_realization(ChannelProfile(paths=((0, 0), (1, 1), (2, 3))), 73)
         ch = build_block_circulant(r, grid)
         oma = PowerAllocation.oma()
@@ -241,7 +241,7 @@ class TestStage2:
         assert np.allclose(dfe, ref)
 
     def test_singular(self):
-        grid = make_grid(2, 2, 1.0)
+        grid = Grid(2, 2)
         dead = ChannelRealization(profile=ChannelProfile(paths=((0, 0),)),
                                   gains=np.array([0.0 + 0j]))
         assert np.all(uplink_stage2_sinrs(dead, grid, 5.0, "le") == 0.0)
@@ -250,21 +250,21 @@ class TestStage2:
 
 class TestFixedRateMc:
     def test_huge_rate_is_certain_outage(self):
-        grid = make_grid(8, 8, 1.0)
+        grid = Grid(8, 8)
         est = fixed_rate_outage_mc(grid, U0_SMALL, default_noma_profile(),
                                    k_users=1, rate_noma=20.0, rho=10.0,
                                    trials=2000, seed=1)
         assert est.value > 0.999
 
     def test_k1_unit_epsilon_half(self):
-        grid = make_grid(8, 8, 1.0)
+        grid = Grid(8, 8)
         est = fixed_rate_outage_mc(grid, U0_SMALL, default_noma_profile(),
                                    k_users=1, rate_noma=1.0, rho=1e6,
                                    trials=40_000, seed=2)
         assert est.value == pytest.approx(0.5, abs=0.01)
 
     def test_matches_closed_form_at_40db(self):
-        grid = make_grid(16, 16, 7500.0)
+        grid = Grid(16, 16)
         est = fixed_rate_outage_mc(grid, table1_profile(), default_noma_profile(),
                                    k_users=16, rate_noma=1.0, rho=1e4,
                                    trials=50_000, seed=3)
@@ -272,7 +272,7 @@ class TestFixedRateMc:
         assert est.value == pytest.approx(ref, rel=0.02)
 
     def test_invalid_scheduler(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         with pytest.raises(ValueError):
             fixed_rate_outage_mc(grid, ChannelProfile(paths=((0, 0), (1, 1))),
                                  default_noma_profile(), k_users=4, rate_noma=1.0,
@@ -283,7 +283,7 @@ class TestSchedulingStatistics:
     def test_selected_gain_cdf(self):
         # per-subchannel max over K users of Exp(1) gains: CDF (1-e^-x)^K
         k_users = 8
-        grid = make_grid(4, 16, 1.0)
+        grid = Grid(4, 16)
         prof = default_noma_profile()
         trials = 100_000
         rng = substream(74, 0)
@@ -299,7 +299,7 @@ class TestSchedulingStatistics:
 
     def test_independence_of_scheduled_and_u0_gains(self):
         k_users = 8
-        grid = make_grid(16, 16, 7500.0)
+        grid = Grid(16, 16)
         u0p, nomap = table1_profile(), default_noma_profile()
         trials = 100_000
         rng = substream(75, 0)
@@ -320,7 +320,7 @@ class TestSchedulingStatistics:
 
 class TestU0Outage:
     def test_adaptive_equals_genie(self):
-        grid = make_grid(8, 8, 1.0)
+        grid = Grid(8, 8)
         kw = dict(grid=grid, u0_profile=U0_SMALL, noma_profile=default_noma_profile(),
                   k_users=8, rate_u0=0.5, rate_noma=1.0, rho=10.0, equalizer="le",
                   trials=5000, seed=4)
@@ -329,7 +329,7 @@ class TestU0Outage:
         assert a.value == b.value
 
     def test_fixed_mode_floor(self):
-        grid = make_grid(8, 8, 1.0)
+        grid = Grid(8, 8)
         est = uplink_u0_outage(grid, U0_SMALL, default_noma_profile(),
                                k_users=8, rate_u0=0.5, rate_noma=1.0, rho=1e9,
                                equalizer="le", mode="fixed", trials=30_000, seed=5)
@@ -337,14 +337,14 @@ class TestU0Outage:
         assert est.value >= floor - 3 * est.std_error
 
     def test_genie_removes_floor(self):
-        grid = make_grid(8, 8, 1.0)
+        grid = Grid(8, 8)
         est = uplink_u0_outage(grid, U0_SMALL, default_noma_profile(),
                                k_users=8, rate_u0=0.5, rate_noma=1.0, rho=1e9,
                                equalizer="le", mode="genie", trials=30_000, seed=6)
         assert est.value < 1e-3
 
     def test_dfe_mode_runs(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         est = uplink_u0_outage(grid, ChannelProfile(paths=((0, 0), (1, 1))),
                                default_noma_profile(), k_users=4, rate_u0=0.5,
                                rate_noma=1.0, rho=100.0, equalizer="dfe", mode="fixed",
@@ -352,7 +352,7 @@ class TestU0Outage:
         assert 0.0 <= est.value <= 1.0
 
     def test_invalid_mode(self):
-        grid = make_grid(4, 4, 1.0)
+        grid = Grid(4, 4)
         with pytest.raises(ValueError):
             uplink_u0_outage(grid, ChannelProfile(paths=((0, 0), (1, 1))),
                              default_noma_profile(), k_users=4, rate_u0=0.5,
