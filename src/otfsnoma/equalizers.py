@@ -25,8 +25,10 @@ the NM×NM Gram matrix.  The Gram matrix is banded over Doppler, since every
 path pair's Doppler lag k_q − k_p lies in [−h, h] mod N with h = max k_p −
 min k_p (h = 1 for Table 1), and the recursion's generators stay zero
 outside that band; so the cost is O(NM(h+M)) per trial.  The recursions run
-in place on a per-thread workspace that persists across calls, so repeated
-calls reuse its memory instead of faulting new memory in.
+in one pass over every trial of a call, in place on a per-thread workspace
+that persists across calls and grows to the largest call so far, so repeated
+calls reuse its memory instead of faulting new memory in.  The caller bounds
+each call, and with it the workspace.
 """
 
 import math
@@ -41,11 +43,6 @@ from .transforms import dense_block_circulant  # noqa: F401
 
 # Magnitudes / pivots below this are treated as a numerically singular channel.
 SINGULARITY_EPS = 1e-12
-
-# Trials × grid cells per sub-batch: the harness kernel's sub-batch, and the
-# most trial-cells that one pass of batch_dfe_lambdas works on, which bounds
-# its workspace.
-SUB_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -139,15 +136,16 @@ class _Workspace(threading.local):
     """One thread's pivot buffers, kept across calls: flat arrays for the
     Gram taps, the two Schur generators, their two products with the
     reflection coefficient, and the prediction-error powers.  Threads never
-    share one.  Each array holds SUB_BATCH_CELLS items, or one trial of a
-    larger grid, so a thread allocates its workspace once in practice."""
+    share one.  Each array holds as many items as the largest call so far
+    had trial-cells; the caller bounds its calls, so a thread's workspace
+    stops growing after its first few calls."""
 
     cells = 0
 
     def reserve(self, cells: int) -> "_Workspace":
-        """The buffers, grown to at least ``cells`` items if need be."""
+        """The buffers, grown to ``cells`` items if they hold fewer."""
         if cells > self.cells:
-            self.cells = cells = max(cells, SUB_BATCH_CELLS)
+            self.cells = cells
             self.taps, self.fwd, self.bwd, self.fwd_prod, self.bwd_prod = (
                 np.empty(cells, dtype=np.complex128) for _ in range(5))
             self.errors = np.empty(cells)
@@ -227,40 +225,37 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     4. its prediction-error powers of order M−1..0 are the pivots of
        symbols l = 0..M−1.
 
-    The cost is O(NM(h+M)) per trial.  The working memory is the calling
-    thread's workspace, about 88 B per trial-cell, kept across calls, plus
-    the two FFTs' outputs, 16 B each, and the returned pivots; it covers
-    SUB_BATCH_CELLS trial-cells (one trial at least), and a larger call works
-    through its trials in passes of that many.  A trial with any pivot
-    non-finite or below SINGULARITY_EPS is singular: it gets ``ok=False``
-    and λ = 1 as a placeholder, which ``harness.user_noise_enhancement``
-    turns into ν = inf, an outage on every symbol.  Trials never mix, so
-    neither a singular trial nor the number of trials in a call or a pass
-    changes the other trials' bits: the harness passes only the trials
-    whose pivot bracket leaves an outage flag open.
+    The cost is O(NM(h+M)) per trial, in one pass over every trial of the
+    call.  The working memory is the calling thread's workspace, about 88 B
+    per trial-cell of the largest call so far, kept across calls, plus the two
+    FFTs' outputs, 16 B each, and the returned pivots, a copy; the caller
+    bounds each call.  A trial with any pivot non-finite or below
+    SINGULARITY_EPS is singular: it gets ``ok=False`` and λ = 1 as a
+    placeholder, which the caller turns into ν = inf, an outage on every
+    symbol.  Trials never mix, so neither a singular trial nor the number of
+    trials in a call changes the other trials' bits: the harness passes only
+    the trials of one sub-batch whose pivot bracket leaves an outage flag
+    open.
     """
     gains = np.asarray(gains, dtype=np.complex128)
     flat = gains.reshape((-1, gains.shape[-1]))
     band = int(np.max(doppler_taps) - np.min(doppler_taps))
-    step = max(1, SUB_BATCH_CELLS // (n * m))
-    ws = _WORKSPACE.reserve(step * n * m)
-    lam = np.empty((len(flat), n, m))
-    for lo in range(0, len(flat), step):
-        part = flat[lo:lo + step]
-        cells = len(part) * n * m
-        taps = gram_taps_from_gains(doppler_taps, delay_taps, part, n, m,
-                                    out=ws.taps[:cells].reshape(len(part), n, m))
-        # the delay sweep's errors overwrite the Doppler sweep's powers once
-        # the IFFT has read them
-        powers = ws.errors[:cells].reshape(n, len(part), m)
-        errors = ws.errors[:cells].reshape(m, n, len(part))
-        with np.errstate(all="ignore"):  # a singular trial's powers may be 0, < 0 or nan
-            _schur_errors(np.moveaxis(np.fft.fft(taps, axis=-1), -2, 0), powers, band)
-            blocks = np.fft.ifft(powers[::-1], axis=-1)
-            blocks[-1] = taps[:, 0, :]
-            _schur_errors(np.moveaxis(blocks, -1, 0), errors)
-        lam[lo:lo + len(part)] = np.moveaxis(errors[::-1], (0, 1), (-1, -2))
-    lam = lam.reshape(len(flat), n * m)
+    trials, cells = len(flat), len(flat) * n * m
+    ws = _WORKSPACE.reserve(cells)
+    taps = gram_taps_from_gains(doppler_taps, delay_taps, flat, n, m,
+                                out=ws.taps[:cells].reshape(trials, n, m))
+    # the delay sweep's errors overwrite the Doppler sweep's powers once the
+    # IFFT has read them
+    powers = ws.errors[:cells].reshape(n, trials, m)
+    errors = ws.errors[:cells].reshape(m, n, trials)
+    with np.errstate(all="ignore"):  # a singular trial's powers may be 0, < 0 or nan
+        _schur_errors(np.moveaxis(np.fft.fft(taps, axis=-1), -2, 0), powers, band)
+        blocks = np.fft.ifft(powers[::-1], axis=-1)
+        blocks[-1] = taps[:, 0, :]
+        _schur_errors(np.moveaxis(blocks, -1, 0), errors)
+    # a C-order copy, whose reshape is a view of it: at N = 1 or M = 1 a
+    # reshape of the moved axes alone would be a view of the workspace
+    lam = np.array(np.moveaxis(errors[::-1], (0, 1), (-1, -2)), order="C").reshape(trials, n * m)
     ok = np.isfinite(lam).all(axis=-1) & (lam.min(axis=-1) >= SINGULARITY_EPS)
     lam[~ok] = 1.0
     return lam.reshape(gains.shape[:-1] + (n * m,)), ok.reshape(gains.shape[:-1])

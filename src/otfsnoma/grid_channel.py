@@ -8,6 +8,7 @@ computation reads the subcarrier spacing Δf or the symbol time T, and the
 physical units in :func:`table1_profile`'s docstring are documentation only.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,10 @@ class ChannelProfile:
     paths: tuple
 
     def __post_init__(self):
-        paths = tuple((int(d), int(k)) for d, k in self.paths)
+        try:  # 2.5 is an error, not tap 2; numpy integers pass
+            paths = tuple((operator.index(d), operator.index(k)) for d, k in self.paths)
+        except TypeError:
+            raise ValueError("tap indices must be integers") from None
         if not paths:
             raise ValueError("profile needs at least one path")
         if any(d < 0 or k < 0 for d, k in paths):

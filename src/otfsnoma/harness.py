@@ -21,8 +21,8 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .equalizers import (SINGULARITY_EPS, SUB_BATCH_CELLS, PowerAllocation,
-                         batch_dfe_lambdas, batch_noise_enhancement)
+from .equalizers import (SINGULARITY_EPS, PowerAllocation, batch_dfe_lambdas,
+                         batch_noise_enhancement)
 # Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
 # wraps names where callers look them up, still finds them in this module.
 from .equalizers import batch_static_lambdas  # noqa: F401
@@ -34,12 +34,15 @@ from .transforms import spectrum_from_taps, static_spectrum_from_taps  # noqa: F
 
 BLOCK_TRIALS = 4096  # fixed work-unit size; part of the determinism contract
 
-# SUB_BATCH_CELLS (from equalizers): trials × grid cells per sub-batch.  The
-# kernel works through a block's trials in sub-batches of this size, so its
-# working memory does not grow with the block: 256 trials a sub-batch at
-# 16×16.  The same budget bounds the FD-DFE pivots' per-thread workspace,
-# about 88 B per trial-cell, 5.5 MiB, which is kept across sub-batches and
-# blocks instead of being returned to the system and faulted in again.
+# Trials × grid cells per sub-batch.  The kernel works through a block's
+# trials in sub-batches of this size, so its working memory does not grow
+# with the block: 256 trials a sub-batch at 16×16.  A sub-batch hands the
+# FD-DFE pivots at most SUB_BATCH_CELLS // (N·M) trials in one call, which
+# they work through in one pass; so the same budget bounds their per-thread
+# workspace, about 88 B per trial-cell, at most 5.5 MiB, which grows to the
+# largest call so far and is kept across sub-batches and blocks instead of
+# being returned to the system and faulted in again.
+SUB_BATCH_CELLS = 1 << 16
 
 # The largest N·M grid that the FD-DFE equalizer accepts.
 MAX_DFE_CELLS = 4096
@@ -176,6 +179,8 @@ class CurvePoint:
     def __post_init__(self):
         if self.ci_halfwidth < 0:
             raise ValueError("ci_halfwidth must be non-negative")
+        if self.trials_used < 1:
+            raise ValueError("trials_used must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +262,11 @@ def parse_config_file(path) -> ScenarioConfig:
 #  Every receiver sees its equalizer through one value ν per symbol: the
 #  FD-LE φ, one per channel, or the FD-DFE 1/λ, one per symbol, with ν = inf
 #  on singular channels.  Its SINR is PowerAllocation.sinr(ρ, ν), whichever
-#  equalizer produced ν.  A Doppler-free user is the N = 1 grid, so one ν
-#  function below serves every user; the per-realization receivers in
-#  tests/oracles.py call it with T = 1.  U0's FD-DFE flags need the pivots
-#  only in the trials whose bracket [1/φ, Σ|h_p|²] straddles an outage
-#  threshold (u0_outage_flags).
+#  equalizer produced ν.  U0's φ comes from its (T, N, M) powers; its
+#  FD-DFE flags need the pivots only in the trials whose bracket
+#  [1/φ, Σ|h_p|²] straddles an outage threshold (u0_outage_flags).  The
+#  static users' stage I needs only their φ (_downlink_samples).
 # ---------------------------------------------------------------------------
-
-
-def user_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.ndarray,
-                           power: np.ndarray) -> np.ndarray:
-    """ν of a user from its (..., P+1) gains and (..., N, M) eigenvalue powers
-    |D|²: (..., 1) under FD-LE, (..., NM) under FD-DFE.  A Doppler-free user
-    passes its (..., M) powers as (..., 1, M)."""
-    if equalizer == "le":
-        return batch_noise_enhancement(power, (-2, -1))[..., None]
-    n, m = power.shape[-2:]
-    lam, ok = batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps, gains, n, m)
-    return np.where(ok[..., None], 1.0 / lam, np.inf)
 
 
 def u0_outage_flags(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> list:
@@ -293,10 +285,9 @@ def u0_outage_flags(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> list:
     exact pivots.
     """
     eps0 = 2.0**cfg.rate_u0 - 1.0
-    if cfg.equalizer == "le":
-        nu = user_noise_enhancement("le", cfg.u0_profile, h0, a0)
-        return [split.sinr(rho, nu) < eps0 for split in splits]
     phi = batch_noise_enhancement(a0, (-2, -1))
+    if cfg.equalizer == "le":
+        return [split.sinr(rho, phi[:, None]) < eps0 for split in splits]
     energy = (h0.real**2 + h0.imag**2).sum(axis=-1)
     with np.errstate(all="ignore"):  # φ is inf on a singular trial
         cond = phi * energy
@@ -308,7 +299,9 @@ def u0_outage_flags(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> list:
     exact = ~np.logical_and.reduce([e | n for e, n in zip(every, none)])
     flags = [np.repeat(e[:, None], cfg.n * cfg.m, axis=1) for e in every]
     if exact.any():
-        nu = user_noise_enhancement("dfe", cfg.u0_profile, h0[exact], a0[exact])
+        prof = cfg.u0_profile
+        lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, h0[exact], cfg.n, cfg.m)
+        nu = np.where(ok[:, None], 1.0 / lam, np.inf)
         for f, split in zip(flags, splits):
             f[exact] = split.sinr(rho, nu) < eps0
     return flags

@@ -5,8 +5,9 @@ spectra and Gram taps.  This module keeps the slower, independent versions
 of the same jobs: tagged-frame transforms, the block-circulant operator and
 its dense NM×NM matrix, the dense Cholesky factorization and both
 equalizers, the per-realization transmitters and receivers, the scalar
-schedulers, standalone Monte Carlo estimators keyed by (seed, block) and
-their serial block driver ``monte_carlo``, the
+schedulers, the one ν function of the per-realization receivers
+(``user_noise_enhancement``), standalone Monte Carlo estimators keyed by
+(seed, block) and their serial block driver ``monte_carlo``, the
 uplink outage's alternating sum in extended precision, and the gain draw,
 the spectra and FD-LE φ in forms that spend temporary arrays or BLAS calls,
 which the package's forms must match bit for bit.
@@ -22,12 +23,11 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from otfsnoma.equalizers import (SINGULARITY_EPS, PowerAllocation, batch_noise_enhancement,
-                                  gram_taps_from_gains)
+from otfsnoma.equalizers import (SINGULARITY_EPS, PowerAllocation, batch_dfe_lambdas,
+                                  batch_noise_enhancement, gram_taps_from_gains)
 from otfsnoma.grid_channel import ChannelProfile, sample_gain_matrix
 from otfsnoma.harness import (BLOCK_TRIALS, EQUALIZERS, McEstimate, ScenarioConfig, _accumulate,
-                              _block_sums, _block_tasks, scenario_kernel,
-                              user_noise_enhancement)
+                              _block_sums, _block_tasks, scenario_kernel)
 from otfsnoma.transforms import (_steering, dense_block_circulant, spectrum_from_taps,
                                  static_spectrum_from_taps)
 
@@ -562,6 +562,19 @@ class DetectionReport:
     sinrs: np.ndarray
     outage: np.ndarray
     estimates: Frame | None = None
+
+
+def user_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.ndarray,
+                           power: np.ndarray) -> np.ndarray:
+    """ν of a user from its (..., P+1) gains and (..., N, M) eigenvalue powers
+    |D|²: (..., 1) under FD-LE, (..., NM) under FD-DFE.  A Doppler-free user
+    passes its (..., M) powers as (..., 1, M); under FD-DFE the powers give
+    only the grid's N and M."""
+    if equalizer == "le":
+        return batch_noise_enhancement(power, (-2, -1))[..., None]
+    n, m = power.shape[-2:]
+    lam, ok = batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps, gains, n, m)
+    return np.where(ok[..., None], 1.0 / lam, np.inf)
 
 
 def u0_receive(tx: Frame, realization: ChannelRealization, rng: np.random.Generator,

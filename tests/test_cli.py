@@ -146,9 +146,15 @@ class TestSlope:
     (["analytic", "--formula", "corollary1", "--params", "p0=3", "rho_db=10",
       "gamma0_sq=2", "gamma1_sq=-1", "r0=0.5"], "gamma0_sq"),
     (["slope", "--in", "{tmp}/empty.csv", "--metric", "u0_outage"], "in"),
+    (["slope", "--in", "{tmp}/trials0.csv", "--metric", "u0_outage"], "in"),
+    (["slope", "--in", "{tmp}/trials-3.csv", "--metric", "u0_outage"], "in"),
 ])
 def test_bad_input_exits_with_one_line_naming_it(argv, name, config_file, tmp_path):
     (tmp_path / "empty.csv").write_text("")
+    for trials in (0, -3):  # a point needs at least one trial
+        rows = "".join(f"{db},u0_outage,{0.5 / 10**db},0,{trials}\n" for db in (1, 2, 3))
+        (tmp_path / f"trials{trials}.csv").write_text("snr_db,metric,value,ci_halfwidth,trials\n"
+                                                      + rows)
     with pytest.raises(SystemExit) as exc:
         main([a.format(tmp=tmp_path, cfg=config_file) for a in argv])
     message = str(exc.value.code)

@@ -15,14 +15,14 @@ from otfsnoma import equalizers
 from otfsnoma.equalizers import (batch_dfe_lambdas, batch_noise_enhancement, batch_static_lambdas,
                                  gram_taps_from_gains, static_gram_taps)
 from otfsnoma.grid_channel import sample_gain_matrix
-from otfsnoma.harness import BRACKET_MAX_COND, BRACKET_SLACK, user_noise_enhancement
+from otfsnoma.harness import BRACKET_MAX_COND, BRACKET_SLACK, SUB_BATCH_CELLS
 from otfsnoma.rng import substream
 from otfsnoma.transforms import dense_block_circulant, power_spectrum, static_spectrum_from_taps
 from oracles import (ChannelRealization, Domain, Frame, GenieFeedback, Grid, HardDecisionFeedback,
                      SingularChannelError, build_block_circulant, cholesky_factors, diagonalize,
                      fd_dfe_equalize, fd_dfe_sinrs, fd_le_equalize, fd_le_sinr, isfft2,
                      noise_enhancement, qpsk_alphabet, schur_errors_reference, sfft2,
-                     where_min_noise_enhancement)
+                     user_noise_enhancement, where_min_noise_enhancement)
 
 from conftest import flat_realization, random_realization, worked_example_realization
 
@@ -477,14 +477,14 @@ def test_nan_power_is_singular():
 
 
 def test_sub_batches_never_mix_trials():
-    # a call larger than the workspace bound works through passes of
-    # SUB_BATCH_CELLS // (N·M) trials, and its pivots equal, bit for bit, the
-    # concatenation of smaller calls' pivots, whatever their sizes; one trial
-    # is singular.  A fresh thread starts with an empty workspace, which the
-    # call fills to the bound and no further.
+    # a call over four times the kernel's sub-batch bound of
+    # SUB_BATCH_CELLS // (N·M) trials runs in one pass, and its pivots equal,
+    # bit for bit, the concatenation of smaller calls' pivots, whatever their
+    # sizes; one trial is singular.  A fresh thread starts with an empty
+    # workspace, which the call grows to its own trial-cells and no further.
     prof = table1_profile()
     n, m, trials = 16, 16, 1030
-    bound = equalizers.SUB_BATCH_CELLS // (n * m)
+    bound = SUB_BATCH_CELLS // (n * m)
     assert trials > 4 * bound
     gains = sample_gain_matrix(prof, substream(41, 0), trials)
     gains[700] = [0.5, 0.5, 0.0, 0.0]  # equal taps 4 delays apart null 4 delay bins
@@ -495,7 +495,7 @@ def test_sub_batches_never_mix_trials():
 
     with concurrent.futures.ThreadPoolExecutor(1) as pool:
         lam, ok, cells = pool.submit(in_a_fresh_thread).result()
-    assert cells == bound * n * m
+    assert cells == trials * n * m
     assert not ok[700] and ok.sum() == trials - 1
     parts = [batch_dfe_lambdas(*args, gains[lo:hi], n, m)
              for lo, hi in ((0, 1), (1, 1 + bound), (1 + bound, 600), (600, trials))]
@@ -504,6 +504,27 @@ def test_sub_batches_never_mix_trials():
     stacked = batch_dfe_lambdas(*args, gains[:1000].reshape(4, 250, -1), n, m)
     assert np.array_equal(stacked[0].reshape(1000, -1), lam[:1000])
     assert np.array_equal(stacked[1].reshape(1000), ok[:1000])
+
+
+@pytest.mark.parametrize("n, m, paths", [(1, 8, ((0, 0), (3, 0), (5, 0))),
+                                         (8, 1, ((0, 0), (0, 1), (0, 3))),
+                                         (16, 16, table1_profile().paths)])
+def test_pivots_outlive_the_next_call(n, m, paths):
+    # the returned pivots are a copy: at N = 1 or M = 1 the reshape of the
+    # delay sweep's errors alone is a view of the thread's workspace, which a
+    # later call in the same thread overwrites
+    prof = ChannelProfile(paths=paths)
+    args = (prof.doppler_taps, prof.delay_taps)
+    gains = sample_gain_matrix(prof, substream(43, 0), 96)
+    gains[5] = 0.0  # a singular trial, with the placeholder λ = 1
+    first = batch_dfe_lambdas(*args, gains[:64], n, m)
+    kept = [a.copy() for a in first]
+    assert not first[1][5] and first[1].sum() == 63
+    later = batch_dfe_lambdas(*args, gains[32:], n, m)
+    assert not np.array_equal(later[0][:32], kept[0][:32])
+    for kept_array, array in zip(kept, first):
+        assert np.array_equal(array, kept_array)
+    assert not np.shares_memory(first[0], equalizers._WORKSPACE.errors)
 
 
 def _doppler_lags(prof, gains, n, m):

@@ -51,6 +51,18 @@ class TestProfiles:
         with pytest.raises(ValueError):
             ChannelProfile(paths=((1, 0), (1, 0)))
 
+    @pytest.mark.parametrize("paths", [((2.5, 0.9), (6, 0)), ((2, 0), (6.0, 0)),
+                                       ((2, "1"), (6, 0))])
+    def test_non_integer_taps_rejected(self, paths):
+        # a fractional tap is an error, not silently truncated to an integer one
+        with pytest.raises(ValueError, match="integers"):
+            ChannelProfile(paths=paths)
+
+    def test_numpy_integer_taps_pass(self):
+        prof = ChannelProfile(paths=tuple(zip(np.array([2, 6]), np.array([0, 1], np.uint8))))
+        assert prof.paths == ((2, 0), (6, 1))
+        assert all(type(tap) is int for path in prof.paths for tap in path)
+
 
 class TestSampling:
     def test_unit_power_normalization(self):
