@@ -10,6 +10,7 @@ import argparse
 
 from otfsnoma import (
     CurvePoint,
+    EstimatorUndefinedError,
     ScenarioConfig,
     corollary1_outage,
     diversity_slope,
@@ -43,7 +44,7 @@ def main():
     try:
         print(f"measured last-symbol slope: {diversity_slope(last):.2f} "
               "(multipath order is 4)")
-    except Exception as exc:
+    except EstimatorUndefinedError as exc:
         print(f"slope not estimable at these settings: {exc}")
 
 

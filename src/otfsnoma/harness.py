@@ -37,24 +37,30 @@ BLOCK_TRIALS = 4096  # fixed work-unit size; part of the determinism contract
 # Trials × grid cells per sub-batch.  The kernel works through a block's
 # trials in sub-batches of this size, so its working memory does not grow
 # with the block: 256 trials a sub-batch at 16×16.  A sub-batch hands the
-# FD-DFE pivots at most SUB_BATCH_CELLS // (N·M) trials in one call, which
-# they work through in one pass; so the same budget bounds their per-thread
-# workspace, about 88 B per trial-cell, at most 5.5 MiB, which grows to the
-# largest call so far and is kept across sub-batches and blocks instead of
-# being returned to the system and faulted in again.
+# FD-DFE pivots all its trials in one call, which they work through in one
+# pass on a per-thread workspace that grows to the largest call so far and
+# is kept across sub-batches and blocks instead of being returned to the
+# system and faulted in again.
 SUB_BATCH_CELLS = 1 << 16
 
-# The largest N·M grid that the FD-DFE equalizer accepts.
-MAX_DFE_CELLS = 4096
+# The size rule of every scenario: n·m and k_users·m, a trial's U0 and
+# static-user arrays, are each at most this many cells.  So the bracket's
+# rounding bound below holds on every grid a config can have; a sub-batch
+# holds at least SUB_BATCH_CELLS // MAX_TRIAL_CELLS = 16 trials; and the
+# FD-DFE workspace, about 88 B per trial-cell of a sub-batch, stays within
+# 5.5 MiB.
+MAX_TRIAL_CELLS = 4096
 
 # U0's FD-DFE outage flags are decided from the bracket [1/φ, Σ|h_p|²] of
 # its pivots (u0_outage_flags) with the relative slack BRACKET_SLACK on both
 # ends, and only where φ·Σ|h_p|², which tracks the Gram matrix's condition
 # number and is at least 1 exactly, lies in [1 − BRACKET_SLACK,
-# BRACKET_MAX_COND].  There the computed pivots leave the bracket by at most
-# 7.4e-12·φ·Σ|h_p|² relative (the largest excursion measured, on the 1×4096
-# grid; 5e-13 on 64×64, 2e-14 on 16×16), so by at most 4.9e-7, 30 times less
-# than the slack.  Every other trial gets its exact pivots.
+# BRACKET_MAX_COND].  There the computed pivots stay within the slack on
+# every grid that MAX_TRIAL_CELLS admits: tests/test_equalizers.py's
+# test_pivots_lie_in_the_bracket_at_the_domain_corners checks them on the
+# 1×4096, 4096×1 and 64×64 grids, near-null draws at 0.9·BRACKET_MAX_COND
+# included, where they leave the bracket by at most 4.5e-8 relative.  Every
+# other trial gets its exact pivots.
 BRACKET_SLACK = 2.0**-16
 BRACKET_MAX_COND = 2.0**16
 
@@ -131,6 +137,9 @@ class ScenarioConfig:
                 raise ConfigError(key, "grid dimensions must be >= 1")
         if self.k_users < 1:
             raise ConfigError("k_users", "must be >= 1")
+        for key, rows in (("n", self.n), ("k_users", self.k_users)):
+            if (cells := int(rows) * int(self.m)) > MAX_TRIAL_CELLS:  # numpy ints would wrap
+                raise ConfigError(key, f"{key}*m = {cells} exceeds {MAX_TRIAL_CELLS}")
         if self.scheduler not in SCHEDULERS:
             raise ConfigError("scheduler", f"must be one of {SCHEDULERS}")
         if self.scheduler == "random" and self.k_users < self.m:
@@ -142,11 +151,10 @@ class ScenarioConfig:
                 raise ConfigError(key, "target rates must be in (0, 1024) bits per use")
         if self.equalizer not in EQUALIZERS:
             raise ConfigError("equalizer", f"must be one of {EQUALIZERS}")
-        if self.equalizer == "dfe" and self.n * self.m > MAX_DFE_CELLS:
-            raise ConfigError("equalizer", f"dfe needs n*m <= {MAX_DFE_CELLS}, "
-                              f"got {self.n * self.m}")
         if self.rate_mode not in RATE_MODES:
             raise ConfigError("rate_mode", f"must be one of {RATE_MODES}")
+        if self.direction == "downlink" and self.rate_mode != "fixed":
+            raise ConfigError("rate_mode", "the downlink has fixed rates only")
         if not self.snr_db:
             raise ConfigError("snr_db", "SNR grid must be nonempty")
         if not all(abs(s) <= 3000.0 for s in self.snr_db):  # so ρ is a finite normal float
@@ -318,23 +326,23 @@ def _block_draws(cfg: ScenarioConfig, rng, trials: int):
 
 
 def _channel_state(cfg: ScenarioConfig, h0, hk, draws):
-    """(h0, a0, hk, ak, sel, gsel) of some trials: their gains, U0's (T, N, M)
-    and the static users' (T, K, M) squared spectra, then the scheduled user
-    per subchannel and its squared gain, both (T, M)."""
+    """(h0, a0, ak, sel, gsel) of some trials: U0's gains and (T, N, M)
+    squared spectrum, the static users' (T, K, M) squared spectra, then the
+    scheduled user per subchannel and its squared gain, both (T, M)."""
     a0 = power_spectrum(cfg.u0_profile, h0, cfg.n, cfg.m)
     ak = power_spectrum(cfg.noma_profile, hk, 1, cfg.m)[..., 0, :]
     sel = batch_schedule(ak, cfg.scheduler, draws, cfg.m)
-    return h0, a0, hk, ak, sel, ak[np.arange(len(sel))[:, None], sel, np.arange(cfg.m)]
+    return h0, a0, ak, sel, ak[np.arange(len(sel))[:, None], sel, np.arange(cfg.m)]
 
 
 def scenario_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
     """Draw the block, then run ``cfg.direction``'s samples function on
-    sub-batches of at most SUB_BATCH_CELLS // (max(N, K)·M) trials, at least
-    one, sized by the larger of U0's N×M and the static users' K×M arrays,
-    and join each metric's per-trial samples in trial order."""
+    sub-batches of at most SUB_BATCH_CELLS // (max(N, K)·M) trials, sized by
+    the larger of U0's N×M and the static users' K×M arrays, and join each
+    metric's per-trial samples in trial order."""
     samples_of = _downlink_samples if cfg.direction == "downlink" else _uplink_samples
     h0, hk, draws = _block_draws(cfg, rng, trials)
-    step = max(1, SUB_BATCH_CELLS // (max(cfg.n, cfg.k_users) * cfg.m))
+    step = SUB_BATCH_CELLS // (max(cfg.n, cfg.k_users) * cfg.m)
     parts = []
     for lo in range(0, trials, step):
         part = slice(lo, lo + step)
@@ -342,7 +350,7 @@ def scenario_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
     return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 
 
-def _downlink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
+def _downlink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
     """Downlink outages of U0 (NOMA split and OMA baseline) and of the
     scheduled NOMA users' two-stage SIC, with the outage sum rates."""
     power = PowerAllocation.split(cfg.gamma0_sq)
@@ -375,7 +383,7 @@ def _downlink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
     return samples
 
 
-def _uplink_samples(cfg, rho, h0, a0, hk, ak, sel, gsel) -> dict:
+def _uplink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
     """Uplink stage-I cell SINRs of the scheduled NOMA users and U0's
     stage-II outage; fixed-rate outages or the adaptive ergodic rate gain."""
     epsi = 2.0**cfg.rate_noma - 1.0

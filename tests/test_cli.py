@@ -60,14 +60,21 @@ class TestSimulate:
             main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "x.csv"),
                   "--trials", "0"])
 
-    def test_oversize_dfe_names_field(self, tmp_path):
+    @pytest.mark.parametrize("equalizer", ["le", "dfe"])
+    @pytest.mark.parametrize("size, name", [
+        ("n = 128\nm = 64\nk_users = 64", "n"),
+        ("n = 99999999999999999999\nm = 4\nk_users = 4", "n"),
+        (f"n = 4\nm = 4\nk_users = {10**20}", "k_users"),
+    ], ids=["128x64", "huge-n", "huge-k_users"])
+    def test_oversize_names_field(self, tmp_path, size, name, equalizer):
         path = tmp_path / "big.cfg"
-        path.write_text(TINY_CONFIG.replace("n = 4\nm = 4\nk_users = 4",
-                                            "n = 128\nm = 64\nk_users = 64")
-                        .replace("equalizer = le", "equalizer = dfe"))
+        path.write_text(TINY_CONFIG.replace("n = 4\nm = 4\nk_users = 4", size)
+                        .replace("equalizer = le", f"equalizer = {equalizer}"))
         out = tmp_path / "x.csv"
-        with pytest.raises(SystemExit, match="invalid scenario config: equalizer: "):
+        with pytest.raises(SystemExit) as exc:
             main(["simulate", "--config", str(path), "--out", str(out)])
+        message = str(exc.value.code)
+        assert message.startswith(f"invalid scenario config: {name}: ") and "\n" not in message
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -15,7 +15,8 @@ from otfsnoma import equalizers
 from otfsnoma.equalizers import (batch_dfe_lambdas, batch_noise_enhancement, batch_static_lambdas,
                                  gram_taps_from_gains, static_gram_taps)
 from otfsnoma.grid_channel import sample_gain_matrix
-from otfsnoma.harness import BRACKET_MAX_COND, BRACKET_SLACK, SUB_BATCH_CELLS
+from otfsnoma.harness import (BRACKET_MAX_COND, BRACKET_SLACK, MAX_TRIAL_CELLS,
+                              SUB_BATCH_CELLS)
 from otfsnoma.rng import substream
 from otfsnoma.transforms import dense_block_circulant, power_spectrum, static_spectrum_from_taps
 from oracles import (ChannelRealization, Domain, Frame, GenieFeedback, Grid, HardDecisionFeedback,
@@ -719,6 +720,49 @@ def test_pivots_lie_in_the_bracket(channel):
     nu = 1.0 / lam[0]
     assert nu.max() <= phi * (1.0 + slack)
     assert nu.min() >= (1.0 - slack) / energy
+
+
+# The corners of the grids that MAX_TRIAL_CELLS admits: one delay row, one
+# Doppler column with taps at both ends of the Doppler band, and the square
+# grid with taps spread over both axes.
+_CORNERS = [(1, 4096, ((0, 0), (1, 0), (2048, 0), (4095, 0))),
+            (4096, 1, ((0, 0), (0, 4095))),
+            (64, 64, ((0, 0), (5, 3), (17, 31), (63, 63)))]
+
+
+def _near_nulls(prof, gains, n, m, cond):
+    """``gains`` with the last one moved so that the spectrum nearly vanishes
+    at the cells where every path's phasor is the same, cell (0, 0) among
+    them, and φ·Σ|h_p|² is about ``cond``."""
+    gains = gains.copy()
+    gains[:, -1] -= gains.sum(axis=1)  # D = Σ_p h_p = 0 at (0, 0)
+    power = power_spectrum(prof, gains, n, m)
+    nulls = power <= 1e-24
+    rest = np.where(nulls, 0.0, 1.0 / np.where(nulls, 1.0, power)).mean(axis=(-2, -1))
+    energy = np.sum(np.abs(gains) ** 2, axis=1)
+    gains[:, -1] += np.sqrt(nulls.sum(axis=(-2, -1)) / (n * m * (cond / energy - rest)))
+    return gains
+
+
+@pytest.mark.parametrize("n, m, paths", _CORNERS, ids=["1x4096", "4096x1", "64x64"])
+def test_pivots_lie_in_the_bracket_at_the_domain_corners(n, m, paths):
+    # the harness's BRACKET_SLACK holds wherever it trusts the bracket, up to
+    # φ·Σ|h_p|² = BRACKET_MAX_COND, on the largest grids a config can have:
+    # 12 random draws and 4 near-null ones at 0.9·BRACKET_MAX_COND
+    assert n * m == MAX_TRIAL_CELLS
+    prof = ChannelProfile(paths=paths)
+    gains = sample_gain_matrix(prof, substream(20, n), 16)
+    gains[12:] = _near_nulls(prof, gains[12:], n, m, 0.9 * BRACKET_MAX_COND)
+    lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, gains, n, m)
+    phi = batch_noise_enhancement(power_spectrum(prof, gains, n, m), (-2, -1))
+    energy = np.sum(np.abs(gains) ** 2, axis=1)
+    cond = phi * energy
+    assert np.all((0.5 * BRACKET_MAX_COND < cond[12:]) & (cond[12:] <= BRACKET_MAX_COND))
+    trusted = cond <= BRACKET_MAX_COND
+    assert ok[trusted].all()
+    nu = 1.0 / lam[trusted]
+    assert np.all(nu.max(axis=1) <= phi[trusted] * (1.0 + BRACKET_SLACK))
+    assert np.all(nu.min(axis=1) >= (1.0 - BRACKET_SLACK) / energy[trusted])
 
 
 @settings(max_examples=100, deadline=None)

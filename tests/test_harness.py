@@ -146,7 +146,7 @@ class TestConfig:
         dict(rate_u0=0.0),
         dict(u0_profile=ChannelProfile(paths=((9, 0),))),
         dict(noma_profile=ChannelProfile(paths=((0, 1),))),
-        dict(equalizer="dfe", n=128, m=64, k_users=64),  # beyond MAX_DFE_CELLS
+        dict(equalizer="dfe", n=128, m=64, k_users=64),  # beyond MAX_TRIAL_CELLS
     ])
     def test_validation_errors(self, overrides):
         with pytest.raises(ConfigError):
@@ -159,7 +159,7 @@ class TestConfig:
         (dict(rate_noma=-1.0), "rate_noma"),
         (dict(u0_profile=ChannelProfile(paths=((9, 0),))), "u0_profile"),
         (dict(noma_profile=ChannelProfile(paths=((9, 0),))), "noma_profile"),
-        (dict(equalizer="dfe", n=128, m=64, k_users=64), "equalizer"),
+        (dict(equalizer="dfe", n=128, m=64, k_users=64), "n"),
         (dict(rate_u0=math.nan), "rate_u0"),
         (dict(rate_noma=math.inf), "rate_noma"),
         (dict(rate_noma=1024.0), "rate_noma"),
@@ -175,6 +175,12 @@ class TestConfig:
         (dict(trials=100.5), "trials"),
         (dict(seed=1.5), "seed"),
         (dict(m=8.0), "m"),
+        (dict(rate_mode="adaptive"), "rate_mode"),  # the downlink reads no rate mode
+        (dict(equalizer="le", n=128, m=64, k_users=64), "n"),  # beyond MAX_TRIAL_CELLS
+        (dict(n=99999999999999999999), "n"),
+        (dict(k_users=10**20), "k_users"),
+        (dict(k_users=513), "k_users"),  # 4104 static-user cells
+        (dict(n=np.int64(2**62)), "n"),  # n·m wraps to 0 in int64
     ])
     def test_validation_error_names_one_key(self, overrides, field):
         with pytest.raises(ConfigError) as exc:
@@ -453,8 +459,9 @@ class TestKernelsMatchReceivers:
         tx = build_tx_frame(grid, np.zeros((4, 4)), np.zeros((4, 4)), power)
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
             samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
-            h0, _, hk, _, sel, _ = _channel_state(
-                cfg, *_block_draws(cfg, substream(cfg.seed, 0), self.TRIALS))
+            draws = _block_draws(cfg, substream(cfg.seed, 0), self.TRIALS)
+            h0, _, _, sel, _ = _channel_state(cfg, *draws)
+            hk = draws[1]
             link = LinkConfig(rho=rho, rate_u0=cfg.rate_u0, rate_noma=cfg.rate_noma)
             for t in range(self.TRIALS):
                 r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
@@ -478,8 +485,9 @@ class TestKernelsMatchReceivers:
         eps0, epsi = 2.0**cfg.rate_u0 - 1.0, 2.0**cfg.rate_noma - 1.0
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
             samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
-            h0, _, hk, _, sel, _ = _channel_state(
-                cfg, *_block_draws(cfg, substream(cfg.seed, 0), self.TRIALS))
+            draws = _block_draws(cfg, substream(cfg.seed, 0), self.TRIALS)
+            h0, _, _, sel, _ = _channel_state(cfg, *draws)
+            hk = draws[1]
             for t in range(self.TRIALS):
                 r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
                 stage2_out = uplink_stage2_sinrs(r0, grid, rho, equalizer) < eps0

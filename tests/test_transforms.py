@@ -375,6 +375,11 @@ for prof, trials, k, n, m in ((default_noma_profile(), 4096, 16, 1, 16),
                               (table1_profile(), 64, 1, 64, 64)):
     gains = sample_gain_matrix(prof, substream(1, 0), trials * k).reshape(trials, k, -1)
     power_spectrum(prof, gains, n, m)
+    for _ in range(40):  # until OpenBLAS's idle workers stop spinning
+        cpu = time.process_time()
+        time.sleep(0.05)
+        if time.process_time() - cpu < 0.005:
+            break
     wall, cpu = time.perf_counter(), time.process_time()
     for _ in range(20):
         power_spectrum(prof, gains, n, m)
@@ -388,7 +393,11 @@ def test_power_spectrum_stays_on_one_thread():
     # (a thread pool, once started, would stay), the grouped products of a
     # 4096-trial block on 16×16 (K = 16 static users, and U0) and of a
     # 64-trial block on 64×64 spend no more process time than wall time;
-    # multithreaded products showed 1.4 to 2.0 times the wall time.
+    # multithreaded products showed 1.4 to 2.0 times the wall time.  An
+    # OpenBLAS worker spins for tens of milliseconds after it starts, or after
+    # a threaded call, before it sleeps, so each case times its products only
+    # once the process has gone idle: a start-up spin that overlapped the
+    # first case billed it 1.2 to 1.6 times its wall time.
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", _ONE_THREAD_CODE], env=env, check=True,
