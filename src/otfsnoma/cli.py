@@ -19,12 +19,27 @@ from .harness import (
 from .uplink import closed_form_outage, error_floor
 
 
-def _parse_params(pairs):
+# Each formula's parameters, in the order its function takes them.
+_FORMULA_PARAMS = {
+    "corollary1": ("p0", "rho_db", "gamma0_sq", "gamma1_sq", "r0"),
+    "closedform": ("k", "epsilon", "rho_db"),
+    "floor": ("k", "epsilon"),
+}
+
+
+def _parse_params(pairs, formula):
+    """The formula's parameters from ``key=value`` pairs, each given once."""
+    names = _FORMULA_PARAMS[formula]
     out = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep:
             raise SystemExit(f"analytic parameters must be key=value, got {pair!r}")
+        if key not in names:
+            raise SystemExit(f"invalid analytic parameter: {key}: not a parameter of {formula} "
+                             f"({', '.join(names)})")
+        if key in out:
+            raise SystemExit(f"invalid analytic parameter: {key}: given more than once")
         try:
             out[key] = float(value)
         except ValueError:
@@ -32,14 +47,10 @@ def _parse_params(pairs):
         if not math.isfinite(out[key]):
             raise SystemExit(f"invalid analytic parameter: {key}: must be a finite number, "
                              f"got {value!r}")
-    return out
-
-
-def _require(params, *names):
-    missing = [n for n in names if n not in params]
+    missing = [n for n in names if n not in out]
     if missing:
         raise SystemExit(f"missing analytic parameters: {', '.join(missing)}")
-    return [params[n] for n in names]
+    return [out[n] for n in names]
 
 
 # The input range of the user count K and of P₀; the closed forms cost O(K).
@@ -78,18 +89,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
-    params = _parse_params(args.params)
+    params = _parse_params(args.params, args.formula)
     try:
         if args.formula == "corollary1":
-            p0, rho_db, g0, g1, r0 = _require(params, "p0", "rho_db", "gamma0_sq",
-                                              "gamma1_sq", "r0")
+            p0, rho_db, g0, g1, r0 = params
             value = corollary1_outage(_count("p0", p0, 0), 10.0 ** (rho_db / 10.0),
                                       g0, g1, r0)
         elif args.formula == "closedform":
-            k, eps, rho_db = _require(params, "k", "epsilon", "rho_db")
+            k, eps, rho_db = params
             value = closed_form_outage(_count("k", k, 1), eps, 10.0 ** (rho_db / 10.0))
         else:
-            k, eps = _require(params, "k", "epsilon")
+            k, eps = params
             value = error_floor(_count("k", k, 1), eps)
     except ValueError as exc:
         raise SystemExit(f"invalid analytic parameters: {exc}") from exc
@@ -127,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     ana = sub.add_parser("analytic", help="evaluate a closed-form outage expression")
-    ana.add_argument("--formula", required=True,
-                     choices=("corollary1", "closedform", "floor"))
+    ana.add_argument("--formula", required=True, choices=tuple(_FORMULA_PARAMS))
     ana.add_argument("--params", nargs="+", default=[], metavar="KEY=VALUE",
                      help="formula parameters, e.g. k=16 epsilon=1 rho_db=40")
     ana.set_defaults(func=_cmd_analytic)

@@ -144,8 +144,10 @@ class ScenarioConfig:
             raise ConfigError("scheduler", f"must be one of {SCHEDULERS}")
         if self.scheduler == "random" and self.k_users < self.m:
             raise ConfigError("k_users", "random scheduling needs k_users >= m")
-        if not (0.0 < self.gamma0_sq <= 1.0):
-            raise ConfigError("gamma0_sq", "must be in (0, 1]")
+        try:
+            PowerAllocation.split(self.gamma0_sq)  # the split the downlink runs on
+        except ValueError as exc:
+            raise ConfigError("gamma0_sq", f"not a valid power split: {exc}") from exc
         for key in ("rate_u0", "rate_noma"):
             if not 0.0 < getattr(self, key) < 1024.0:  # so 2^R − 1 is a finite float
                 raise ConfigError(key, "target rates must be in (0, 1024) bits per use")

@@ -155,9 +155,15 @@ class TestSlope:
     (["slope", "--in", "{tmp}/empty.csv", "--metric", "u0_outage"], "in"),
     (["slope", "--in", "{tmp}/trials0.csv", "--metric", "u0_outage"], "in"),
     (["slope", "--in", "{tmp}/trials-3.csv", "--metric", "u0_outage"], "in"),
+    (["simulate", "--config", "{tmp}/gamma0_sq.cfg", "--out", "{tmp}/x.csv"], "gamma0_sq"),
+    (["analytic", "--formula", "closedform", "--params", "k=16", "k=4", "epsilon=1",
+      "rho_db=40"], "k"),
+    (["analytic", "--formula", "floor", "--params", "k=4", "epsilon=1", "p0=3"], "p0"),
 ])
 def test_bad_input_exits_with_one_line_naming_it(argv, name, config_file, tmp_path):
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "gamma0_sq.cfg").write_text(TINY_CONFIG.replace("gamma0_sq = 0.75",
+                                                                "gamma0_sq = 1e-17"))
     for trials in (0, -3):  # a point needs at least one trial
         rows = "".join(f"{db},u0_outage,{0.5 / 10**db},0,{trials}\n" for db in (1, 2, 3))
         (tmp_path / f"trials{trials}.csv").write_text("snr_db,metric,value,ci_halfwidth,trials\n"
@@ -168,7 +174,8 @@ def test_bad_input_exits_with_one_line_naming_it(argv, name, config_file, tmp_pa
     assert "\n" not in message and re.search(rf"\b{name}\b", message), message
 
 
-def test_shipped_configs_parse():
+def test_shipped_configs_parse(tmp_path):
+    """Every config in configs/ parses and runs, and its CSV parses."""
     import glob
     import os
 
@@ -178,4 +185,24 @@ def test_shipped_configs_parse():
     paths = sorted(glob.glob(os.path.join(here, "*.cfg")))
     assert len(paths) >= 4
     for p in paths:
-        parse_config_file(p)
+        cfg = parse_config_file(p)
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", p, "--out", str(out), "--trials", "16"]) == 0
+        assert {q.snr_db for q in read_csv_points(out)} == set(cfg.snr_db)
+
+
+def test_readme_figures_match_configs():
+    """The README's figure table names every config in configs/, and every
+    configs/ path the README names exists."""
+    import glob
+    import os
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    figures = readme.split("\n## Figures\n", 1)[1].split("\n## ", 1)[0]
+    table = "\n".join(line for line in figures.splitlines() if line.startswith("|"))
+    shipped = {os.path.basename(p) for p in glob.glob(os.path.join(root, "configs", "*.cfg"))}
+    assert shipped <= set(re.findall(r"configs/([\w.-]+\.cfg)", table))
+    for path in set(re.findall(r"configs/[\w.-]*\w", readme)):
+        assert os.path.exists(os.path.join(root, path)), path

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
@@ -30,11 +30,14 @@ from oracles import (ChannelRealization, Grid, LinkConfig, UserPool, build_block
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
-SHIPPED_CONFIGS = [open(p, encoding="utf-8").read() for p in
-                   sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))]
+SHIPPED_CONFIGS = {os.path.basename(p): open(p, encoding="utf-8").read()
+                   for p in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))}
 EDGE_VALUES = ("", "nan", "inf", "-inf", "0", "-1", "1e400", "1e-320", "99999999999999999999",
                "99999999999999999999:0", "0:99999999999999999999", "1:2:3", "0:0,0:0", ",", "0,inf",
                "0,nan", "5,0", "dfe", "uplink", "greedy", "adaptive", "1" * 5000)
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
+# Integers at the edges of the 64-bit ranges: ±2⁶³ and 2⁶⁴ ± 1.
+LARGE_INTS = (2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**64 - 1, 2**64, 2**64 + 1)
 
 
 def small_config(**overrides):
@@ -115,21 +118,26 @@ class TestConfig:
         assert parse_config_file(path) == parse_config_text(CONFIG_TEXT)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.sampled_from(SHIPPED_CONFIGS), st.data())
-    def test_parse_fuzz_raises_only_config_errors(self, text, data):
-        """Replace one value of a shipped config: the text parses, or the
-        ConfigError names a config key or a line."""
-        lines = text.splitlines()
-        i = data.draw(st.sampled_from([i for i, s in enumerate(lines) if "=" in s.split("#")[0]]))
-        value = data.draw(st.one_of(
-            st.sampled_from(EDGE_VALUES), st.integers().map(str), st.floats().map(repr),
-            st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")))))
-        lines[i] = lines[i].partition("=")[0] + "= " + value
+    @given(st.sampled_from(sorted(SHIPPED_CONFIGS)),
+           st.sampled_from(CONFIG_KEYS),
+           st.one_of(st.sampled_from(EDGE_VALUES), st.integers().map(str), st.floats().map(repr),
+                     st.sampled_from(LARGE_INTS).map(str),
+                     st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")))))
+    @example("downlink_sum_rate_le.cfg", "gamma0_sq", "1e-17")  # γ₁² = 1 − 1e-17 rounds to 1
+    def test_parse_fuzz_raises_only_config_errors(self, name, key, value):
+        """Set one key of a shipped config: the text parses and runs one trial
+        at its first SNR point to finite values, or the ConfigError names a
+        config key or a line."""
+        lines = [s for s in SHIPPED_CONFIGS[name].splitlines()
+                 if s.partition("=")[0].strip() != key]
         try:
-            parse_config_text("\n".join(lines))
+            cfg = parse_config_text("\n".join(lines + [f"{key} = {value}"]))
         except ConfigError as exc:
-            keys = {f.name for f in dataclasses.fields(ScenarioConfig)}
-            assert exc.field in keys or re.fullmatch(r"line \d+", exc.field)
+            assert exc.field in CONFIG_KEYS or re.fullmatch(r"line \d+", exc.field)
+            return
+        points = run_scenario(dataclasses.replace(cfg, trials=1, snr_db=cfg.snr_db[:1]))
+        assert points and all(math.isfinite(p.value) and math.isfinite(p.ci_halfwidth)
+                              for p in points)
 
     @pytest.mark.parametrize("overrides", [
         dict(direction="sideways"),
@@ -181,6 +189,7 @@ class TestConfig:
         (dict(k_users=10**20), "k_users"),
         (dict(k_users=513), "k_users"),  # 4104 static-user cells
         (dict(n=np.int64(2**62)), "n"),  # n·m wraps to 0 in int64
+        (dict(gamma0_sq=1e-17), "gamma0_sq"),  # γ₁² = 1 − 1e-17 rounds to 1
     ])
     def test_validation_error_names_one_key(self, overrides, field):
         with pytest.raises(ConfigError) as exc:
