@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 
 from .harness import (
+    MAX_SNR_DB,
     ConfigError,
     EstimatorUndefinedError,
     corollary1_outage,
@@ -47,6 +48,9 @@ def _parse_params(pairs, formula):
         if not math.isfinite(out[key]):
             raise SystemExit(f"invalid analytic parameter: {key}: must be a finite number, "
                              f"got {value!r}")
+        if key == "rho_db" and abs(out[key]) > MAX_SNR_DB:
+            raise SystemExit(f"invalid analytic parameter: {key}: must be within "
+                             f"±{MAX_SNR_DB:g} dB, got {value!r}")
     missing = [n for n in names if n not in out]
     if missing:
         raise SystemExit(f"missing analytic parameters: {', '.join(missing)}")

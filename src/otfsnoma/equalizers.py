@@ -16,7 +16,7 @@ Every pivot lies in that bracket, 1/φ ≤ λ_i ≤ Σ_p |h_p|², with G = H^H H
 - a Schur complement is at most its diagonal entry, G_ii = Σ_p |h_p|².
 
 So a symbol's outage is known without its pivot when the SINRs at both
-ends agree (``harness.u0_outage_flags``).
+ends agree (``harness.u0_outage_counts``).
 
 The pivots (:func:`batch_dfe_lambdas`) use the structure of H^H H,
 block-circulant with circulant blocks: an FFT over delay splits it into

@@ -33,6 +33,7 @@ from .transforms import power_spectrum
 from .transforms import spectrum_from_taps, static_spectrum_from_taps  # noqa: F401
 
 BLOCK_TRIALS = 4096  # fixed work-unit size; part of the determinism contract
+MAX_SNR_DB = 3000.0  # bound on every |SNR|, of configs and formulas: ρ is a finite normal float
 
 # Trials × grid cells per sub-batch.  The kernel works through a block's
 # trials in sub-batches of this size, so its working memory does not grow
@@ -52,7 +53,7 @@ SUB_BATCH_CELLS = 1 << 16
 MAX_TRIAL_CELLS = 4096
 
 # U0's FD-DFE outage flags are decided from the bracket [1/φ, Σ|h_p|²] of
-# its pivots (u0_outage_flags) with the relative slack BRACKET_SLACK on both
+# its pivots (u0_outage_counts) with the relative slack BRACKET_SLACK on both
 # ends, and only where φ·Σ|h_p|², which tracks the Gram matrix's condition
 # number and is at least 1 exactly, lies in [1 − BRACKET_SLACK,
 # BRACKET_MAX_COND].  There the computed pivots stay within the slack on
@@ -159,8 +160,8 @@ class ScenarioConfig:
             raise ConfigError("rate_mode", "the downlink has fixed rates only")
         if not self.snr_db:
             raise ConfigError("snr_db", "SNR grid must be nonempty")
-        if not all(abs(s) <= 3000.0 for s in self.snr_db):  # so ρ is a finite normal float
-            raise ConfigError("snr_db", "SNR values must be finite, within ±3000 dB")
+        if not all(abs(s) <= MAX_SNR_DB for s in self.snr_db):
+            raise ConfigError("snr_db", f"SNR values must be finite, within ±{MAX_SNR_DB:g} dB")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("snr_db", "SNR grid must be strictly increasing")
         if self.trials < 1:
@@ -191,6 +192,8 @@ class CurvePoint:
             raise ValueError("ci_halfwidth must be non-negative")
         if self.trials_used < 1:
             raise ValueError("trials_used must be >= 1")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,49 +275,51 @@ def parse_config_file(path) -> ScenarioConfig:
 #  Every receiver sees its equalizer through one value ν per symbol: the
 #  FD-LE φ, one per channel, or the FD-DFE 1/λ, one per symbol, with ν = inf
 #  on singular channels.  Its SINR is PowerAllocation.sinr(ρ, ν), whichever
-#  equalizer produced ν.  U0's φ comes from its (T, N, M) powers; its
-#  FD-DFE flags need the pivots only in the trials whose bracket
-#  [1/φ, Σ|h_p|²] straddles an outage threshold (u0_outage_flags).  The
-#  static users' stage I needs only their φ (_downlink_samples).
+#  equalizer produced ν.  U0's outage counts take one bracket rule for both
+#  equalizers, and under FD-DFE only the trials whose bracket [1/φ, Σ|h_p|²]
+#  straddles an outage threshold need pivots (u0_outage_counts).  Every
+#  outage fraction is an integer count of symbols or cells, divided once.
 # ---------------------------------------------------------------------------
 
 
-def u0_outage_flags(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> list:
-    """U0's per-symbol outage flags SINR < ε₀ under each of ``splits``, from
-    its (T, P+1) gains and (T, N, M) eigenvalue powers: (T, 1) each under
-    FD-LE, (T, NM) under FD-DFE.
+def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> list:
+    """U0's outage SINR < ε₀ under each of ``splits``, from its (T, P+1)
+    gains and (T, N, M) eigenvalue powers: per split, the count of its NM
+    symbols in outage and the flags of its first and last symbols, (T,) each.
 
-    Every FD-DFE ν = 1/λ lies in [1/Σ|h_p|², φ] (see :mod:`equalizers`), and
-    the flag only grows with ν, also in floating point.  So a trial whose
-    flag is False at ν = φ(1+δ) has no symbol in outage, provided φ(1+δ) ≤
-    1/SINGULARITY_EPS keeps every pivot above the singularity threshold; and
-    one whose flag is True at ν = (1−δ)/Σ|h_p|² has every symbol in outage,
-    singular or not.  Only a trial that some split leaves undecided, or whose
-    φ·Σ|h_p|² is outside the trusted range (NaN and inf included), gets its
-    pivots from ``batch_dfe_lambdas``, so every flag keeps the bits of the
-    exact pivots.
+    Every ν of a trial lies in a bracket [lo, hi], and the flag only grows
+    with ν, also in floating point: so no symbol is in outage if the flag is
+    False at hi, and every one if it is True at lo.  Under FD-LE the bracket
+    is the point φ; under FD-DFE it is [(1−δ)/Σ|h_p|², φ(1+δ)] around
+    [1/Σ|h_p|², φ] (see :mod:`equalizers`), trusted only where φ·Σ|h_p|² is
+    in range, and "none" also needs φ(1+δ) ≤ 1/SINGULARITY_EPS, so that no
+    pivot is singular.  Only a trial that some split leaves undecided gets
+    its pivots from ``batch_dfe_lambdas``, so every count keeps the bits of
+    the exact pivots.
     """
     eps0 = 2.0**cfg.rate_u0 - 1.0
-    phi = batch_noise_enhancement(a0, (-2, -1))
-    if cfg.equalizer == "le":
-        return [split.sinr(rho, phi[:, None]) < eps0 for split in splits]
-    energy = (h0.real**2 + h0.imag**2).sum(axis=-1)
-    with np.errstate(all="ignore"):  # φ is inf on a singular trial
-        cond = phi * energy
-        hi, lo = phi * (1.0 + BRACKET_SLACK), (1.0 - BRACKET_SLACK) / energy
-        trusted = (1.0 - BRACKET_SLACK <= cond) & (cond <= BRACKET_MAX_COND)
-        clear = trusted & (hi <= 1.0 / SINGULARITY_EPS)
+    lo = hi = phi = batch_noise_enhancement(a0, (-2, -1))
+    trusted = clear = True
+    with np.errstate(all="ignore"):  # φ is inf on a singular trial, 0 on all-inf powers
+        if cfg.equalizer == "dfe":
+            energy = (h0.real**2 + h0.imag**2).sum(axis=-1)
+            cond = phi * energy
+            hi, lo = phi * (1.0 + BRACKET_SLACK), (1.0 - BRACKET_SLACK) / energy
+            trusted = (1.0 - BRACKET_SLACK <= cond) & (cond <= BRACKET_MAX_COND)
+            clear = trusted & (hi <= 1.0 / SINGULARITY_EPS)
         every = [trusted & (split.sinr(rho, lo) < eps0) for split in splits]
         none = [clear & (split.sinr(rho, hi) >= eps0) for split in splits]
     exact = ~np.logical_and.reduce([e | n for e, n in zip(every, none)])
-    flags = [np.repeat(e[:, None], cfg.n * cfg.m, axis=1) for e in every]
+    counts = [(e * (cfg.n * cfg.m), e.copy(), e.copy()) for e in every]
     if exact.any():
         prof = cfg.u0_profile
         lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, h0[exact], cfg.n, cfg.m)
         nu = np.where(ok[:, None], 1.0 / lam, np.inf)
-        for f, split in zip(flags, splits):
-            f[exact] = split.sinr(rho, nu) < eps0
-    return flags
+        for (count, first, last), split in zip(counts, splits):
+            flags = split.sinr(rho, nu) < eps0  # (T', NM)
+            count[exact] = np.count_nonzero(flags, axis=1)
+            first[exact], last[exact] = flags[:, 0], flags[:, -1]
+    return counts
 
 
 def _block_draws(cfg: ScenarioConfig, rng, trials: int):
@@ -361,11 +366,11 @@ def _downlink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
 
     # --- U0 detection (NOMA power split and the OMA baseline) ---
     samples = {}
-    for name, flags in zip(("u0_outage", "u0_outage_oma"),
-                           u0_outage_flags(cfg, rho, h0, a0, (power, PowerAllocation.oma()))):
-        samples[name] = flags.mean(axis=1)
-        samples[name + "_first"] = flags[:, 0].copy()  # a view would pin the (T, NM) flags
-        samples[name + "_last"] = flags[:, -1].copy()
+    splits = (power, PowerAllocation.oma())
+    for name, (count, first, last) in zip(("u0_outage", "u0_outage_oma"),
+                                          u0_outage_counts(cfg, rho, h0, a0, splits)):
+        samples[name] = count / (cfg.n * cfg.m)
+        samples[name + "_first"], samples[name + "_last"] = first, last
 
     # --- NOMA users: stage-I (decode U0) then stage-II (own symbol) ---
     # Stage I needs all M of a user's symbols, so the worst one decides it.
@@ -377,7 +382,7 @@ def _downlink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
     ok1_sel = np.take_along_axis(ok1_user, sel, axis=1)
     snr2 = rho * power.gamma1_sq * gsel
     noma_out = ~(ok1_sel & (snr2 > epsi))  # (T, M); constant over the N symbols
-    noma_frac = noma_out.mean(axis=1)
+    noma_frac = np.count_nonzero(noma_out, axis=1) / cfg.m
     samples["noma_outage"] = noma_frac
     samples["outage_sum_rate_noma"] = (cfg.rate_u0 * (1.0 - samples["u0_outage"])
                                        + cfg.rate_noma * (1.0 - noma_frac))
@@ -388,20 +393,20 @@ def _downlink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
 def _uplink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
     """Uplink stage-I cell SINRs of the scheduled NOMA users and U0's
     stage-II outage; fixed-rate outages or the adaptive ergodic rate gain."""
-    epsi = 2.0**cfg.rate_noma - 1.0
+    epsi, nm = 2.0**cfg.rate_noma - 1.0, cfg.n * cfg.m
     sinr1 = rho * gsel[:, None, :] / (rho * a0 + 1.0)  # (T, N, M)
 
     # stage-II for U0 is interference-free once the NOMA signals are removed
-    stage2_out, = u0_outage_flags(cfg, rho, h0, a0, (PowerAllocation.oma(),))
-    stage2_frac = stage2_out.mean(axis=1)
+    (stage2_count, _, _), = u0_outage_counts(cfg, rho, h0, a0, (PowerAllocation.oma(),))
+    stage2_frac = stage2_count / nm
 
     if cfg.rate_mode == "adaptive":
         return {"ergodic_rate_gain": np.log2(1.0 + sinr1).mean(axis=(1, 2)),
                 "u0_outage": stage2_frac}
-    cell_ok = sinr1 > epsi
-    noma_frac = 1.0 - cell_ok.mean(axis=(1, 2))
-    joint_ok = ~stage2_out & cell_ok.all(axis=(1, 2))[:, None]
-    u0_joint = 1.0 - joint_ok.mean(axis=1)
+    cells_ok = np.count_nonzero(sinr1 > epsi, axis=(1, 2))
+    noma_frac = 1.0 - cells_ok / nm
+    # 1 − the share decoded, not count / nm, which can differ in the last bit unless NM = 2^k
+    u0_joint = 1.0 - np.where(cells_ok == nm, nm - stage2_count, 0) / nm
     return {
         "noma_outage": noma_frac,
         "u0_outage": u0_joint,
@@ -520,13 +525,16 @@ def diversity_slope(points: list) -> float:
     """Least-squares slope of log10(P) vs log10(ρ) over reliable points.
 
     Points are reliable when their outage lies in [10/trials, 0.1]; fewer
-    than three reliable points raises :class:`EstimatorUndefinedError`.
+    than three reliable points, or reliable points at fewer than two distinct
+    SNRs, raise :class:`EstimatorUndefinedError`.
     """
     usable = [p for p in points
               if 10.0 / p.trials_used <= p.value <= 0.1]
     if len(usable) < 3:
         raise EstimatorUndefinedError(
             f"need >= 3 points with outage in [10/trials, 0.1], have {len(usable)}")
+    if len({p.snr_db for p in usable}) < 2:
+        raise EstimatorUndefinedError("the reliable points need >= 2 distinct snr_db values")
     x = np.array([p.snr_db / 10.0 for p in usable])
     y = np.log10([p.value for p in usable])
     return float(np.polyfit(x, y, 1)[0])

@@ -641,14 +641,18 @@ def noma_stage2(realization: ChannelRealization, grid: Grid, rho: float,
     return float(rho * gamma1_sq * np.abs(d[user_index - 1]) ** 2)
 
 
-def exact_u0_outage_flags(cfg, rho: float, h0, a0, splits) -> list:
-    """U0's per-symbol outage flags under each of ``splits``, with every
-    trial's ν from ``user_noise_enhancement``: under FD-DFE, the pivots of
-    every trial, where ``harness.u0_outage_flags`` decides most trials from
-    the bracket [1/φ, Σ|h_p|²] and must give the same bits."""
+def exact_u0_outage_counts(cfg, rho: float, h0, a0, splits) -> list:
+    """U0's outage count and first and last flags under each of ``splits``,
+    reduced from every symbol's flag with every trial's ν from
+    ``user_noise_enhancement``: under FD-DFE, the pivots of every trial,
+    where ``harness.u0_outage_counts`` decides most trials from the bracket
+    [1/φ, Σ|h_p|²] and must give the same bits."""
     eps0 = 2.0**cfg.rate_u0 - 1.0
     nu = user_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
-    return [split.sinr(rho, nu) < eps0 for split in splits]
+    with np.errstate(divide="ignore"):  # the OMA SINR at FD-LE's φ = 0 (all-inf powers)
+        flags = [np.broadcast_to(split.sinr(rho, nu) < eps0, (len(h0), cfg.n * cfg.m))
+                 for split in splits]
+    return [(np.count_nonzero(f, axis=1), f[:, 0], f[:, -1]) for f in flags]
 
 
 def noma_outage(stage1_sinrs: np.ndarray, stage2_snr: float, link: LinkConfig) -> bool:

@@ -159,6 +159,12 @@ class TestSlope:
     (["analytic", "--formula", "closedform", "--params", "k=16", "k=4", "epsilon=1",
       "rho_db=40"], "k"),
     (["analytic", "--formula", "floor", "--params", "k=4", "epsilon=1", "p0=3"], "p0"),
+    (["analytic", "--formula", "corollary1", "--params", "p0=3", "rho_db=4000",
+      "gamma0_sq=0.75", "gamma1_sq=0.25", "r0=0.5"], "rho_db"),
+    (["analytic", "--formula", "closedform", "--params", "k=16", "epsilon=1",
+      "rho_db=-4000"], "rho_db"),
+    (["slope", "--in", "{tmp}/one_snr.csv", "--metric", "u0_outage"], "snr_db"),
+    (["slope", "--in", "{tmp}/nonfinite_snr.csv", "--metric", "u0_outage"], "in"),
 ])
 def test_bad_input_exits_with_one_line_naming_it(argv, name, config_file, tmp_path):
     (tmp_path / "empty.csv").write_text("")
@@ -168,6 +174,9 @@ def test_bad_input_exits_with_one_line_naming_it(argv, name, config_file, tmp_pa
         rows = "".join(f"{db},u0_outage,{0.5 / 10**db},0,{trials}\n" for db in (1, 2, 3))
         (tmp_path / f"trials{trials}.csv").write_text("snr_db,metric,value,ci_halfwidth,trials\n"
                                                       + rows)
+    for stem, snrs in (("one_snr", (0, 0, 0)), ("nonfinite_snr", (10, "inf", "nan"))):
+        rows = "".join(f"{db},u0_outage,0.01,0,10000\n" for db in snrs)
+        (tmp_path / f"{stem}.csv").write_text("snr_db,metric,value,ci_halfwidth,trials\n" + rows)
     with pytest.raises(SystemExit) as exc:
         main([a.format(tmp=tmp_path, cfg=config_file) for a in argv])
     message = str(exc.value.code)

@@ -24,7 +24,7 @@ from otfsnoma.harness import (_block_draws, _channel_state, parse_config_file, p
                               scenario_kernel)
 from otfsnoma.rng import substream
 from oracles import (ChannelRealization, Grid, LinkConfig, UserPool, build_block_circulant,
-                     build_tx_frame, diagonalize, exact_u0_outage_flags, noma_outage, noma_stage1,
+                     build_tx_frame, diagonalize, exact_u0_outage_counts, noma_outage, noma_stage1,
                      noma_stage2, nomauser_diagonalize, per_subchannel_schedule, u0_receive,
                      uplink_stage1_sinr, uplink_stage2_sinrs)
 
@@ -615,9 +615,10 @@ def _bracket_undecided(cfg, rho, h0, a0):
 
 
 class TestPivotBracket:
-    """U0's FD-DFE flags, decided for most trials from the pivot bracket
-    [1/φ, Σ|h_p|²] (harness.u0_outage_flags), keep the bits of the exact
-    pivots of every trial (oracles.exact_u0_outage_flags)."""
+    """U0's outage counts, decided for most FD-DFE trials from the pivot
+    bracket [1/φ, Σ|h_p|²] and for every FD-LE trial from the point φ
+    (harness.u0_outage_counts), keep the bits of every trial's exact ν
+    (oracles.exact_u0_outage_counts)."""
 
     TRIALS = 100
     SINGULAR, TINY = TestSubBatches.SINGULAR, 17
@@ -626,10 +627,10 @@ class TestPivotBracket:
     @staticmethod
     def _both(monkeypatch, cfg, rho, trials):
         """The kernel's samples, and those of the kernel with every trial's
-        flags from exact pivots."""
+        outage counts from its exact ν."""
         fast = scenario_kernel(cfg, rho, substream(cfg.seed, 0), trials)
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "u0_outage_flags", exact_u0_outage_flags)
+            patch.setattr(harness, "u0_outage_counts", exact_u0_outage_counts)
             exact = scenario_kernel(cfg, rho, substream(cfg.seed, 0), trials)
         assert fast.keys() == exact.keys()
         return fast, exact
@@ -639,14 +640,18 @@ class TestPivotBracket:
         dict(gamma0_sq=0.55, n=4, u0_profile=ChannelProfile(paths=((2, 0), (6, 0), (5, 1)))),
         dict(direction="uplink", scheduler="per_subchannel"),
         dict(direction="uplink", scheduler="per_subchannel", rate_mode="adaptive"),
-    ], ids=["downlink", "downlink-0.55", "uplink-fixed", "uplink-adaptive"])
+        dict(equalizer="le"),
+        dict(equalizer="le", direction="uplink", scheduler="per_subchannel"),
+    ], ids=["downlink", "downlink-0.55", "uplink-fixed", "uplink-adaptive", "downlink-le",
+            "uplink-fixed-le"])
     def test_samples_equal_the_exact_pivots(self, monkeypatch, overrides):
         # from -30 to 300 dB and at 3000 dB, with an equal-gain singular U0 in
         # trial 42; U0 gains scaled by 1e-7 in trial 17, well conditioned but
-        # with every pivot below SINGULARITY_EPS; and U0 spectra that do not
-        # fit the gains: a NaN, so φ = inf, in trial 3, and all inf, so φ = 0,
-        # in trial 7
-        cfg = small_config(equalizer="dfe", **overrides)
+        # with every pivot below SINGULARITY_EPS (FD-LE's |D|² ≈ 1e-14 are
+        # above SINGULARITY_EPS², so that trial is regular there); and U0
+        # spectra that do not fit the gains: a NaN, so φ = inf, in trial 3,
+        # and all inf, so φ = 0, in trial 7
+        cfg = small_config(**{"equalizer": "dfe", **overrides})
         draw_gains, spectrum = harness.sample_gain_matrix, harness.power_spectrum
 
         def with_odd_u0_gains(profile, rng, count):
@@ -669,7 +674,8 @@ class TestPivotBracket:
             fast, exact = self._both(monkeypatch, cfg, 10.0 ** (rho_db / 10.0), self.TRIALS)
             for name, samples in exact.items():
                 assert np.array_equal(fast[name], samples, equal_nan=True), (rho_db, name)
-            assert fast["u0_outage"][self.SINGULAR] == fast["u0_outage"][self.TINY] == 1.0
+            if cfg.equalizer == "dfe":
+                assert fast["u0_outage"][self.SINGULAR] == fast["u0_outage"][self.TINY] == 1.0
 
     @pytest.mark.parametrize("offsets", [None, np.geomspace(1e-6, 2e-6, 13)],
                              ids=["typical", "ill-conditioned"])
@@ -839,15 +845,29 @@ _FAULTS_PER_TRIAL = """
 import dataclasses, resource, sys
 sys.path.insert(0, sys.argv[1])
 from otfsnoma.harness import parse_config_file, run_scenario
-cfg = dataclasses.replace(parse_config_file(sys.argv[2]), trials=128)
-for _ in range(3):
+cfg = dataclasses.replace(parse_config_file(sys.argv[2]), trials=int(sys.argv[3]))
+warmups, repeats = int(sys.argv[4]), int(sys.argv[5])
+for _ in range(warmups):
     run_scenario(cfg)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
+for _ in range(repeats):
     run_scenario(cfg)
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-print(faults / (20 * cfg.trials * len(cfg.snr_db)))
+print(faults / (repeats * cfg.trials * len(cfg.snr_db)))
 """
+
+
+def _faults_per_trial(config: str, trials: int, warmups: int, repeats: int) -> float:
+    """Minor page faults per trial of ``repeats`` runs of a shipped config
+    at ``trials`` trials a point, after ``warmups`` runs, in a fresh
+    interpreter."""
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", config)
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_TRIAL, src, path,
+                          *map(str, (trials, warmups, repeats))],
+                         capture_output=True, text=True, check=True)
+    return float(out.stdout)
 
 
 def test_dfe_runs_take_no_page_faults():
@@ -855,9 +875,12 @@ def test_dfe_runs_take_no_page_faults():
     # benchmark's size, reuses its memory instead of faulting it back in:
     # with the pivots' working memory freed after every call, a fresh
     # interpreter took 1.6 to 5 minor page faults per trial.
-    pytest.importorskip("resource")
-    src = os.path.dirname(os.path.dirname(harness.__file__))
-    path = os.path.join(os.path.dirname(__file__), "..", "configs", "downlink_outage_dfe.cfg")
-    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_TRIAL, src, path],
-                         capture_output=True, text=True, check=True)
-    assert float(out.stdout) < 0.5
+    assert _faults_per_trial("downlink_outage_dfe.cfg", 128, 3, 20) < 0.5
+
+
+def test_uplink_blocks_take_no_page_faults():
+    # After warm-up, the shipped fixed-rate uplink config at 4096 trials per
+    # point, one block, reuses its memory: it took no minor page faults per
+    # trial, where drawing the static users' gains per sub-batch instead of
+    # per block took 2.1.
+    assert _faults_per_trial("uplink_fixed_per_subchannel.cfg", 4096, 1, 3) < 0.5
