@@ -24,11 +24,18 @@ Hermitian-Toeplitz problems that Schur's recursion solves without forming
 the NM×NM Gram matrix.  The Gram matrix is banded over Doppler, since every
 path pair's Doppler lag k_q − k_p lies in [−h, h] mod N with h = max k_p −
 min k_p (h = 1 for Table 1), and the recursion's generators stay zero
-outside that band; so the cost is O(NM(h+M)) per trial.  The recursions run
-in one pass over every trial of a call, in place on a per-thread workspace
-that persists across calls and grows to the largest call so far, so repeated
-calls reuse its memory instead of faulting new memory in.  The caller bounds
-each call, and with it the workspace.
+outside that band.  It is also a lattice: with e = gcd(N, k_p − k_0 over the
+paths) and d = gcd(M, l_p − l_0), every tap sits at a Doppler lag divisible
+by e and a delay lag divisible by d, so G is the direct sum of e·d copies of
+the (N/e)×(M/d) Gram matrix of taps k_p // e, l_p // d (d = 4, e = 1 for
+Table 1 on 16×16).  A symbol's Schur complement given every later symbol
+sees only its copy's later symbols, in the same order, so symbol (k, l)
+takes that problem's pivot of (k // e, l // d).  The cost is
+O((NM/ed)(h′ + M/d)) per trial, h′ = h/e.  The recursions run in one pass
+over every trial of a call, in place on a per-thread workspace that persists
+across calls and grows to the largest call so far, so repeated calls reuse
+its memory instead of faulting new memory in.  The caller bounds each call,
+and with it the workspace.
 """
 
 import math
@@ -213,7 +220,8 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     stacked (..., P) gains give (..., NM) pivots.
 
     λ[kM+l] is symbol (k, l)'s Schur complement in G = HᴴH given every later
-    symbol, found from G's (T, N, M) taps without forming G:
+    symbol, found from G's taps without forming G, on the module docstring's
+    (N/e)×(M/d) lattice: N, M and h below read N/e, M/d and h/e.
 
     1. an FFT over delay splits G into M Hermitian-Toeplitz problems over
        Doppler, one per delay bin, each banded with h = max k_p − min k_p;
@@ -225,13 +233,13 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     4. its prediction-error powers of order M−1..0 are the pivots of
        symbols l = 0..M−1.
 
-    The cost is O(NM(h+M)) per trial, in one pass over every trial of the
-    call.  The working memory is the calling thread's workspace, about 88 B
-    per trial-cell of the largest call so far, kept across calls, plus the two
-    FFTs' outputs, 16 B each, and the returned pivots, a copy; the caller
-    bounds each call.  A trial with any pivot non-finite or below
-    SINGULARITY_EPS is singular: it gets ``ok=False`` and λ = 1 as a
-    placeholder, which the caller turns into ν = inf, an outage on every
+    The cost is O((NM/ed)(h′ + M/d)) per trial, in one pass over every trial
+    of the call.  The working memory is the calling thread's workspace, about
+    88 B per lattice cell of the largest call so far, kept across calls, plus
+    the two FFTs' outputs, 16 B a lattice cell each, and the returned pivots,
+    a copy; the caller bounds each call.  A trial with any pivot non-finite
+    or below SINGULARITY_EPS is singular: it gets ``ok=False`` and λ = 1 as
+    a placeholder, which the caller turns into ν = inf, an outage on every
     symbol.  Trials never mix, so neither a singular trial nor the number of
     trials in a call changes the other trials' bits: the harness passes only
     the trials of one sub-batch whose pivot bracket leaves an outage flag
@@ -239,7 +247,11 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     """
     gains = np.asarray(gains, dtype=np.complex128)
     flat = gains.reshape((-1, gains.shape[-1]))
-    band = int(np.max(doppler_taps) - np.min(doppler_taps))
+    doppler_taps, delay_taps = np.asarray(doppler_taps), np.asarray(delay_taps)
+    e = math.gcd(n, *(doppler_taps - doppler_taps[0]))
+    d = math.gcd(m, *(delay_taps - delay_taps[0]))
+    n, m, doppler_taps, delay_taps = n // e, m // d, doppler_taps // e, delay_taps // d
+    band = int(np.ptp(doppler_taps))
     trials, cells = len(flat), len(flat) * n * m
     ws = _WORKSPACE.reserve(cells)
     taps = gram_taps_from_gains(doppler_taps, delay_taps, flat, n, m,
@@ -253,12 +265,12 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
         blocks = np.fft.ifft(powers[::-1], axis=-1)
         blocks[-1] = taps[:, 0, :]
         _schur_errors(np.moveaxis(blocks, -1, 0), errors)
-    # a C-order copy, whose reshape is a view of it: at N = 1 or M = 1 a
-    # reshape of the moved axes alone would be a view of the workspace
-    lam = np.array(np.moveaxis(errors[::-1], (0, 1), (-1, -2)), order="C").reshape(trials, n * m)
-    ok = np.isfinite(lam).all(axis=-1) & (lam.min(axis=-1) >= SINGULARITY_EPS)
+    red = np.moveaxis(errors[::-1], (0, 1), (-1, -2))  # (T, N/e, M/d), in the workspace
+    ok = np.isfinite(red).all(axis=(1, 2)) & (red.min(axis=(1, 2)) >= SINGULARITY_EPS)
+    lam = np.empty((trials, n, e, m, d))  # a copy that outlives the next call
+    lam[...] = red[:, :, None, :, None]  # symbol (k, l) takes pivot (k // e, l // d)
     lam[~ok] = 1.0
-    return lam.reshape(gains.shape[:-1] + (n * m,)), ok.reshape(gains.shape[:-1])
+    return lam.reshape(gains.shape[:-1] + (n * e * m * d,)), ok.reshape(gains.shape[:-1])
 
 
 def batch_static_lambdas(delay_taps, gains: np.ndarray, m: int):

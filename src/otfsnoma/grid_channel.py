@@ -74,7 +74,8 @@ def table1_profile() -> ChannelProfile:
     return ChannelProfile(paths=((2, 0), (6, 0), (10, 1), (14, 1)))
 
 
-def sample_gain_matrix(profile: ChannelProfile, rng: np.random.Generator, count: int) -> np.ndarray:
+def sample_gain_matrix(profile: ChannelProfile, rng: "np.random.Generator",
+                       count: int) -> np.ndarray:
     """Draw ``count`` independent gain vectors, shape (count, P+1).
 
     Gains are i.i.d. circular complex Gaussian with variance 1/(P+1), so the

@@ -12,7 +12,6 @@ Every metric carries a 95% normal-approximation confidence halfwidth
 computed from the per-trial spread.
 """
 
-import concurrent.futures
 import csv
 import itertools
 import math
@@ -39,7 +38,8 @@ MAX_SNR_DB = 3000.0  # bound on every |SNR|, of configs and formulas: ρ is a fi
 # trials in sub-batches of this size, so its working memory does not grow
 # with the block: 256 trials a sub-batch at 16×16.  A sub-batch hands the
 # FD-DFE pivots all its trials in one call, which they work through in one
-# pass on a per-thread workspace that grows to the largest call so far and
+# pass on a per-thread workspace, sized by their lattice cells (a quarter of
+# the trial-cells under Table 1), that grows to the largest call so far and
 # is kept across sub-batches and blocks instead of being returned to the
 # system and faulted in again.
 SUB_BATCH_CELLS = 1 << 16
@@ -48,8 +48,8 @@ SUB_BATCH_CELLS = 1 << 16
 # static-user arrays, are each at most this many cells.  So the bracket's
 # rounding bound below holds on every grid a config can have; a sub-batch
 # holds at least SUB_BATCH_CELLS // MAX_TRIAL_CELLS = 16 trials; and the
-# FD-DFE workspace, about 88 B per trial-cell of a sub-batch, stays within
-# 5.5 MiB.
+# FD-DFE workspace, at most 88 B per trial-cell of a sub-batch, stays
+# within 5.5 MiB, the bound reached where d = e = 1 (equalizers).
 MAX_TRIAL_CELLS = 4096
 
 # U0's FD-DFE outage flags are decided from the bracket [1/φ, Σ|h_p|²] of
@@ -314,7 +314,8 @@ def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> list:
     if exact.any():
         prof = cfg.u0_profile
         lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, h0[exact], cfg.n, cfg.m)
-        nu = np.where(ok[:, None], 1.0 / lam, np.inf)
+        nu = np.divide(1.0, lam, out=lam)  # in place: the pivots are a copy
+        nu[~ok] = np.inf
         for (count, first, last), split in zip(counts, splits):
             flags = split.sinr(rho, nu) < eps0  # (T', NM)
             count[exact] = np.count_nonzero(flags, axis=1)
@@ -465,6 +466,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     tasks = [task for point_tasks in per_point for task in point_tasks]
     workers = min(workers, len(tasks))  # a pool starts all its processes at once
     if workers > 1:
+        import concurrent.futures  # here, so that importing the package stays cheap
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             sums = iter(list(pool.map(_block_sums, *zip(*tasks))))
     else:

@@ -19,7 +19,7 @@ def _mix64(h: int, value: int) -> int:
     return h
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
+def substream(seed: int, *path: int) -> "np.random.Generator":
     """Return an independent generator keyed by ``(seed, *path)``.
 
     The 128-bit Philox key is ``seed`` in the high word and a hash of the

@@ -8,7 +8,7 @@ lowest user index so results are deterministic.
 import numpy as np
 
 
-def schedule_draws(scheduler: str, rng: np.random.Generator, trials: int,
+def schedule_draws(scheduler: str, rng: "np.random.Generator", trials: int,
                    k_users: int) -> np.ndarray:
     """The random numbers :func:`batch_schedule` consumes, one row per trial:
     (T, K) uniforms under random scheduling; the others draw nothing, (T, 0)."""

@@ -482,7 +482,8 @@ def test_sub_batches_never_mix_trials():
     # SUB_BATCH_CELLS // (N·M) trials runs in one pass, and its pivots equal,
     # bit for bit, the concatenation of smaller calls' pivots, whatever their
     # sizes; one trial is singular.  A fresh thread starts with an empty
-    # workspace, which the call grows to its own trial-cells and no further.
+    # workspace, which the call grows to its own lattice cells and no
+    # further: Table 1's delay taps are 4 apart, so a trial has N·M/4.
     prof = table1_profile()
     n, m, trials = 16, 16, 1030
     bound = SUB_BATCH_CELLS // (n * m)
@@ -496,7 +497,7 @@ def test_sub_batches_never_mix_trials():
 
     with concurrent.futures.ThreadPoolExecutor(1) as pool:
         lam, ok, cells = pool.submit(in_a_fresh_thread).result()
-    assert cells == trials * n * m
+    assert cells == trials * n * m // 4
     assert not ok[700] and ok.sum() == trials - 1
     parts = [batch_dfe_lambdas(*args, gains[lo:hi], n, m)
              for lo, hi in ((0, 1), (1, 1 + bound), (1 + bound, 600), (600, trials))]
@@ -505,6 +506,31 @@ def test_sub_batches_never_mix_trials():
     stacked = batch_dfe_lambdas(*args, gains[:1000].reshape(4, 250, -1), n, m)
     assert np.array_equal(stacked[0].reshape(1000, -1), lam[:1000])
     assert np.array_equal(stacked[1].reshape(1000), ok[:1000])
+
+
+def test_lattice_pivots_equal_the_full_grid():
+    # Table 1's delay taps are 4 apart (d = 4, e = 1), so its pivots come
+    # from the 16×4 lattice problem.  A zero-gain path at (delay 1, Doppler 0)
+    # forces d = 1 and leaves every Gram tap's bits as they are, so the same
+    # call on the padded profile solves the whole 16×16 problem: its pivots
+    # and mask equal the lattice's, bit for bit.  Equal and 1e-7-scaled gains
+    # are singular and near-equal ones valid but ill-conditioned.  Overflowing
+    # gains are left out: there inf·0 = NaN in the padded Gram taps.
+    prof = table1_profile()
+    padded = ChannelProfile(paths=prof.paths + ((1, 0),))
+    n, m = 16, 16
+    step = SUB_BATCH_CELLS // (n * m)  # calls of the harness's sub-batch size
+    gains = sample_gain_matrix(prof, substream(44, 0), 4096)
+    cases = {"random": gains, "equal": np.broadcast_to(gains[:, :1], gains.shape).copy(),
+             "tiny": gains * 1e-7, "near-equal": gains[:, :1] + 1e-4 * gains}
+    for name, g in cases.items():
+        for lo in range(0, len(g), step):
+            part = g[lo:lo + step]
+            lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, part, n, m)
+            zero = np.zeros((len(part), 1), dtype=complex)
+            full_lam, full_ok = batch_dfe_lambdas(padded.doppler_taps, padded.delay_taps,
+                                                  np.concatenate([part, zero], axis=1), n, m)
+            assert np.array_equal(lam, full_lam) and np.array_equal(ok, full_ok), name
 
 
 @pytest.mark.parametrize("n, m, paths", [(1, 8, ((0, 0), (3, 0), (5, 0))),
@@ -678,10 +704,27 @@ def _small_channels(draw):
     return n, m, paths, r.gains
 
 
+# Grids whose taps' spacing splits the Gram matrix into e·d equal copies:
+# e = 2 and d = 4; e = d = 3; a Doppler-free channel (e = N); one path
+# (e = N, d = M).  Paths are (delay, Doppler).
+_LATTICE_GRIDS = [(8, 8, ((1, 0), (1, 2), (1, 4), (5, 6))),
+                  (12, 12, ((0, 0), (3, 3), (6, 0), (9, 9))),
+                  (4, 8, ((0, 0), (3, 0), (5, 0))),
+                  (4, 8, ((3, 1),))]
+
+
+def _lattice_examples(test):
+    for i, (n, m, paths) in enumerate(_LATTICE_GRIDS):
+        gains = random_realization(ChannelProfile(paths=paths), i).gains
+        test = example(channel=(n, m, paths, gains))(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @example(channel=(4, 8, _NULL_PATHS, [_H, _H]))
 @example(channel=(4, 8, _NULL_PATHS, [_H, _H + 1e-7]))
 @example(channel=(4, 8, _NULL_PATHS, [_H, _H + 1e-4]))
+@_lattice_examples
 @given(channel=_small_channels())
 def test_batch_pivots_match_dense_oracle(channel):
     # the (lam, ok) contract: ok is False exactly when the dense factorization
@@ -702,6 +745,7 @@ def test_batch_pivots_match_dense_oracle(channel):
 @settings(max_examples=60, deadline=None)
 @example(channel=(4, 8, _NULL_PATHS, [_H, _H + 1e-7]))
 @example(channel=(4, 8, _NULL_PATHS, [_H, _H + 1e-4]))
+@_lattice_examples
 @given(channel=_small_channels())
 def test_pivots_lie_in_the_bracket(channel):
     # every FD-DFE ν = 1/λ of a valid channel lies in [1/Σ|h_p|², φ], and the

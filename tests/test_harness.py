@@ -390,7 +390,8 @@ class TestRunScenario:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        # run_scenario imports concurrent.futures only when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         two_blocks = small_config(trials=300)
         assert run_scenario(two_blocks, workers=64) == run_scenario(two_blocks, workers=1)
         one_block = small_config(trials=300, snr_db=(0.0,))
@@ -878,9 +879,41 @@ def test_dfe_runs_take_no_page_faults():
     assert _faults_per_trial("downlink_outage_dfe.cfg", 128, 3, 20) < 0.5
 
 
+def test_dfe_full_blocks_take_no_page_faults():
+    # After warm-up, the shipped FD-DFE config at 4096 trials per point, one
+    # full block, reuses its memory: it took under 0.002 minor page faults
+    # per trial.
+    assert _faults_per_trial("downlink_outage_dfe.cfg", 4096, 1, 2) < 0.5
+
+
 def test_uplink_blocks_take_no_page_faults():
     # After warm-up, the shipped fixed-rate uplink config at 4096 trials per
     # point, one block, reuses its memory: it took no minor page faults per
     # trial, where drawing the static users' gains per sub-batch instead of
     # per block took 2.1.
     assert _faults_per_trial("uplink_fixed_per_subchannel.cfg", 4096, 1, 3) < 0.5
+
+
+_SETUP_IMPORTS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy
+lazy = "numpy.random" not in sys.modules
+from otfsnoma.harness import parse_config_file
+parse_config_file(sys.argv[2])
+print("concurrent.futures" in sys.modules, lazy and "numpy.random" in sys.modules)
+"""
+
+
+def test_setup_imports_nothing_it_does_not_use():
+    # Importing the package and parsing a config loads neither
+    # concurrent.futures, which pulls in logging and is needed only when a
+    # run starts a pool, nor numpy.random, needed only when a run draws.
+    # The latter holds only where a bare `import numpy` leaves numpy.random
+    # unloaded, as numpy 2 does; numpy 1.x loads it eagerly.
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "uplink_fixed_per_subchannel.cfg")
+    out = subprocess.run([sys.executable, "-c", _SETUP_IMPORTS, src, path],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
