@@ -6,7 +6,9 @@ the diagonalized channel, so every symbol gets ν = φ, the mean of |D|⁻².
 FD-DFE uses the factorization H^H H = L^H Λ L (L unit lower triangular, Λ
 positive diagonal), so symbol i gets ν = 1/λ_i.  The last pivot always
 equals Σ_p |h_p|², and the first equals 1/φ, which is why the first DFE
-decision is exactly as reliable as FD-LE.
+decision is exactly as reliable as FD-LE.  One singularity rule serves both:
+a channel is singular iff φ > 1/SINGULARITY_EPS, which FD-DFE's pivots test
+as λ₀ = 1/φ < SINGULARITY_EPS, and then every symbol gets ν = inf.
 
 Every pivot lies in that bracket, 1/φ ≤ λ_i ≤ Σ_p |h_p|², with G = H^H H:
 
@@ -48,7 +50,7 @@ import numpy as np
 # wraps names where callers look them up, still finds it in this module.
 from .transforms import dense_block_circulant  # noqa: F401
 
-# Magnitudes / pivots below this are treated as a numerically singular channel.
+# A pivot below this, or φ above its reciprocal, marks a numerically singular channel.
 SINGULARITY_EPS = 1e-12
 
 
@@ -69,14 +71,6 @@ class PowerAllocation:
         if abs(self.gamma0_sq + self.gamma1_sq - 1.0) > 1e-9:
             raise ValueError("gamma0_sq + gamma1_sq must equal 1")
 
-    @property
-    def gamma0(self) -> float:
-        return float(np.sqrt(self.gamma0_sq))
-
-    @property
-    def gamma1(self) -> float:
-        return float(np.sqrt(self.gamma1_sq))
-
     @classmethod
     def split(cls, gamma0_sq: float) -> "PowerAllocation":
         return cls(gamma0_sq=gamma0_sq, gamma1_sq=1.0 - gamma0_sq)
@@ -95,18 +89,14 @@ class PowerAllocation:
 def batch_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
     """FD-LE φ = mean |D|⁻² over ``axis`` of the eigenvalue powers |D|².
 
-    A channel with some |D|² < SINGULARITY_EPS² or NaN is singular and gets
-    φ = inf, which puts every one of its symbols in outage; its mean of the
-    reciprocals, which may be inf or NaN, is discarded.  The rule is tested
-    once on the whole array, and per channel only when some power fails it,
-    which a Gaussian draw all but never does.
+    A channel with φ > 1/SINGULARITY_EPS, or φ NaN, is singular and gets
+    φ = inf, which puts every one of its symbols in outage.  It is FD-DFE's
+    rule: the smallest pivot is λ₀ = 1/φ, and a pivot below SINGULARITY_EPS
+    is singular.
     """
     with np.errstate(all="ignore"):  # only a singular channel's mean can warn
         phi = (1.0 / power).mean(axis=axis)
-    regular = power >= SINGULARITY_EPS**2
-    if regular.all():
-        return phi
-    return np.where(regular.all(axis=axis), phi, np.inf)
+    return np.where(phi <= 1.0 / SINGULARITY_EPS, phi, np.inf)
 
 
 def gram_taps_from_gains(doppler_taps, delay_taps, gains, n: int, m: int,

@@ -376,13 +376,11 @@ def _downlink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
     # --- NOMA users: stage-I (decode U0) then stage-II (own symbol) ---
     # Stage I needs all M of a user's symbols, so the worst one decides it.
     # Under FD-LE every symbol has ν = φ; under FD-DFE the largest ν is
-    # 1/λ₀ = φ (see batch_static_lambdas).  The singularity rules agree too:
-    # λ₀ <= M·min|D̃|², so FD-LE's singular channels are FD-DFE's, and a
-    # channel only FD-DFE rejects has φ > 1/ε, an outage at any ρ ≪ 1/ε.
-    ok1_user = power.sinr(rho, batch_noise_enhancement(ak, -1)) > eps0  # (T, K)
+    # 1/λ₀ = φ (see batch_static_lambdas), singular under the same rule.
+    ok1_user = power.sinr(rho, batch_noise_enhancement(ak, -1)) >= eps0  # (T, K)
     ok1_sel = np.take_along_axis(ok1_user, sel, axis=1)
     snr2 = rho * power.gamma1_sq * gsel
-    noma_out = ~(ok1_sel & (snr2 > epsi))  # (T, M); constant over the N symbols
+    noma_out = ~(ok1_sel & (snr2 >= epsi))  # (T, M); constant over the N symbols
     noma_frac = np.count_nonzero(noma_out, axis=1) / cfg.m
     samples["noma_outage"] = noma_frac
     samples["outage_sum_rate_noma"] = (cfg.rate_u0 * (1.0 - samples["u0_outage"])
@@ -404,7 +402,7 @@ def _uplink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
     if cfg.rate_mode == "adaptive":
         return {"ergodic_rate_gain": np.log2(1.0 + sinr1).mean(axis=(1, 2)),
                 "u0_outage": stage2_frac}
-    cells_ok = np.count_nonzero(sinr1 > epsi, axis=(1, 2))
+    cells_ok = np.count_nonzero(sinr1 >= epsi, axis=(1, 2))
     noma_frac = 1.0 - cells_ok / nm
     # 1 − the share decoded, not count / nm, which can differ in the last bit unless NM = 2^k
     u0_joint = 1.0 - np.where(cells_ok == nm, nm - stage2_count, 0) / nm

@@ -285,16 +285,6 @@ def noise_enhancement(d: DiagonalizedChannel) -> float:
     return float(batch_noise_enhancement(np.abs(d.d_values) ** 2, None))
 
 
-def where_min_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
-    """φ of :func:`batch_noise_enhancement` by a masked reciprocal and a
-    per-row min: zero powers read as inf before the division, and a channel
-    is singular when its smallest |D|² < SINGULARITY_EPS².  A NaN power
-    slips past that test (NaN < ε² is false), so this form returns a finite
-    φ where the package returns inf."""
-    phi = (1.0 / np.where(power > 0, power, np.inf)).mean(axis=axis)
-    return np.where(power.min(axis=axis) < SINGULARITY_EPS**2, np.inf, phi)
-
-
 def fd_le_equalize(y: Frame, d: DiagonalizedChannel) -> Frame:
     """Zero-forcing equalization: transform, divide by D, transform back.
 
@@ -542,7 +532,8 @@ class DownlinkTxFrame:
 
     def to_time_frequency(self) -> Frame:
         mapped = self.noma_symbols.T  # cell (n, m) carries user m+1's n-th symbol
-        values = self.power.gamma0 * isfft2(self.u0_symbols) + self.power.gamma1 * mapped
+        values = (math.sqrt(self.power.gamma0_sq) * isfft2(self.u0_symbols)
+                  + math.sqrt(self.power.gamma1_sq) * mapped)
         return Frame(self.grid, values, Domain.TIME_FREQUENCY)
 
 
@@ -656,10 +647,11 @@ def exact_u0_outage_counts(cfg, rho: float, h0, a0, splits) -> list:
 
 
 def noma_outage(stage1_sinrs: np.ndarray, stage2_snr: float, link: LinkConfig) -> bool:
-    """Joint SIC outage: success needs stage-II SNR > ε_i AND every stage-I
-    SINR > ε₀; the flag is the complement."""
-    ok1 = bool(np.all(np.asarray(stage1_sinrs) > link.threshold_u0))
-    ok2 = stage2_snr > link.threshold_noma
+    """Joint SIC outage: success needs stage-II SNR ≥ ε_i AND every stage-I
+    SINR ≥ ε₀; the flag is the complement, so a user is in outage iff some
+    stage's SINR is below its ε, as U0 is."""
+    ok1 = bool(np.all(np.asarray(stage1_sinrs) >= link.threshold_u0))
+    ok2 = stage2_snr >= link.threshold_noma
     return not (ok1 and ok2)
 
 

@@ -5,6 +5,8 @@ Carlo content use fixed seeds and stated tolerances; nothing is calibrated
 at run time.
 """
 
+import math
+
 import numpy as np
 
 from otfsnoma import (ChannelProfile, CurvePoint, PowerAllocation, corollary1_outage,
@@ -18,6 +20,7 @@ from oracles import (Grid, build_block_circulant, cholesky_factors, dfe_last_sym
                      sample_realization, sfft2)
 
 P34 = PowerAllocation.split(0.75)
+G0, G1 = math.sqrt(P34.gamma0_sq), math.sqrt(P34.gamma1_sq)
 GRID16 = Grid(16, 16)
 
 
@@ -98,9 +101,9 @@ def test_criterion_02_lemma1_empirical_sinrs():
                                   + 1j * rng.standard_normal((chunk, 16, 16)))
         z = np.sqrt(0.5) * (rng.standard_normal((chunk, 16, 16))
                             + 1j * rng.standard_normal((chunk, 16, 16)))
-        x_dd = P34.gamma0 * x0 + P34.gamma1 * sfft2(xtf)
+        x_dd = G0 * x0 + G1 * sfft2(xtf)
         out = isfft2(sfft2(ch.apply(x_dd) + z) / d.d_values)
-        err += np.mean(np.abs(out - P34.gamma0 * x0) ** 2, axis=0)
+        err += np.mean(np.abs(out - G0 * x0) ** 2, axis=0)
     err /= draws // chunk
     sinr_emp = rho * P34.gamma0_sq / err
     ref = fd_le_sinr(d, rho, P34)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from oracles import (ChannelRealization, Domain, DownlinkTxFrame, Grid, LinkConf
 from conftest import flat_realization, random_realization
 
 P34 = PowerAllocation.split(0.75)
+G0, G1 = math.sqrt(P34.gamma0_sq), math.sqrt(P34.gamma1_sq)
 
 
 def _static(seed, taps=(0, 1, 2, 3)):
@@ -42,12 +45,12 @@ class TestBuildTxFrame:
         u0 = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         tx = build_tx_frame(grid, u0, np.zeros((3, 4)), P34)
         assert tx.domain is Domain.TIME_FREQUENCY
-        assert np.abs(tx.values - P34.gamma0 * isfft2(u0)).max() < 1e-14
+        assert np.abs(tx.values - G0 * isfft2(u0)).max() < 1e-14
 
     def test_unit_noma_symbols_fill_cells(self):
         grid = Grid(4, 3)
         tx = build_tx_frame(grid, np.zeros((4, 3)), np.ones((3, 4)), P34)
-        assert np.allclose(tx.values, P34.gamma1)
+        assert np.allclose(tx.values, G1)
 
     def test_mapping_rule(self):
         grid = Grid(4, 3)
@@ -55,10 +58,10 @@ class TestBuildTxFrame:
         u0 = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         noma = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         tx = build_tx_frame(grid, u0, noma, P34)
-        resid = tx.values - P34.gamma0 * isfft2(u0)
+        resid = tx.values - G0 * isfft2(u0)
         for n in range(4):
             for m in range(3):
-                assert resid[n, m] == pytest.approx(P34.gamma1 * noma[m, n])
+                assert resid[n, m] == pytest.approx(G1 * noma[m, n])
 
     def test_shape_mismatch(self):
         grid = Grid(4, 3)
@@ -79,7 +82,7 @@ class TestBuildTxFrame:
                                      + 1j * rng.standard_normal((400, 8, 8)))
             noma = np.sqrt(rho / 2) * (rng.standard_normal((400, 8, 8))
                                        + 1j * rng.standard_normal((400, 8, 8)))
-            x = P34.gamma0 * isfft2(u0) + P34.gamma1 * np.swapaxes(noma, -1, -2)
+            x = G0 * isfft2(u0) + G1 * np.swapaxes(noma, -1, -2)
             acc += np.mean(np.abs(x) ** 2)
         assert acc / (draws // 400) == pytest.approx(rho, rel=0.05)
 

@@ -507,7 +507,7 @@ class TestKernelsMatchReceivers:
                                for g in hk[t]])
                 assert np.array_equal(sel[t], per_subchannel_schedule(UserPool.from_diagonals(dk)))
                 d0 = diagonalize(build_block_circulant(r0, grid)).d_values
-                cell_ok = uplink_stage1_sinr(dk[sel[t], np.arange(4)], d0, rho) > epsi
+                cell_ok = uplink_stage1_sinr(dk[sel[t], np.arange(4)], d0, rho) >= epsi
                 assert samples["noma_outage"][t] == 1.0 - cell_ok.mean()
                 assert samples["u0_outage"][t] == 1.0 - (~stage2_out & cell_ok.all()).mean()
 
@@ -648,10 +648,9 @@ class TestPivotBracket:
     def test_samples_equal_the_exact_pivots(self, monkeypatch, overrides):
         # from -30 to 300 dB and at 3000 dB, with an equal-gain singular U0 in
         # trial 42; U0 gains scaled by 1e-7 in trial 17, well conditioned but
-        # with every pivot below SINGULARITY_EPS (FD-LE's |D|² ≈ 1e-14 are
-        # above SINGULARITY_EPS², so that trial is regular there); and U0
-        # spectra that do not fit the gains: a NaN, so φ = inf, in trial 3,
-        # and all inf, so φ = 0, in trial 7
+        # with |D|² ≈ 1e-14, so φ ≈ 1e14 > 1/SINGULARITY_EPS, singular under
+        # both equalizers; and U0 spectra that do not fit the gains: a NaN,
+        # so φ = inf, in trial 3, and all inf, so φ = 0, in trial 7
         cfg = small_config(**{"equalizer": "dfe", **overrides})
         draw_gains, spectrum = harness.sample_gain_matrix, harness.power_spectrum
 
@@ -675,8 +674,7 @@ class TestPivotBracket:
             fast, exact = self._both(monkeypatch, cfg, 10.0 ** (rho_db / 10.0), self.TRIALS)
             for name, samples in exact.items():
                 assert np.array_equal(fast[name], samples, equal_nan=True), (rho_db, name)
-            if cfg.equalizer == "dfe":
-                assert fast["u0_outage"][self.SINGULAR] == fast["u0_outage"][self.TINY] == 1.0
+            assert fast["u0_outage"][self.SINGULAR] == fast["u0_outage"][self.TINY] == 1.0
 
     @pytest.mark.parametrize("offsets", [None, np.geomspace(1e-6, 2e-6, 13)],
                              ids=["typical", "ill-conditioned"])
@@ -761,6 +759,30 @@ def test_nan_spectrum_puts_the_trial_in_outage(monkeypatch):
     assert samples["u0_outage"][3] == samples["u0_outage_oma"][3] == 1.0
     assert samples["noma_outage"][5] == 1.0
     assert samples["u0_outage"].mean() < 1.0 and samples["noma_outage"].mean() < 1.0
+
+
+@pytest.mark.parametrize("direction, gain", [("downlink", 2.0), ("uplink", 1.0)])
+def test_noma_sinr_at_its_threshold_is_no_outage(monkeypatch, direction, gain):
+    # a NOMA user is in outage iff its SINR < ε, as U0 is.  At 0 dB (ρ = 1)
+    # and rate 1 (ε = 1), one-path static users of gain 2 give the downlink
+    # stage-II SNR ρ·γ₁²·|2|² = 1 exactly, and users of gain 1 with U0's
+    # gains 0 give the uplink cell SINR ρ·1/(ρ·0 + 1) = 1 exactly
+    cfg = small_config(direction=direction, n=16, m=16, k_users=16, scheduler="per_subchannel",
+                       noma_profile=ChannelProfile(paths=((0, 0),)), rate_noma=1.0,
+                       snr_db=(0.0,))
+    draw_gains = harness.sample_gain_matrix
+
+    def with_fixed_gains(profile, rng, count):
+        gains = draw_gains(profile, rng, count)
+        if profile == cfg.noma_profile:
+            gains[:] = gain
+        elif direction == "uplink":
+            gains[:] = 0.0
+        return gains
+
+    monkeypatch.setattr(harness, "sample_gain_matrix", with_fixed_gains)
+    samples = scenario_kernel(cfg, 10.0 ** (cfg.snr_db[0] / 10.0), substream(cfg.seed, 0), 16)
+    assert np.all(samples["noma_outage"] == 0.0)
 
 
 def test_block_draws_hold_16_bytes_per_gain():
