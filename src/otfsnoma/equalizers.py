@@ -32,12 +32,14 @@ by e and a delay lag divisible by d, so G is the direct sum of e·d copies of
 the (N/e)×(M/d) Gram matrix of taps k_p // e, l_p // d (d = 4, e = 1 for
 Table 1 on 16×16).  A symbol's Schur complement given every later symbol
 sees only its copy's later symbols, in the same order, so symbol (k, l)
-takes that problem's pivot of (k // e, l // d).  The cost is
-O((NM/ed)(h′ + M/d)) per trial, h′ = h/e.  The recursions run in one pass
-over every trial of a call, in place on a per-thread workspace that persists
-across calls and grows to the largest call so far, so repeated calls reuse
-its memory instead of faulting new memory in.  The caller bounds each call,
-and with it the workspace.
+has that problem's pivot of (k // e, l // d).  So the pivots come back one
+per lattice symbol, NM/(e·d) a trial, the first and last being those of
+symbols (0, 0) and (N−1, M−1).  The cost is O((NM/ed)(h′ + M/d)) per
+trial, h′ = h/e.  The recursions run in one pass over every trial of a
+call, in place on a per-thread workspace that persists across calls and
+grows to the largest call so far, so repeated calls reuse its memory
+instead of faulting new memory in.  The caller bounds each call, and with
+it the workspace.
 """
 
 import math
@@ -206,12 +208,13 @@ def _schur_errors(r: np.ndarray, out: np.ndarray, band=None) -> None:
 
 
 def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: int):
-    """Pivots for a batch of channels, shape (T, NM), plus a validity mask;
-    stacked (..., P) gains give (..., NM) pivots.
+    """Pivots for a batch of channels from their (T, P) gains, one per symbol
+    of the module docstring's (N/e)×(M/d) lattice, shape (T, NM/(e·d)), plus
+    a (T,) validity mask.
 
-    λ[kM+l] is symbol (k, l)'s Schur complement in G = HᴴH given every later
-    symbol, found from G's taps without forming G, on the module docstring's
-    (N/e)×(M/d) lattice: N, M and h below read N/e, M/d and h/e.
+    λ[k′M/d + l′] is lattice symbol (k′, l′)'s Schur complement in G = HᴴH
+    given every later symbol, found from G's taps without forming G: N, M
+    and h below read N/e, M/d and h/e.
 
     1. an FFT over delay splits G into M Hermitian-Toeplitz problems over
        Doppler, one per delay bin, each banded with h = max k_p − min k_p;
@@ -228,23 +231,21 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     88 B per lattice cell of the largest call so far, kept across calls, plus
     the two FFTs' outputs, 16 B a lattice cell each, and the returned pivots,
     a copy; the caller bounds each call.  A trial with any pivot non-finite
-    or below SINGULARITY_EPS is singular: it gets ``ok=False`` and λ = 1 as
-    a placeholder, which the caller turns into ν = inf, an outage on every
+    or below SINGULARITY_EPS is singular: it gets ``ok=False`` and λ = 1 as a
+    placeholder, which the caller turns into ν = inf, an outage on every
     symbol.  Trials never mix, so neither a singular trial nor the number of
     trials in a call changes the other trials' bits: the harness passes only
     the trials of one sub-batch whose pivot bracket leaves an outage flag
     open.
     """
-    gains = np.asarray(gains, dtype=np.complex128)
-    flat = gains.reshape((-1, gains.shape[-1]))
     doppler_taps, delay_taps = np.asarray(doppler_taps), np.asarray(delay_taps)
     e = math.gcd(n, *(doppler_taps - doppler_taps[0]))
     d = math.gcd(m, *(delay_taps - delay_taps[0]))
     n, m, doppler_taps, delay_taps = n // e, m // d, doppler_taps // e, delay_taps // d
     band = int(np.ptp(doppler_taps))
-    trials, cells = len(flat), len(flat) * n * m
+    trials, cells = len(gains), len(gains) * n * m
     ws = _WORKSPACE.reserve(cells)
-    taps = gram_taps_from_gains(doppler_taps, delay_taps, flat, n, m,
+    taps = gram_taps_from_gains(doppler_taps, delay_taps, gains, n, m,
                                 out=ws.taps[:cells].reshape(trials, n, m))
     # the delay sweep's errors overwrite the Doppler sweep's powers once the
     # IFFT has read them
@@ -255,21 +256,16 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
         blocks = np.fft.ifft(powers[::-1], axis=-1)
         blocks[-1] = taps[:, 0, :]
         _schur_errors(np.moveaxis(blocks, -1, 0), errors)
-    red = np.moveaxis(errors[::-1], (0, 1), (-1, -2))  # (T, N/e, M/d), in the workspace
-    ok = np.isfinite(red).all(axis=(1, 2)) & (red.min(axis=(1, 2)) >= SINGULARITY_EPS)
-    lam = np.empty((trials, n, e, m, d))  # a copy that outlives the next call
-    lam[...] = red[:, :, None, :, None]  # symbol (k, l) takes pivot (k // e, l // d)
+    # (T, N/e, M/d) in the workspace, copied so that it outlives the next call
+    lam = np.moveaxis(errors[::-1], (0, 1), (-1, -2)).copy().reshape(trials, n * m)
+    ok = np.isfinite(lam).all(axis=1) & (lam.min(axis=1) >= SINGULARITY_EPS)
     lam[~ok] = 1.0
-    return lam.reshape(gains.shape[:-1] + (n * e * m * d,)), ok.reshape(gains.shape[:-1])
+    return lam, ok
 
 
 def batch_static_lambdas(delay_taps, gains: np.ndarray, m: int):
-    """M-point pivots for stacked static channels, shape (..., M), plus mask.
-
-    A Doppler-free channel is the N=1 case of the block-circulant one.  Its
-    Gram matrix is an M×M circulant, and λ_l is that circulant's Toeplitz
-    prediction-error power of order M−1−l, so the pivots never decrease in
-    l: the smallest is λ₀ = 1/φ, the reciprocal of the FD-LE noise
-    enhancement.
-    """
+    """(T, M/d) lattice pivots of static channels from their (T, P) gains,
+    plus a (T,) mask: the N=1 case of :func:`batch_dfe_lambdas`.  λ_l is the
+    circulant Gram block's Toeplitz prediction-error power of order M/d−1−l,
+    so the pivots never decrease in l: the smallest is λ₀ = 1/φ."""
     return batch_dfe_lambdas(np.zeros_like(delay_taps), delay_taps, gains, 1, m)

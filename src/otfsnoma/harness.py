@@ -257,7 +257,7 @@ def parse_config_file(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
 
 
@@ -314,11 +314,12 @@ def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> list:
     if exact.any():
         prof = cfg.u0_profile
         lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, h0[exact], cfg.n, cfg.m)
+        copies = cfg.n * cfg.m // lam.shape[1]  # e·d symbols share each lattice pivot
         nu = np.divide(1.0, lam, out=lam)  # in place: the pivots are a copy
         nu[~ok] = np.inf
         for (count, first, last), split in zip(counts, splits):
-            flags = split.sinr(rho, nu) < eps0  # (T', NM)
-            count[exact] = np.count_nonzero(flags, axis=1)
+            flags = split.sinr(rho, nu) < eps0  # (T', NM/(e·d))
+            count[exact] = np.count_nonzero(flags, axis=1) * copies
             first[exact], last[exact] = flags[:, 0], flags[:, -1]
     return counts
 

@@ -6,7 +6,8 @@ of the same jobs: tagged-frame transforms, the block-circulant operator and
 its dense NM×NM matrix, the dense Cholesky factorization and both
 equalizers, the per-realization transmitters and receivers, the scalar
 schedulers, the one ν function of the per-realization receivers
-(``user_noise_enhancement``), standalone Monte Carlo estimators keyed by
+(``user_noise_enhancement``), which gives each symbol its lattice pivot
+(``symbol_pivots``), standalone Monte Carlo estimators keyed by
 (seed, block) and their serial block driver ``monte_carlo``, the
 uplink outage's alternating sum in extended precision, and the gain draw,
 the spectra and FD-LE φ in forms that spend temporary arrays or BLAS calls,
@@ -555,6 +556,16 @@ class DetectionReport:
     estimates: Frame | None = None
 
 
+def symbol_pivots(profile: ChannelProfile, lam: np.ndarray, n: int, m: int) -> np.ndarray:
+    """(T, NM) pivots, one per symbol, from ``batch_dfe_lambdas``'s (T, NM/(e·d))
+    lattice pivots: symbol (k, l) takes lattice symbol (k // e, l // d), with
+    e and d the gcds of N and M with the taps' Doppler and delay offsets."""
+    k, l = np.asarray(profile.doppler_taps), np.asarray(profile.delay_taps)
+    e, d = np.gcd.reduce(np.append(k - k[0], n)), np.gcd.reduce(np.append(l - l[0], m))
+    lattice = np.reshape(lam, (len(lam), n // e, m // d))
+    return lattice[:, np.arange(n)[:, None] // e, np.arange(m) // d].reshape(len(lam), n * m)
+
+
 def user_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.ndarray,
                            power: np.ndarray) -> np.ndarray:
     """ν of a user from its (..., P+1) gains and (..., N, M) eigenvalue powers
@@ -564,8 +575,11 @@ def user_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.nd
     if equalizer == "le":
         return batch_noise_enhancement(power, (-2, -1))[..., None]
     n, m = power.shape[-2:]
-    lam, ok = batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps, gains, n, m)
-    return np.where(ok[..., None], 1.0 / lam, np.inf)
+    gains = np.asarray(gains)
+    lam, ok = batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps,
+                                gains.reshape(-1, gains.shape[-1]), n, m)
+    nu = np.where(ok[:, None], 1.0 / symbol_pivots(profile, lam, n, m), np.inf)
+    return nu.reshape(gains.shape[:-1] + (n * m,))
 
 
 def u0_receive(tx: Frame, realization: ChannelRealization, rng: np.random.Generator,

@@ -165,9 +165,11 @@ class TestSlope:
       "rho_db=-4000"], "rho_db"),
     (["slope", "--in", "{tmp}/one_snr.csv", "--metric", "u0_outage"], "snr_db"),
     (["slope", "--in", "{tmp}/nonfinite_snr.csv", "--metric", "u0_outage"], "in"),
+    (["simulate", "--config", "{tmp}/not_utf8.cfg", "--out", "{tmp}/x.csv"], "config"),
 ])
 def test_bad_input_exits_with_one_line_naming_it(argv, name, config_file, tmp_path):
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "not_utf8.cfg").write_bytes(TINY_CONFIG.encode() + b"# \xff\n")
     (tmp_path / "gamma0_sq.cfg").write_text(TINY_CONFIG.replace("gamma0_sq = 0.75",
                                                                 "gamma0_sq = 1e-17"))
     for trials in (0, -3):  # a point needs at least one trial

@@ -23,7 +23,7 @@ from oracles import (ChannelRealization, Domain, Frame, GenieFeedback, Grid, Har
                      SingularChannelError, build_block_circulant, cholesky_factors, diagonalize,
                      fd_dfe_equalize, fd_dfe_sinrs, fd_le_equalize, fd_le_sinr, isfft2,
                      noise_enhancement, qpsk_alphabet, schur_errors_reference, sfft2,
-                     user_noise_enhancement)
+                     symbol_pivots, user_noise_enhancement)
 
 from conftest import flat_realization, random_realization, worked_example_realization
 
@@ -290,9 +290,9 @@ class TestDfeSinrs:
 
 
 def _static_lambdas(r, grid):
-    lam, ok = batch_static_lambdas(r.profile.delay_taps, r.gains, grid.m_delay)
-    assert ok
-    return lam
+    lam, ok = batch_static_lambdas(r.profile.delay_taps, r.gains[None], grid.m_delay)
+    assert ok[0]
+    return lam[0]
 
 
 class TestStaticDfe:
@@ -334,10 +334,12 @@ def test_singular_user_in_batch(path):
         np.linalg.cholesky(dense_block_circulant(static_gram_taps(delays, nulled[2, 3], m)[None]))
 
     def pivots(g):
+        g = g.reshape(-1, 2)
         if path == "batch_static_lambdas":
-            return batch_static_lambdas(delays, g, m)
-        lam, ok = batch_dfe_lambdas(np.zeros_like(delays), delays, g.reshape(-1, 2), 1, m)
-        return lam.reshape(shape + (m,)), ok.reshape(shape)
+            lam, ok = batch_static_lambdas(delays, g, m)
+        else:
+            lam, ok = batch_dfe_lambdas(np.zeros_like(delays), delays, g, 1, m)
+        return lam.reshape(shape + (-1,)), ok.reshape(shape)
 
     lam, ok = pivots(gains)
     lam_null, ok_null = pivots(nulled)
@@ -478,9 +480,6 @@ def test_sub_batches_never_mix_trials():
              for lo, hi in ((0, 1), (1, 1 + bound), (1 + bound, 600), (600, trials))]
     assert np.array_equal(lam, np.concatenate([p[0] for p in parts]))
     assert np.array_equal(ok, np.concatenate([p[1] for p in parts]))
-    stacked = batch_dfe_lambdas(*args, gains[:1000].reshape(4, 250, -1), n, m)
-    assert np.array_equal(stacked[0].reshape(1000, -1), lam[:1000])
-    assert np.array_equal(stacked[1].reshape(1000), ok[:1000])
 
 
 def test_lattice_pivots_equal_the_full_grid():
@@ -488,9 +487,10 @@ def test_lattice_pivots_equal_the_full_grid():
     # from the 16×4 lattice problem.  A zero-gain path at (delay 1, Doppler 0)
     # forces d = 1 and leaves every Gram tap's bits as they are, so the same
     # call on the padded profile solves the whole 16×16 problem: its pivots
-    # and mask equal the lattice's, bit for bit.  Equal and 1e-7-scaled gains
-    # are singular and near-equal ones valid but ill-conditioned.  Overflowing
-    # gains are left out: there inf·0 = NaN in the padded Gram taps.
+    # and mask equal the lattice's, each lattice pivot given to its four
+    # symbols, bit for bit.  Equal and 1e-7-scaled gains are singular and
+    # near-equal ones valid but ill-conditioned.  Overflowing gains are left
+    # out: there inf·0 = NaN in the padded Gram taps.
     prof = table1_profile()
     padded = ChannelProfile(paths=prof.paths + ((1, 0),))
     n, m = 16, 16
@@ -505,7 +505,8 @@ def test_lattice_pivots_equal_the_full_grid():
             zero = np.zeros((len(part), 1), dtype=complex)
             full_lam, full_ok = batch_dfe_lambdas(padded.doppler_taps, padded.delay_taps,
                                                   np.concatenate([part, zero], axis=1), n, m)
-            assert np.array_equal(lam, full_lam) and np.array_equal(ok, full_ok), name
+            assert np.array_equal(symbol_pivots(prof, lam, n, m), full_lam), name
+            assert np.array_equal(ok, full_ok), name
 
 
 @pytest.mark.parametrize("n, m, paths", [(1, 8, ((0, 0), (3, 0), (5, 0))),
@@ -714,7 +715,7 @@ def test_batch_pivots_match_dense_oracle(channel):
         assert not ok[0]
         return
     assert ok[0]
-    assert lam[0] == pytest.approx(f.lam, rel=1e-10)
+    assert symbol_pivots(prof, lam, n, m)[0] == pytest.approx(f.lam, rel=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -798,7 +799,7 @@ def test_user_noise_enhancement_is_static_at_n1(channel):
     le = user_noise_enhancement("le", prof, gains, power[..., None, :])
     dfe = user_noise_enhancement("dfe", prof, gains, power[..., None, :])
     assert np.array_equal(le, batch_noise_enhancement(power, -1)[..., None])
-    assert np.array_equal(dfe, np.where(ok[..., None], 1.0 / lam, np.inf))
+    assert np.array_equal(dfe, np.where(ok[:, None], 1.0 / symbol_pivots(prof, lam, 1, m), np.inf))
 
 
 @pytest.mark.parametrize("n, m, paths", [(4, 8, ((0, 0), (0, 2))), (8, 3, ((1, 0), (1, 4)))])
@@ -826,7 +827,7 @@ def test_doppler_null_pivots_match_extended_precision(n, m, paths, offset, valid
         g = h.H * h
         exact = [float(mpmath.re(1 / mpmath.lu_solve(g[j:, j:], mpmath.matrix(
             [1] + [0] * (n * m - 1 - j)))[0])) for j in range(n * m)]
-    assert lam[0] == pytest.approx(exact, rel=1e-7)
+    assert symbol_pivots(prof, lam, n, m)[0] == pytest.approx(exact, rel=1e-7)
 
 
 def test_package_has_no_dense_factorization():

@@ -3,6 +3,7 @@ import dataclasses
 import glob
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -30,6 +31,9 @@ from oracles import (ChannelRealization, Grid, LinkConfig, UserPool, build_block
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+# The shipped configs whose CSVs at --trials 512 --seed 1 are frozen in tests/data.
+GOLDEN_CONFIGS = ("downlink_outage_dfe", "downlink_sum_rate_le", "uplink_fixed_per_subchannel",
+                  "uplink_adaptive_gain")
 SHIPPED_CONFIGS = {os.path.basename(p): open(p, encoding="utf-8").read()
                    for p in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))}
 EDGE_VALUES = ("", "nan", "inf", "-inf", "0", "-1", "1e400", "1e-320", "99999999999999999999",
@@ -332,8 +336,7 @@ class TestCsv:
         with open(golden, "rb") as fh:
             assert out.read_bytes() == fh.read()
 
-    @pytest.mark.parametrize("name", ["downlink_outage_dfe", "downlink_sum_rate_le",
-                                      "uplink_fixed_per_subchannel", "uplink_adaptive_gain"])
+    @pytest.mark.parametrize("name", GOLDEN_CONFIGS)
     def test_shipped_config_golden(self, tmp_path, name):
         # `otfsnoma simulate --config configs/<name>.cfg --trials 512 --seed 1`,
         # byte for byte as frozen in tests/data
@@ -343,6 +346,59 @@ class TestCsv:
                          "--trials", "512", "--seed", "1"]) == 0
         with open(os.path.join(DATA_DIR, f"golden_{name}.csv"), "rb") as fh:
             assert out.read_bytes() == fh.read()
+
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_shipped_config_goldens_on_other_blas_kernels(self, tmp_path, core):
+        # OpenBLAS built for several CPUs picks its kernels when it starts,
+        # and OPENBLAS_CORETYPE makes it pick another CPU's.  The spectra are
+        # BLAS products whose last bits follow the kernel, but every golden
+        # CSV keeps its bytes.  A core type that leaves U0's spectrum bits as
+        # they are tests nothing, and is skipped.
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip("OPENBLAS_CORETYPE names x86-64 cores")
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):  # numpy < 1.26 has no mode
+            blas = ""
+        if "openblas" not in blas.lower():
+            pytest.skip(f"numpy's BLAS is {blas or 'unknown'}, not OpenBLAS")
+        default = _run_on_blas_core(None, tmp_path)
+        if _run_on_blas_core(core, tmp_path, GOLDEN_CONFIGS) == default:
+            pytest.skip(f"OPENBLAS_CORETYPE={core} leaves U0's spectrum bits unchanged")
+        for name in GOLDEN_CONFIGS:
+            with open(os.path.join(DATA_DIR, f"golden_{name}.csv"), "rb") as fh:
+                assert (tmp_path / f"{name}.csv").read_bytes() == fh.read(), name
+
+
+_ON_BLAS_CORE = """
+import dataclasses, hashlib, os, sys
+sys.path.insert(0, sys.argv[1])
+from otfsnoma import emit_csv, parse_config_file, run_scenario, table1_profile
+from otfsnoma.grid_channel import sample_gain_matrix
+from otfsnoma.rng import substream
+from otfsnoma.transforms import power_spectrum
+prof = table1_profile()
+power = power_spectrum(prof, sample_gain_matrix(prof, substream(1, 0), 256), 16, 16)
+print(hashlib.sha256(power.tobytes()).hexdigest())
+for name in sys.argv[4:]:
+    cfg = parse_config_file(os.path.join(sys.argv[2], name + ".cfg"))
+    cfg = dataclasses.replace(cfg, trials=512, seed=1)
+    emit_csv(run_scenario(cfg), os.path.join(sys.argv[3], name + ".csv"))
+"""
+
+
+def _run_on_blas_core(core, out_dir, names=()) -> str:
+    """In a fresh interpreter with OPENBLAS_CORETYPE=``core`` (unset if
+    None), write the CSV of each shipped config in ``names`` at --trials 512
+    --seed 1 to ``out_dir``; return the digest of U0's Table 1 spectrum on
+    one 256-trial sub-batch of 16×16."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    out = subprocess.run([sys.executable, "-c", _ON_BLAS_CORE, src, CONFIG_DIR, str(out_dir),
+                          *names], capture_output=True, text=True, check=True, env=env)
+    return out.stdout.strip()
 
 
 class TestRunScenario:
@@ -639,18 +695,21 @@ class TestPivotBracket:
     @pytest.mark.parametrize("overrides", [
         dict(),
         dict(gamma0_sq=0.55, n=4, u0_profile=ChannelProfile(paths=((2, 0), (6, 0), (5, 1)))),
+        dict(u0_profile=ChannelProfile(paths=((1, 0), (1, 2), (1, 4), (5, 6)))),
         dict(direction="uplink", scheduler="per_subchannel"),
         dict(direction="uplink", scheduler="per_subchannel", rate_mode="adaptive"),
         dict(equalizer="le"),
         dict(equalizer="le", direction="uplink", scheduler="per_subchannel"),
-    ], ids=["downlink", "downlink-0.55", "uplink-fixed", "uplink-adaptive", "downlink-le",
-            "uplink-fixed-le"])
+    ], ids=["downlink", "downlink-0.55", "downlink-lattice", "uplink-fixed", "uplink-adaptive",
+            "downlink-le", "uplink-fixed-le"])
     def test_samples_equal_the_exact_pivots(self, monkeypatch, overrides):
         # from -30 to 300 dB and at 3000 dB, with an equal-gain singular U0 in
         # trial 42; U0 gains scaled by 1e-7 in trial 17, well conditioned but
         # with |D|² ≈ 1e-14, so φ ≈ 1e14 > 1/SINGULARITY_EPS, singular under
         # both equalizers; and U0 spectra that do not fit the gains: a NaN,
-        # so φ = inf, in trial 3, and all inf, so φ = 0, in trial 7
+        # so φ = inf, in trial 3, and all inf, so φ = 0, in trial 7.  The
+        # lattice case's U0 taps split its Gram matrix into e·d = 8 copies
+        # (e = 2, d = 4), so each of its pivots stands for 8 symbols.
         cfg = small_config(**{"equalizer": "dfe", **overrides})
         draw_gains, spectrum = harness.sample_gain_matrix, harness.power_spectrum
 
