@@ -26,14 +26,16 @@ Hermitian-Toeplitz problems that Schur's recursion solves without forming
 the NM×NM Gram matrix.  The Gram matrix is banded over Doppler, since every
 path pair's Doppler lag k_q − k_p lies in [−h, h] mod N with h = max k_p −
 min k_p (h = 1 for Table 1), and the recursion's generators stay zero
-outside that band.  It is also a lattice: with e = gcd(N, k_p − k_0 over the
+outside that band.  It is also a lattice (``transforms.coupling_lattice``,
+which the harness's spectra share): with e = gcd(N, k_p − k_0 over the
 paths) and d = gcd(M, l_p − l_0), every tap sits at a Doppler lag divisible
 by e and a delay lag divisible by d, so G is the direct sum of e·d copies of
-the (N/e)×(M/d) Gram matrix of taps k_p // e, l_p // d (d = 4, e = 1 for
+the (N/e)×(M/d) Gram matrix of the reduced profile's taps (d = 4, e = 1 for
 Table 1 on 16×16).  A symbol's Schur complement given every later symbol
 sees only its copy's later symbols, in the same order, so symbol (k, l)
-has that problem's pivot of (k // e, l // d).  So the pivots come back one
-per lattice symbol, NM/(e·d) a trial, the first and last being those of
+has that problem's pivot of (k // e, l // d), not the (k mod N/e, l mod M/d)
+at which it reads the periodic spectrum.  So the pivots come back one per
+lattice symbol, NM/(e·d) a trial, the first and last being those of
 symbols (0, 0) and (N−1, M−1).  The cost is O((NM/ed)(h′ + M/d)) per
 trial, h′ = h/e.  The recursions run in one pass over every trial of a
 call, in place on a per-thread workspace that persists across calls and
@@ -48,6 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid_channel import ChannelProfile
+from .transforms import coupling_lattice
 # Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
 # wraps names where callers look them up, still finds it in this module.
 from .transforms import dense_block_circulant  # noqa: F401
@@ -210,7 +214,7 @@ def _schur_errors(r: np.ndarray, out: np.ndarray, band=None) -> None:
 def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: int):
     """Pivots for a batch of channels from their (T, P) gains, one per symbol
     of the module docstring's (N/e)×(M/d) lattice, shape (T, NM/(e·d)), plus
-    a (T,) validity mask.
+    a (T,) validity mask.  Gains of any other shape are a ValueError.
 
     λ[k′M/d + l′] is lattice symbol (k′, l′)'s Schur complement in G = HᴴH
     given every later symbol, found from G's taps without forming G: N, M
@@ -238,14 +242,16 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     the trials of one sub-batch whose pivot bracket leaves an outage flag
     open.
     """
-    doppler_taps, delay_taps = np.asarray(doppler_taps), np.asarray(delay_taps)
-    e = math.gcd(n, *(doppler_taps - doppler_taps[0]))
-    d = math.gcd(m, *(delay_taps - delay_taps[0]))
-    n, m, doppler_taps, delay_taps = n // e, m // d, doppler_taps // e, delay_taps // d
-    band = int(np.ptp(doppler_taps))
+    if np.ndim(gains) != 2 or np.shape(gains)[1] != len(delay_taps):
+        raise ValueError(f"gains must be (T, P) with P = {len(delay_taps)} taps, "
+                         f"got shape {np.shape(gains)}")
+    profile = ChannelProfile(paths=tuple(zip(delay_taps, doppler_taps)))
+    lattice, e, d = coupling_lattice(profile, n, m)
+    band = int(np.ptp(doppler_taps)) // e  # exact: every Doppler tap is k₀ mod e
+    n, m = n // e, m // d
     trials, cells = len(gains), len(gains) * n * m
     ws = _WORKSPACE.reserve(cells)
-    taps = gram_taps_from_gains(doppler_taps, delay_taps, gains, n, m,
+    taps = gram_taps_from_gains(lattice.doppler_taps, lattice.delay_taps, gains, n, m,
                                 out=ws.taps[:cells].reshape(trials, n, m))
     # the delay sweep's errors overwrite the Doppler sweep's powers once the
     # IFFT has read them

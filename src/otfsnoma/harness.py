@@ -28,7 +28,7 @@ from .equalizers import batch_static_lambdas  # noqa: F401
 from .grid_channel import ChannelProfile, sample_gain_matrix, table1_profile
 from .rng import substream
 from .scheduling import batch_schedule, schedule_draws
-from .transforms import power_spectrum
+from .transforms import coupling_lattice, power_spectrum
 from .transforms import spectrum_from_taps, static_spectrum_from_taps  # noqa: F401
 
 BLOCK_TRIALS = 4096  # fixed work-unit size; part of the determinism contract
@@ -279,13 +279,24 @@ def parse_config_file(path) -> ScenarioConfig:
 #  equalizers, and under FD-DFE only the trials whose bracket [1/φ, Σ|h_p|²]
 #  straddles an outage threshold need pivots (u0_outage_counts).  Every
 #  outage fraction is an integer count of symbols or cells, divided once.
+#
+#  U0's arrays hold one copy of its coupling lattice, not the whole N×M grid
+#  (coupling_lattice: e·d copies of an (N/e)×(M/d) problem; e = 1 and d = 4
+#  for Table 1 on 16×16), and the two kinds map symbol (k, l) differently:
+#  - the spectrum a0, (T, N/e, M/d), is periodic, so symbol (k, l) reads
+#    it at (k mod N/e, l mod M/d);
+#  - the FD-DFE pivots, (T, NM/(e·d)), come one per lattice symbol, and
+#    symbol (k, l) takes that of (k // e, l // d).
+#  So φ, a mean over the spectrum, needs one copy; a count of outage flags
+#  over one copy is multiplied by the copies that it stands for.
 # ---------------------------------------------------------------------------
 
 
 def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> list:
     """U0's outage SINR < ε₀ under each of ``splits``, from its (T, P+1)
-    gains and (T, N, M) eigenvalue powers: per split, the count of its NM
-    symbols in outage and the flags of its first and last symbols, (T,) each.
+    gains and its eigenvalue powers on one lattice copy, (T, N/e, M/d)
+    (``_channel_state``): per split, the count of its NM symbols in outage
+    and the flags of its first and last symbols, (T,) each.
 
     Every ν of a trial lies in a bracket [lo, hi], and the flag only grows
     with ν, also in floating point: so no symbol is in outage if the flag is
@@ -335,10 +346,12 @@ def _block_draws(cfg: ScenarioConfig, rng, trials: int):
 
 
 def _channel_state(cfg: ScenarioConfig, h0, hk, draws):
-    """(h0, a0, ak, sel, gsel) of some trials: U0's gains and (T, N, M)
-    squared spectrum, the static users' (T, K, M) squared spectra, then the
-    scheduled user per subchannel and its squared gain, both (T, M)."""
-    a0 = power_spectrum(cfg.u0_profile, h0, cfg.n, cfg.m)
+    """(h0, a0, ak, sel, gsel) of some trials: U0's gains and its squared
+    spectrum on one copy of its coupling lattice, (T, N/e, M/d), the static
+    users' (T, K, M) squared spectra, then the scheduled user per subchannel
+    and its squared gain, both (T, M)."""
+    lattice, e, d = coupling_lattice(cfg.u0_profile, cfg.n, cfg.m)
+    a0 = power_spectrum(lattice, h0, cfg.n // e, cfg.m // d)
     ak = power_spectrum(cfg.noma_profile, hk, 1, cfg.m)[..., 0, :]
     sel = batch_schedule(ak, cfg.scheduler, draws, cfg.m)
     return h0, a0, ak, sel, ak[np.arange(len(sel))[:, None], sel, np.arange(cfg.m)]
@@ -394,16 +407,21 @@ def _uplink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
     """Uplink stage-I cell SINRs of the scheduled NOMA users and U0's
     stage-II outage; fixed-rate outages or the adaptive ergodic rate gain."""
     epsi, nm = 2.0**cfg.rate_noma - 1.0, cfg.n * cfg.m
-    sinr1 = rho * gsel[:, None, :] / (rho * a0 + 1.0)  # (T, N, M)
+    # cell (k, l = j·M/d + l′) of the N/e rows of one lattice copy, with
+    # U0's power a0[k, l′] and subchannel l's gain, (T, N/e, d, M/d): the
+    # other N − N/e rows repeat these e times.  At e = 1 this is the
+    # (T, N, M) order, so the adaptive mean sums in that order.
+    rows, cols = a0.shape[1:]
+    sinr1 = rho * gsel.reshape(-1, 1, cfg.m // cols, cols) / (rho * a0[:, :, None, :] + 1.0)
 
     # stage-II for U0 is interference-free once the NOMA signals are removed
     (stage2_count, _, _), = u0_outage_counts(cfg, rho, h0, a0, (PowerAllocation.oma(),))
     stage2_frac = stage2_count / nm
 
     if cfg.rate_mode == "adaptive":
-        return {"ergodic_rate_gain": np.log2(1.0 + sinr1).mean(axis=(1, 2)),
+        return {"ergodic_rate_gain": np.log2(1.0 + sinr1).mean(axis=(1, 2, 3)),
                 "u0_outage": stage2_frac}
-    cells_ok = np.count_nonzero(sinr1 >= epsi, axis=(1, 2))
+    cells_ok = np.count_nonzero(sinr1 >= epsi, axis=(1, 2, 3)) * (cfg.n // rows)
     noma_frac = 1.0 - cells_ok / nm
     # 1 − the share decoded, not count / nm, which can differ in the last bit unless NM = 2^k
     u0_joint = 1.0 - np.where(cells_ok == nm, nm - stage2_count, 0) / nm

@@ -13,7 +13,9 @@ operator, and its eigenvalues are the 2-D spectrum of the tap array.
 A channel has only P ≤ 4 paths, so the simulator computes that spectrum
 from the paths themselves (:func:`power_spectrum`), with a Doppler and a
 delay steering factor per profile and grid, not by FFTs of a zero-filled
-N×M tap array.  The FFT forms, :func:`spectrum_from_taps` and
+N×M tap array.  Where the paths' offsets share divisors of N and M, the
+spectrum is periodic, and :func:`coupling_lattice` gives the profile whose
+spectrum is one period.  The FFT forms, :func:`spectrum_from_taps` and
 :func:`static_spectrum_from_taps`, are the tests' independent references.
 """
 
@@ -21,6 +23,8 @@ import functools
 import math
 
 import numpy as np
+
+from .grid_channel import ChannelProfile
 
 # Dense NM×NM matrices are only materialized for oracle-scale problems.
 MAX_DENSE_CELLS = 4096
@@ -65,6 +69,26 @@ def _steering(profile, n: int, m: int) -> tuple:
     delay = np.exp(2j * np.pi / m * (np.outer(profile.delay_taps, np.arange(m)) % m))
     doppler.flags.writeable = delay.flags.writeable = False
     return doppler, delay
+
+
+@functools.lru_cache(maxsize=16)
+def coupling_lattice(profile, n: int, m: int) -> tuple:
+    """(reduced profile, e, d) of ``profile`` on the N×M grid, with
+    e = gcd(N, k_p − k₀) and d = gcd(M, l_p − l₀) over the paths.
+
+    Every path sits at a Doppler offset from path 0 divisible by e and a
+    delay offset divisible by d, so |D[k, l]|² has periods N/e in k and M/d
+    in l, and the Gram matrix HᴴH is e·d equal copies of one (N/e)×(M/d)
+    problem.  The reduced profile, of delay taps ((l_p − l₀) mod M) // d and
+    Doppler taps ((k_p − k₀) mod N) // e, has that copy's Gram matrix on the
+    (N/e)×(M/d) grid, and its |D|² there is the whole grid's at
+    (k mod N/e, l mod M/d).  Table 1 on 16×16 has e = 1 and d = 4.
+    """
+    doppler, delay = profile.doppler_taps, profile.delay_taps
+    doppler, delay = doppler - doppler[0], delay - delay[0]
+    e, d = math.gcd(n, *doppler), math.gcd(m, *delay)
+    reduced = ChannelProfile(paths=tuple(zip(delay % m // d, doppler % n // e)))
+    return reduced, e, d
 
 
 # Complex multiply-adds per BLAS call of :func:`power_spectrum`, which groups

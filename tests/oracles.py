@@ -567,14 +567,15 @@ def symbol_pivots(profile: ChannelProfile, lam: np.ndarray, n: int, m: int) -> n
 
 
 def user_noise_enhancement(equalizer: str, profile: ChannelProfile, gains: np.ndarray,
-                           power: np.ndarray) -> np.ndarray:
-    """ν of a user from its (..., P+1) gains and (..., N, M) eigenvalue powers
-    |D|²: (..., 1) under FD-LE, (..., NM) under FD-DFE.  A Doppler-free user
-    passes its (..., M) powers as (..., 1, M); under FD-DFE the powers give
-    only the grid's N and M."""
+                           power: np.ndarray, n: int, m: int) -> np.ndarray:
+    """ν of a user on the N×M grid from its (..., P+1) gains and eigenvalue
+    powers |D|²: (..., 1) under FD-LE, the φ of the powers, and (..., NM)
+    under FD-DFE, from the gains alone.  The powers may be the whole grid's
+    (..., N, M) or one copy of the coupling lattice, (..., N/e, M/d), as the
+    harness computes them: φ is the same mean.  A Doppler-free user passes
+    its (..., M) powers as (..., 1, M) and the grid 1×M."""
     if equalizer == "le":
         return batch_noise_enhancement(power, (-2, -1))[..., None]
-    n, m = power.shape[-2:]
     gains = np.asarray(gains)
     lam, ok = batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps,
                                 gains.reshape(-1, gains.shape[-1]), n, m)
@@ -603,7 +604,7 @@ def u0_receive(tx: Frame, realization: ChannelRealization, rng: np.random.Genera
 
     d = diagonalize(channel)
     nu = user_noise_enhancement(equalizer, realization.profile, realization.gains[None],
-                                np.abs(d.d_values[None]) ** 2)
+                                np.abs(d.d_values[None]) ** 2, n, m)
     sinrs = np.resize(power.sinr(link.rho, nu), (n, m))  # repeats the FD-LE value
     if np.isinf(nu).any():
         estimates = None
@@ -628,7 +629,7 @@ def noma_stage1(realization: ChannelRealization, grid: Grid, rho: float,
         raise ValueError(f"equalizer must be one of {EQUALIZERS}")
     d = nomauser_diagonalize(realization, grid)
     nu = user_noise_enhancement(equalizer, realization.profile, realization.gains,
-                                np.abs(d[None]) ** 2)
+                                np.abs(d[None]) ** 2, 1, grid.m_delay)
     return np.resize(power.sinr(rho, nu), grid.m_delay)
 
 
@@ -653,7 +654,7 @@ def exact_u0_outage_counts(cfg, rho: float, h0, a0, splits) -> list:
     where ``harness.u0_outage_counts`` decides most trials from the bracket
     [1/φ, Σ|h_p|²] and must give the same bits."""
     eps0 = 2.0**cfg.rate_u0 - 1.0
-    nu = user_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0)
+    nu = user_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0, cfg.n, cfg.m)
     with np.errstate(divide="ignore"):  # the OMA SINR at FD-LE's φ = 0 (all-inf powers)
         flags = [np.broadcast_to(split.sinr(rho, nu) < eps0, (len(h0), cfg.n * cfg.m))
                  for split in splits]
@@ -765,7 +766,7 @@ def uplink_stage2_sinrs(realization: ChannelRealization, grid: Grid, rho: float,
         raise ValueError("equalizer must be 'le' or 'dfe'")
     d = diagonalize(build_block_circulant(realization, grid))
     nu = user_noise_enhancement(equalizer, realization.profile, realization.gains[None],
-                                np.abs(d.d_values[None]) ** 2)
+                                np.abs(d.d_values[None]) ** 2, grid.n_doppler, grid.m_delay)
     return np.resize(PowerAllocation.oma().sinr(rho, nu), (grid.n_doppler, grid.m_delay))
 
 

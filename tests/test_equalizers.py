@@ -350,6 +350,19 @@ def test_singular_user_in_batch(path):
     assert np.array_equal(lam_null[others], lam[others])
 
 
+@pytest.mark.parametrize("shape", [(2,), (3, 3), (3, 1), (2, 3, 2)],
+                         ids=["one-channel", "too-many-paths", "too-few-paths", "stacked"])
+def test_pivots_reject_gains_that_are_not_trials_by_paths(shape):
+    # (P,) gains are one channel, not P trials of it: they used to come back
+    # as P identical rows of pivots
+    delays = np.array([0, 4])
+    gains = np.ones(shape, dtype=complex)
+    with pytest.raises(ValueError, match="gains"):
+        batch_dfe_lambdas(np.zeros_like(delays), delays, gains, 2, 8)
+    with pytest.raises(ValueError, match="gains"):
+        batch_static_lambdas(delays, gains, 8)
+
+
 def _static_power(delay_taps, gains, m):
     taps = np.zeros(gains.shape[:-1] + (m,), dtype=np.complex128)
     taps[..., delay_taps] = gains
@@ -407,7 +420,7 @@ def test_static_stage1_verdict_from_phi(m, offset, valid):
     gains = np.array([[_H, _H + offset]])
     power = _static_power(prof.delay_taps, gains, m)
     _, ok = batch_static_lambdas(prof.delay_taps, gains, m)
-    nu = user_noise_enhancement("dfe", prof, gains, power[..., None, :])
+    nu = user_noise_enhancement("dfe", prof, gains, power[..., None, :], 1, m)
     phi = batch_noise_enhancement(power, -1)
     assert ok[0] == valid
     assert np.isinf(nu).all() == (not valid)
@@ -796,8 +809,8 @@ def test_user_noise_enhancement_is_static_at_n1(channel):
     gains = np.stack([gains, gains[::-1]])
     power = _static_power(prof.delay_taps, gains, m)
     lam, ok = batch_static_lambdas(prof.delay_taps, gains, m)
-    le = user_noise_enhancement("le", prof, gains, power[..., None, :])
-    dfe = user_noise_enhancement("dfe", prof, gains, power[..., None, :])
+    le = user_noise_enhancement("le", prof, gains, power[..., None, :], 1, m)
+    dfe = user_noise_enhancement("dfe", prof, gains, power[..., None, :], 1, m)
     assert np.array_equal(le, batch_noise_enhancement(power, -1)[..., None])
     assert np.array_equal(dfe, np.where(ok[:, None], 1.0 / symbol_pivots(prof, lam, 1, m), np.inf))
 

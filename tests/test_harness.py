@@ -652,6 +652,31 @@ class TestSubBatches:
             assert np.array_equal(samples[name], values), name
 
 
+@pytest.mark.parametrize("rate_mode", ["fixed", "adaptive"])
+def test_uplink_cells_broadcast_the_lattice_spectrum(rate_mode):
+    # U0's paths on 8×8 have e = 2 and d = 4, so its spectrum is one (4, 2)
+    # copy of the grid's.  Broadcast against the scheduled gains, it gives
+    # every cell's stage-I SINR: cell (k, l) reads the spectrum at
+    # (k mod 4, l mod 2) and the gain of subchannel l.  The cells in outage
+    # are those of the tiled (T, 8, 8) spectrum, and the adaptive rate is
+    # their mean to 1e-12 relative, summed in another order.
+    cfg = small_config(direction="uplink", scheduler="per_subchannel", rate_mode=rate_mode,
+                       u0_profile=ChannelProfile(paths=((1, 0), (1, 2), (1, 4), (5, 6))))
+    rho, trials = 10.0, 64
+    h0, a0, ak, sel, gsel = _channel_state(cfg, *_block_draws(cfg, substream(cfg.seed, 0),
+                                                                trials))
+    assert a0.shape == (trials, 4, 2)
+    sinr1 = rho * gsel[:, None, :] / (rho * np.tile(a0, (1, 2, 4)) + 1.0)
+    samples = harness._uplink_samples(cfg, rho, h0, a0, ak, sel, gsel)
+    if rate_mode == "adaptive":
+        rate = np.log2(1.0 + sinr1).mean(axis=(1, 2))
+        assert np.all(np.abs(samples["ergodic_rate_gain"] / rate - 1.0) <= 1e-12)
+    else:
+        cells_ok = np.count_nonzero(sinr1 >= 2.0**cfg.rate_noma - 1.0, axis=(1, 2))
+        assert 0 < cells_ok.min() and cells_ok.max() == 64
+        assert np.array_equal(samples["noma_outage"], 1.0 - cells_ok / 64)
+
+
 def _bracket_undecided(cfg, rho, h0, a0):
     """The trials whose U0 outage flags some split leaves open between the
     pivot bracket's ends ν = (1−δ)/Σ|h_p|² and φ(1+δ), or whose φ·Σ|h_p|² is
@@ -709,22 +734,28 @@ class TestPivotBracket:
         # both equalizers; and U0 spectra that do not fit the gains: a NaN,
         # so φ = inf, in trial 3, and all inf, so φ = 0, in trial 7.  The
         # lattice case's U0 taps split its Gram matrix into e·d = 8 copies
-        # (e = 2, d = 4), so each of its pivots stands for 8 symbols.
+        # (e = 2, d = 4), so each of its pivots stands for 8 symbols, and its
+        # spectrum is one (4, 2) copy.  U0's spectrum is the one computed
+        # from (T, P) gains, not the static users' (T, K, P), and on its
+        # lattice's reduced profile, not cfg.u0_profile.
         cfg = small_config(**{"equalizer": "dfe", **overrides})
         draw_gains, spectrum = harness.sample_gain_matrix, harness.power_spectrum
+        patched = {"gains": 0, "spectra": 0}
 
         def with_odd_u0_gains(profile, rng, count):
             gains = draw_gains(profile, rng, count)
             if profile == cfg.u0_profile:
                 gains[self.SINGULAR] = [0.5, 0.5] + [0.0] * (profile.num_paths - 2)
                 gains[self.TINY] *= 1e-7
+                patched["gains"] += 1
             return gains
 
         def with_odd_u0_spectra(profile, gains, n, m):
             power = spectrum(profile, gains, n, m)
-            if profile == cfg.u0_profile:
-                power[3, 1, 2] = np.nan
+            if gains.ndim == 2:
+                power[3, 1, 1] = np.nan
                 power[7] = np.inf
+                patched["spectra"] += 1
             return power
 
         monkeypatch.setattr(harness, "sample_gain_matrix", with_odd_u0_gains)
@@ -734,6 +765,7 @@ class TestPivotBracket:
             for name, samples in exact.items():
                 assert np.array_equal(fast[name], samples, equal_nan=True), (rho_db, name)
             assert fast["u0_outage"][self.SINGULAR] == fast["u0_outage"][self.TINY] == 1.0
+        assert patched == {"gains": 2 * len(self.RHO_DB), "spectra": 2 * len(self.RHO_DB)}
 
     @pytest.mark.parametrize("offsets", [None, np.geomspace(1e-6, 2e-6, 13)],
                              ids=["typical", "ill-conditioned"])
@@ -801,23 +833,33 @@ class TestPivotBracket:
 
 def test_nan_spectrum_puts_the_trial_in_outage(monkeypatch):
     # a NaN |D|² makes φ = inf: U0 is in outage in trial 3, and in trial 5
-    # every static user fails stage I, so every scheduled user is in outage
-    cfg = small_config()
+    # every static user fails stage I, so every scheduled user is in outage.
+    # U0's spectrum is the one computed from (T, P) gains, on the reduced
+    # profile of its coupling lattice, one (N/e, M/d) copy: all of the 8×8
+    # grid, or (4, 2) where e = 2 and d = 4.  The static users' gains are
+    # (T, K, P).
     spectrum = harness.power_spectrum
+    for paths, copy in ((((2, 0), (6, 0), (5, 1), (7, 1)), (8, 8)),
+                        (((1, 0), (1, 2), (1, 4), (5, 6)), (4, 2))):
+        cfg = small_config(u0_profile=ChannelProfile(paths=paths))
+        patched = []
 
-    def with_nans(profile, gains, n, m):
-        power = spectrum(profile, gains, n, m)
-        if profile == cfg.u0_profile:
-            power[3, 1, 2] = np.nan
-        else:
-            power[5, :, 0, 4] = np.nan
-        return power
+        def with_nans(profile, gains, n, m):
+            power = spectrum(profile, gains, n, m)
+            if gains.ndim == 2:
+                assert power.shape == (8,) + copy
+                power[3, 1, 1] = np.nan
+            else:
+                power[5, :, 0, 4] = np.nan
+            patched.append(gains.ndim)
+            return power
 
-    monkeypatch.setattr(harness, "power_spectrum", with_nans)
-    samples = scenario_kernel(cfg, 1e6, substream(cfg.seed, 0), 8)
-    assert samples["u0_outage"][3] == samples["u0_outage_oma"][3] == 1.0
-    assert samples["noma_outage"][5] == 1.0
-    assert samples["u0_outage"].mean() < 1.0 and samples["noma_outage"].mean() < 1.0
+        monkeypatch.setattr(harness, "power_spectrum", with_nans)
+        samples = scenario_kernel(cfg, 1e6, substream(cfg.seed, 0), 8)
+        assert sorted(patched) == [2, 3], paths
+        assert samples["u0_outage"][3] == samples["u0_outage_oma"][3] == 1.0
+        assert samples["noma_outage"][5] == 1.0
+        assert samples["u0_outage"].mean() < 1.0 and samples["noma_outage"].mean() < 1.0
 
 
 @pytest.mark.parametrize("direction, gain", [("downlink", 2.0), ("uplink", 1.0)])

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from otfsnoma import ChannelProfile, table1_profile
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.rng import substream
-from otfsnoma.transforms import power_spectrum, spectrum_from_taps, static_spectrum_from_taps
+from otfsnoma.equalizers import batch_noise_enhancement
+from otfsnoma.harness import ScenarioConfig, _block_draws, _channel_state
+from otfsnoma.transforms import (coupling_lattice, power_spectrum, spectrum_from_taps,
+                                 static_spectrum_from_taps)
 from oracles import (ChannelRealization, Domain, DomainMismatchError, Frame, Grid,
                      build_block_circulant, diagonalize, isfft, isfft2, nomauser_diagonalize,
                      per_trial_power_spectrum, sfft, sfft2)
@@ -317,6 +320,70 @@ def test_power_spectrum_matches_the_fft_oracles(grid, seed, log_scale):
     # a trial's (leading-axis entry's) bits do not depend on the trials
     # that share the call
     assert np.array_equal(power_spectrum(prof, gains[1:], n, m), power[1:])
+
+
+@st.composite
+def _lattice_grid_and_profile(draw):
+    # paths at Doppler k₀ + e·a and delay l₀ + d·b, e, d ≥ 2, on the
+    # (e·rows)×(d·cols) grid, in any order, so path 0 need not have the
+    # smallest taps; the grid's lattice is this one or a coarser one
+    e, d = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k0, l0 = draw(st.integers(0, e - 1)), draw(st.integers(0, d - 1))
+    cells = st.tuples(st.integers(0, cols - 1), st.integers(0, rows - 1))
+    offsets = draw(st.lists(cells, min_size=1, max_size=min(4, rows * cols), unique=True))
+    return e * rows, d * cols, ChannelProfile(paths=tuple((l0 + d * b, k0 + e * a)
+                                                          for b, a in offsets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=_lattice_grid_and_profile(), seed=st.integers(0, 2**32),
+       log_scale=st.floats(min_value=-6, max_value=6))
+def test_lattice_spectrum_is_one_copy_of_the_grid(grid, seed, log_scale):
+    # |D|² has periods N/e and M/d, so the reduced profile's spectrum on
+    # the (N/e)×(M/d) grid, read at (k mod N/e, l mod M/d), is the whole
+    # grid's, to the FFT comparison's tolerance above; φ, the mean of
+    # |D|⁻² over e·d equal copies or over one, agrees to 1e-12 relative
+    # (1.3e-13 was the worst seen over 120k such channels); and the
+    # harness holds U0's spectrum as that one copy
+    n, m, prof = grid
+    lattice, e, d = coupling_lattice(prof, n, m)
+    assert e > 1 and d > 1 and n % e == 0 and m % d == 0
+    rows, cols = n // e, m // d
+    rng = substream(seed, 0)
+    gains = sample_gain_matrix(prof, rng, 6).reshape(2, 3, prof.num_paths)
+    gains *= 10.0 ** (log_scale * rng.random((2, 3, prof.num_paths)))
+    reduced = power_spectrum(lattice, gains, rows, cols)
+    assert reduced.shape == (2, 3, rows, cols)
+    tiled = reduced[..., np.arange(n)[:, None] % rows, np.arange(m) % cols]
+    taps = np.zeros((2, 3, n, m), dtype=complex)
+    taps[..., prof.doppler_taps, prof.delay_taps] = gains
+    tol = 64 * np.finfo(float).eps * np.abs(gains).sum(axis=-1)[..., None, None] ** 2
+    full = power_spectrum(prof, gains, n, m)
+    assert (np.abs(tiled - full) <= tol).all()
+    assert (np.abs(tiled - np.abs(spectrum_from_taps(taps)) ** 2) <= tol).all()
+    phi, phi_full = (batch_noise_enhancement(p, (-2, -1)) for p in (reduced, full))
+    assert np.array_equal(np.isinf(phi), np.isinf(phi_full))
+    finite = np.isfinite(phi)
+    assert (np.abs(phi[finite] / phi_full[finite] - 1.0) <= 1e-12).all()
+    cfg = ScenarioConfig(direction="downlink", n=n, m=m, k_users=m, gamma0_sq=0.75,
+                         rate_u0=0.5, rate_noma=1.0, equalizer="le", snr_db=(0.0,), trials=3,
+                         seed=1, u0_profile=prof, noma_profile=ChannelProfile(paths=((0, 0),)))
+    _, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(seed, 1), 3))
+    assert a0.shape == (3, rows, cols)
+
+
+def test_table1_spectrum_is_one_16x4_copy():
+    # Table 1's delay taps 2, 6, 10, 14 on M = 16 share d = 4, and its
+    # Doppler taps 0, 0, 1, 1 give e = 1: U0's spectrum is (T, 16, 4)
+    lattice, e, d = coupling_lattice(table1_profile(), 16, 16)
+    assert (e, d) == (1, 4)
+    assert lattice == ChannelProfile(paths=((0, 0), (1, 0), (2, 1), (3, 1)))
+    cfg = ScenarioConfig(direction="downlink", n=16, m=16, k_users=16, gamma0_sq=0.75,
+                         rate_u0=0.5, rate_noma=1.0, equalizer="le", snr_db=(0.0,), trials=5,
+                         seed=1)
+    _, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(1, 0), 5))
+    assert a0.shape == (5, 16, 4)
 
 
 @st.composite
