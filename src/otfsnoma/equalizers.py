@@ -238,9 +238,9 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     or below SINGULARITY_EPS is singular: it gets ``ok=False`` and λ = 1 as a
     placeholder, which the caller turns into ν = inf, an outage on every
     symbol.  Trials never mix, so neither a singular trial nor the number of
-    trials in a call changes the other trials' bits: the harness passes only
-    the trials of one sub-batch whose pivot bracket leaves an outage flag
-    open.
+    trials in a call changes the other trials' bits: the harness gathers the
+    trials of a work unit whose pivot bracket leaves an outage flag open and
+    passes at most one sub-batch's trials a call.
     """
     if np.ndim(gains) != 2 or np.shape(gains)[1] != len(delay_taps):
         raise ValueError(f"gains must be (T, P) with P = {len(delay_taps)} taps, "

@@ -1,13 +1,15 @@
 """Monte Carlo experiment engine, analytic oracles, and CSV serialization.
 
-Every estimate comes from one block driver: a per-block kernel
-``(cfg, rho, rng, trials) -> {metric: per-trial samples}`` runs on
-fixed-size blocks, each drawing from a substream keyed by the caller's key
-and the block index, and the blocks' partial sums are merged in block order,
-so a run is bit-reproducible regardless of the worker count.  Scenarios key
-their blocks by (seed, snr_index, block_index); the tests' standalone
-estimators (``tests/oracles.py``) run kernels through the same block tasks
-and accumulator, keyed by (seed, block_index).
+Every estimate comes from one block driver: trials run in fixed-size
+blocks, each drawing from a substream keyed by the caller's key and the
+block index, each reduced to partial sums of its own trials, and the
+blocks' sums are merged in block order, so a run is bit-reproducible
+regardless of the worker count.  Scenarios key their blocks by
+(seed, snr_index, block_index) and run them in work units, runs of
+consecutive small blocks that share their FD-DFE pivot calls; the tests'
+standalone estimators (``tests/oracles.py``) run per-block kernels
+``(cfg, rho, rng, trials) -> {metric: per-trial samples}`` through the same
+block tasks and accumulator, keyed by (seed, block_index).
 Every metric carries a 95% normal-approximation confidence halfwidth
 computed from the per-trial spread.
 """
@@ -36,12 +38,13 @@ MAX_SNR_DB = 3000.0  # bound on every |SNR|, of configs and formulas: ρ is a fi
 
 # Trials × grid cells per sub-batch.  The kernel works through a block's
 # trials in sub-batches of this size, so its working memory does not grow
-# with the block: 256 trials a sub-batch at 16×16.  A sub-batch hands the
-# FD-DFE pivots all its trials in one call, which they work through in one
-# pass on a per-thread workspace, sized by their lattice cells (a quarter of
-# the trial-cells under Table 1), that grows to the largest call so far and
-# is kept across sub-batches and blocks instead of being returned to the
-# system and faulted in again.
+# with the block: 256 trials a sub-batch at 16×16.  The FD-DFE pivots take
+# the undecided trials of a whole work unit in calls of at most one
+# sub-batch's trials, which they work through in one pass on a per-thread
+# workspace, sized by their lattice cells (a quarter of the trial-cells
+# under Table 1), that grows to the largest call so far and is kept across
+# calls and units instead of being returned to the system and faulted in
+# again.
 SUB_BATCH_CELLS = 1 << 16
 
 # The size rule of every scenario: n·m and k_users·m, a trial's U0 and
@@ -262,15 +265,19 @@ def parse_config_file(path) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-#  The per-block trial kernel: (cfg, rho, rng, trials) -> {metric: per-trial samples}
+#  The trial kernel: a work unit of blocks -> each block's {metric: per-trial samples}
 #
-#  The kernel first takes every random number of its block, in a fixed order
-#  (_block_draws).  It then computes the channel state (_channel_state: the
-#  spectra and the schedule) and the samples of the config's direction on
-#  sub-batches of about SUB_BATCH_CELLS trial-cells, so its working memory,
-#  the FD-DFE pivots' included, does not grow with the block.  Each trial's
-#  samples depend on its own draws alone, so they keep their bits whatever
-#  the sub-batch size.
+#  A work unit is a run of consecutive blocks (_work_units).  Each block first
+#  takes every random number of its own, in a fixed order (_block_draws).  It
+#  then computes the channel state (_channel_state: the spectra and the
+#  schedule), U0's bracket verdicts and the NOMA users' share of the samples
+#  on sub-batches of about SUB_BATCH_CELLS trial-cells, so its working memory
+#  does not grow with the block.  Only U0's FD-DFE trials that the bracket
+#  leaves undecided wait for the end of the unit: their gains are gathered
+#  across its blocks, each trial with its own ρ, and get their pivots in calls
+#  of at most one sub-batch's trials (_pivot_undecided).  Then each block's
+#  samples are formed.  Each trial's samples depend on its own draws and ρ
+#  alone, so they keep their bits whatever the sub-batch size and the unit.
 #
 #  Every receiver sees its equalizer through one value ν per symbol: the
 #  FD-LE φ, one per channel, or the FD-DFE 1/λ, one per symbol, with ν = inf
@@ -292,21 +299,23 @@ def parse_config_file(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> list:
-    """U0's outage SINR < ε₀ under each of ``splits``, from its (T, P+1)
-    gains and its eigenvalue powers on one lattice copy, (T, N/e, M/d)
-    (``_channel_state``): per split, the count of its NM symbols in outage
-    and the flags of its first and last symbols, (T,) each.
+def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> tuple:
+    """U0's outage SINR < ε₀ under each of ``splits``, as far as its bracket
+    decides it, from its (T, P+1) gains and its eigenvalue powers on one
+    lattice copy, (T, N/e, M/d) (``_channel_state``).  Returns an integer
+    array (splits, 3, T): per split, the count of its NM symbols in outage
+    and the flags of its first and last symbols; and the (T,) mask of the
+    trials that some split leaves undecided, whose three entries are
+    placeholders until their exact pivots fill them in (``_pivot_counts``).
 
     Every ν of a trial lies in a bracket [lo, hi], and the flag only grows
     with ν, also in floating point: so no symbol is in outage if the flag is
     False at hi, and every one if it is True at lo.  Under FD-LE the bracket
-    is the point φ; under FD-DFE it is [(1−δ)/Σ|h_p|², φ(1+δ)] around
-    [1/Σ|h_p|², φ] (see :mod:`equalizers`), trusted only where φ·Σ|h_p|² is
-    in range, and "none" also needs φ(1+δ) ≤ 1/SINGULARITY_EPS, so that no
-    pivot is singular.  Only a trial that some split leaves undecided gets
-    its pivots from ``batch_dfe_lambdas``, so every count keeps the bits of
-    the exact pivots.
+    is the point φ, which decides every trial; under FD-DFE it is
+    [(1−δ)/Σ|h_p|², φ(1+δ)] around [1/Σ|h_p|², φ] (see :mod:`equalizers`),
+    trusted only where φ·Σ|h_p|² is in range, and "none" also needs
+    φ(1+δ) ≤ 1/SINGULARITY_EPS, so that no pivot is singular.  So every
+    count keeps the bits of the exact pivots.
     """
     eps0 = 2.0**cfg.rate_u0 - 1.0
     lo = hi = phi = batch_noise_enhancement(a0, (-2, -1))
@@ -318,21 +327,42 @@ def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> list:
             hi, lo = phi * (1.0 + BRACKET_SLACK), (1.0 - BRACKET_SLACK) / energy
             trusted = (1.0 - BRACKET_SLACK <= cond) & (cond <= BRACKET_MAX_COND)
             clear = trusted & (hi <= 1.0 / SINGULARITY_EPS)
-        every = [trusted & (split.sinr(rho, lo) < eps0) for split in splits]
-        none = [clear & (split.sinr(rho, hi) >= eps0) for split in splits]
-    exact = ~np.logical_and.reduce([e | n for e, n in zip(every, none)])
-    counts = [(e * (cfg.n * cfg.m), e.copy(), e.copy()) for e in every]
-    if exact.any():
-        prof = cfg.u0_profile
-        lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, h0[exact], cfg.n, cfg.m)
-        copies = cfg.n * cfg.m // lam.shape[1]  # e·d symbols share each lattice pivot
-        nu = np.divide(1.0, lam, out=lam)  # in place: the pivots are a copy
-        nu[~ok] = np.inf
-        for (count, first, last), split in zip(counts, splits):
-            flags = split.sinr(rho, nu) < eps0  # (T', NM/(e·d))
-            count[exact] = np.count_nonzero(flags, axis=1) * copies
-            first[exact], last[exact] = flags[:, 0], flags[:, -1]
-    return counts
+        every = np.array([trusted & (split.sinr(rho, lo) < eps0) for split in splits])
+        none = np.array([clear & (split.sinr(rho, hi) >= eps0) for split in splits])
+    undecided = ~np.logical_and.reduce(every | none)
+    return np.stack([every * (cfg.n * cfg.m), every, every], axis=1), undecided
+
+
+def _pivot_counts(cfg: ScenarioConfig, rho, h0, splits) -> np.ndarray:
+    """``u0_outage_counts``'s (splits, 3, T) array for the trials of ``h0``,
+    (T, P+1) gains, from their exact FD-DFE pivots.  ``rho`` is a float or a
+    (T, 1) column of each trial's ρ: the SINR takes the same IEEE operations
+    on either."""
+    prof = cfg.u0_profile
+    lam, ok = batch_dfe_lambdas(prof.doppler_taps, prof.delay_taps, h0, cfg.n, cfg.m)
+    copies = cfg.n * cfg.m // lam.shape[1]  # e·d symbols share each lattice pivot
+    nu = np.divide(1.0, lam, out=lam)  # in place: the pivots are a copy
+    nu[~ok] = np.inf
+    eps0 = 2.0**cfg.rate_u0 - 1.0
+    flags = [split.sinr(rho, nu) < eps0 for split in splits]  # (T, NM/(e·d)) each
+    return np.array([(np.count_nonzero(f, axis=1) * copies, f[:, 0], f[:, -1]) for f in flags])
+
+
+def _pivot_undecided(cfg: ScenarioConfig, splits, parts, step: int) -> None:
+    """Fill in U0's undecided trials in ``parts``, (ρ, undecided gains,
+    counts, undecided mask, ·) per sub-batch, from their exact pivots.  The
+    trials are gathered in order across the parts, each with its part's ρ,
+    and pivoted in calls of at most ``step`` trials, so the pivots' workspace
+    stays within one sub-batch's lattice cells."""
+    gains = np.concatenate([g for _, g, *_ in parts])
+    rho = np.repeat([r for r, *_ in parts], [len(g) for _, g, *_ in parts])[:, None]
+    calls = [_pivot_counts(cfg, rho[lo:lo + step], gains[lo:lo + step], splits)
+             for lo in range(0, len(gains), step)]
+    if calls:
+        exact, lo = np.concatenate(calls, axis=-1), 0
+        for _, g, counts, undecided, _ in parts:
+            counts[..., undecided] = exact[..., lo:lo + len(g)]
+            lo += len(g)
 
 
 def _block_draws(cfg: ScenarioConfig, rng, trials: int):
@@ -357,37 +387,54 @@ def _channel_state(cfg: ScenarioConfig, h0, hk, draws):
     return h0, a0, ak, sel, ak[np.arange(len(sel))[:, None], sel, np.arange(cfg.m)]
 
 
-def scenario_kernel(cfg: ScenarioConfig, rho: float, rng, trials: int) -> dict:
-    """Draw the block, then run ``cfg.direction``'s samples function on
-    sub-batches of at most SUB_BATCH_CELLS // (max(N, K)·M) trials, sized by
-    the larger of U0's N×M and the static users' K×M arrays, and join each
-    metric's per-trial samples in trial order."""
-    samples_of = _downlink_samples if cfg.direction == "downlink" else _uplink_samples
-    h0, hk, draws = _block_draws(cfg, rng, trials)
+def _unit_samples(cfg: ScenarioConfig, blocks) -> list:
+    """Each of ``blocks``' samples, (ρ, rng, trials) triples, in order: one
+    {metric: per-trial samples} dict per block.  A block is drawn, then
+    computed on sub-batches of at most SUB_BATCH_CELLS // (max(N, K)·M)
+    trials, sized by the larger of U0's N×M and the static users' K×M
+    arrays; U0's undecided trials get their pivots once the unit's blocks
+    are computed, and each block's samples are joined in trial order."""
+    downlink = cfg.direction == "downlink"
+    oma = PowerAllocation.oma()
+    splits = (PowerAllocation.split(cfg.gamma0_sq), oma) if downlink else (oma,)
     step = SUB_BATCH_CELLS // (max(cfg.n, cfg.k_users) * cfg.m)
-    parts = []
-    for lo in range(0, trials, step):
-        part = slice(lo, lo + step)
-        parts.append(samples_of(cfg, rho, *_channel_state(cfg, h0[part], hk[part], draws[part])))
-    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+    held = [_block_parts(cfg, splits, step, *block) for block in blocks]
+    _pivot_undecided(cfg, splits, [p for parts in held for p in parts], step)
+    samples_of = _downlink_samples if downlink else _uplink_samples
+    out = []
+    for parts in held:
+        samples = [samples_of(cfg, counts, noma) for _, _, counts, _, noma in parts]
+        out.append({name: np.concatenate([s[name] for s in samples]) for name in samples[0]})
+    return out
 
 
-def _downlink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
-    """Downlink outages of U0 (NOMA split and OMA baseline) and of the
-    scheduled NOMA users' two-stage SIC, with the outage sum rates."""
+def _block_parts(cfg: ScenarioConfig, splits, step: int, rho: float, rng, trials: int) -> list:
+    """One block's parts (``_sub_batch_part``), one per sub-batch of ``step``
+    trials.  The block's draws are freed on return, before the unit's pivot
+    calls."""
+    h0, hk, draws = _block_draws(cfg, rng, trials)
+    return [_sub_batch_part(cfg, splits, rho, *_channel_state(cfg, h0[lo:lo + step],
+                                                              hk[lo:lo + step],
+                                                              draws[lo:lo + step]))
+            for lo in range(0, trials, step)]
+
+
+def _sub_batch_part(cfg: ScenarioConfig, splits, rho: float, h0, a0, ak, sel, gsel) -> tuple:
+    """(ρ, U0's undecided gains, its counts and undecided mask from
+    u0_outage_counts, the NOMA users' part) of one sub-batch's channel
+    state, which is freed on return, before the next sub-batch's is
+    computed."""
+    noma_of = _downlink_noma if cfg.direction == "downlink" else _uplink_noma
+    counts, undecided = u0_outage_counts(cfg, rho, h0, a0, splits)
+    return rho, h0[undecided], counts, undecided, noma_of(cfg, rho, a0, ak, sel, gsel)
+
+
+def _downlink_noma(cfg, rho, a0, ak, sel, gsel):
+    """The scheduled NOMA users' share of subchannels in outage, (T,): their
+    two-stage SIC, stage I (decode U0) then stage II (own symbol)."""
     power = PowerAllocation.split(cfg.gamma0_sq)
     eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
-
-    # --- U0 detection (NOMA power split and the OMA baseline) ---
-    samples = {}
-    splits = (power, PowerAllocation.oma())
-    for name, (count, first, last) in zip(("u0_outage", "u0_outage_oma"),
-                                          u0_outage_counts(cfg, rho, h0, a0, splits)):
-        samples[name] = count / (cfg.n * cfg.m)
-        samples[name + "_first"], samples[name + "_last"] = first, last
-
-    # --- NOMA users: stage-I (decode U0) then stage-II (own symbol) ---
     # Stage I needs all M of a user's symbols, so the worst one decides it.
     # Under FD-LE every symbol has ν = φ; under FD-DFE the largest ν is
     # 1/λ₀ = φ (see batch_static_lambdas), singular under the same rule.
@@ -395,7 +442,17 @@ def _downlink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
     ok1_sel = np.take_along_axis(ok1_user, sel, axis=1)
     snr2 = rho * power.gamma1_sq * gsel
     noma_out = ~(ok1_sel & (snr2 >= epsi))  # (T, M); constant over the N symbols
-    noma_frac = np.count_nonzero(noma_out, axis=1) / cfg.m
+    return np.count_nonzero(noma_out, axis=1) / cfg.m
+
+
+def _downlink_samples(cfg, counts, noma_frac) -> dict:
+    """Downlink outages of U0 (NOMA power split and OMA baseline), from its
+    (2, 3, T) counts, and of the scheduled NOMA users, with the outage sum
+    rates."""
+    samples = {}
+    for name, (count, first, last) in zip(("u0_outage", "u0_outage_oma"), counts):
+        samples[name] = count / (cfg.n * cfg.m)
+        samples[name + "_first"], samples[name + "_last"] = first, last
     samples["noma_outage"] = noma_frac
     samples["outage_sum_rate_noma"] = (cfg.rate_u0 * (1.0 - samples["u0_outage"])
                                        + cfg.rate_noma * (1.0 - noma_frac))
@@ -403,28 +460,33 @@ def _downlink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
     return samples
 
 
-def _uplink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
-    """Uplink stage-I cell SINRs of the scheduled NOMA users and U0's
-    stage-II outage; fixed-rate outages or the adaptive ergodic rate gain."""
-    epsi, nm = 2.0**cfg.rate_noma - 1.0, cfg.n * cfg.m
+def _uplink_noma(cfg, rho, a0, ak, sel, gsel):
+    """The scheduled NOMA users' uplink stage I, (T,): their ergodic rate
+    gain under adaptive rates, else the count of cells whose SINR reaches
+    ε_i."""
     # cell (k, l = j·M/d + l′) of the N/e rows of one lattice copy, with
     # U0's power a0[k, l′] and subchannel l's gain, (T, N/e, d, M/d): the
     # other N − N/e rows repeat these e times.  At e = 1 this is the
     # (T, N, M) order, so the adaptive mean sums in that order.
     rows, cols = a0.shape[1:]
     sinr1 = rho * gsel.reshape(-1, 1, cfg.m // cols, cols) / (rho * a0[:, :, None, :] + 1.0)
-
-    # stage-II for U0 is interference-free once the NOMA signals are removed
-    (stage2_count, _, _), = u0_outage_counts(cfg, rho, h0, a0, (PowerAllocation.oma(),))
-    stage2_frac = stage2_count / nm
-
     if cfg.rate_mode == "adaptive":
-        return {"ergodic_rate_gain": np.log2(1.0 + sinr1).mean(axis=(1, 2, 3)),
-                "u0_outage": stage2_frac}
-    cells_ok = np.count_nonzero(sinr1 >= epsi, axis=(1, 2, 3)) * (cfg.n // rows)
-    noma_frac = 1.0 - cells_ok / nm
+        return np.log2(1.0 + sinr1).mean(axis=(1, 2, 3))
+    return np.count_nonzero(sinr1 >= 2.0**cfg.rate_noma - 1.0, axis=(1, 2, 3)) * (cfg.n // rows)
+
+
+def _uplink_samples(cfg, counts, stage1) -> dict:
+    """Uplink samples from U0's (1, 3, T) stage-II counts, interference-free
+    once the NOMA signals are removed, and the NOMA users' stage I: fixed-rate
+    outages or the adaptive ergodic rate gain."""
+    nm = cfg.n * cfg.m
+    stage2_count = counts[0, 0]
+    stage2_frac = stage2_count / nm
+    if cfg.rate_mode == "adaptive":
+        return {"ergodic_rate_gain": stage1, "u0_outage": stage2_frac}
+    noma_frac = 1.0 - stage1 / nm
     # 1 − the share decoded, not count / nm, which can differ in the last bit unless NM = 2^k
-    u0_joint = 1.0 - np.where(cells_ok == nm, nm - stage2_count, 0) / nm
+    u0_joint = 1.0 - np.where(stage1 == nm, nm - stage2_count, 0) / nm
     return {
         "noma_outage": noma_frac,
         "u0_outage": u0_joint,
@@ -439,17 +501,17 @@ def _uplink_samples(cfg, rho, h0, a0, ak, sel, gsel) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _block_tasks(kernel, cfg, rho: float, key: tuple, trials: int, chunk: int) -> list:
-    """One task per block of ``chunk`` trials; block b draws from substream(*key, b)."""
-    return [(kernel, cfg, rho, (*key, b), min(chunk, trials - lo))
-            for b, lo in enumerate(range(0, trials, chunk))]
+def _block_tasks(key: tuple, trials: int, chunk: int) -> list:
+    """One (key, trials) task per block of ``chunk`` trials; block b draws
+    from substream(*key, b)."""
+    return [((*key, b), min(chunk, trials - lo)) for b, lo in enumerate(range(0, trials, chunk))]
 
 
-def _block_sums(kernel, cfg, rho: float, key: tuple, trials: int) -> dict:
-    """Run one block and reduce each metric to (Σx, Σx², count)."""
+def _block_sums(samples: dict) -> dict:
+    """Reduce one block's per-trial samples to (Σx, Σx², count) per metric."""
     sums = {}
-    for name, samples in kernel(cfg, rho, substream(*key), trials).items():
-        x = np.asarray(samples, dtype=float)
+    for name, values in samples.items():
+        x = np.asarray(values, dtype=float)
         sums[name] = (float(x.sum()), float((x**2).sum()), x.size)
     return sums
 
@@ -470,28 +532,56 @@ def _accumulate(block_sums) -> dict:
     return out
 
 
+def _work_units(cfg: ScenarioConfig, workers: int) -> list:
+    """The scenario's blocks, (ρ, key, trials) triples in task order, packed
+    into work units: runs of consecutive blocks, across SNR points, of at
+    most BLOCK_TRIALS trials between them, so a full block is a unit of one.
+    The blocks are first cut into min(workers, blocks) near-equal shares and
+    no unit crosses a share's edge, so a pool of W > 1 workers gets at least
+    min(W, blocks) units."""
+    blocks = [(10.0 ** (snr / 10.0), key, trials) for si, snr in enumerate(cfg.snr_db)
+              for key, trials in _block_tasks((cfg.seed, si), cfg.trials, BLOCK_TRIALS)]
+    shares = max(1, min(workers, len(blocks)))
+    units, load, share = [], 0, -1
+    for i, block in enumerate(blocks):
+        if i * shares // len(blocks) != share or load + block[2] > BLOCK_TRIALS:
+            units.append([])
+            load, share = 0, i * shares // len(blocks)
+        units[-1].append(block)
+        load += block[2]
+    return units
+
+
+def _unit_sums(cfg: ScenarioConfig, unit: list) -> list:
+    """Run one work unit, block b of it drawing from substream(*key_b), and
+    reduce each block's samples to its own sums."""
+    blocks = [(rho, substream(*key), trials) for rho, key, trials in unit]
+    return [_block_sums(samples) for samples in _unit_samples(cfg, blocks)]
+
+
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     """Run every SNR point of a scenario and return sorted curve points.
 
     Trials are processed in fixed-size blocks with per-block substreams
-    keyed by (seed, snr_index, block_index) and the partial sums merged in
-    block order, so the output is bit-identical for any ``workers`` count.
+    keyed by (seed, snr_index, block_index), packed into work units
+    (``_work_units``); each block's sums come from its own trials and are
+    merged in block order, so the output is bit-identical for any
+    ``workers`` count.
     """
-    per_point = [_block_tasks(scenario_kernel, cfg, 10.0 ** (snr / 10.0), (cfg.seed, si),
-                              cfg.trials, BLOCK_TRIALS)
-                 for si, snr in enumerate(cfg.snr_db)]
-    tasks = [task for point_tasks in per_point for task in point_tasks]
-    workers = min(workers, len(tasks))  # a pool starts all its processes at once
+    units = _work_units(cfg, workers)
+    workers = min(workers, len(units))  # a pool starts all its processes at once
     if workers > 1:
         import concurrent.futures  # here, so that importing the package stays cheap
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            sums = iter(list(pool.map(_block_sums, *zip(*tasks))))
+            unit_sums = list(pool.map(_unit_sums, itertools.repeat(cfg), units))
     else:
-        sums = itertools.starmap(_block_sums, tasks)
+        unit_sums = (_unit_sums(cfg, unit) for unit in units)
+    sums = itertools.chain.from_iterable(unit_sums)
 
     points = []
-    for snr, point_tasks in zip(cfg.snr_db, per_point):
-        for name, est in _accumulate(itertools.islice(sums, len(point_tasks))).items():
+    per_point = -(-cfg.trials // BLOCK_TRIALS)  # blocks per SNR point
+    for snr in cfg.snr_db:
+        for name, est in _accumulate(itertools.islice(sums, per_point)).items():
             points.append(CurvePoint(snr_db=snr, metric=name, value=est.value,
                                      ci_halfwidth=est.ci_halfwidth, trials_used=est.trials))
     points.sort(key=lambda p: (p.metric, p.snr_db))

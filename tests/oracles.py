@@ -15,7 +15,6 @@ which the package's forms must match bit for bit.
 """
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +27,8 @@ from otfsnoma.equalizers import (SINGULARITY_EPS, PowerAllocation, batch_dfe_lam
                                   batch_noise_enhancement, gram_taps_from_gains)
 from otfsnoma.grid_channel import ChannelProfile, sample_gain_matrix
 from otfsnoma.harness import (BLOCK_TRIALS, EQUALIZERS, McEstimate, ScenarioConfig, _accumulate,
-                              _block_sums, _block_tasks, scenario_kernel)
+                              _block_sums, _block_tasks, _unit_samples)
+from otfsnoma.rng import substream
 from otfsnoma.transforms import (_steering, dense_block_circulant, spectrum_from_taps,
                                  static_spectrum_from_taps)
 
@@ -647,18 +647,21 @@ def noma_stage2(realization: ChannelRealization, grid: Grid, rho: float,
     return float(rho * gamma1_sq * np.abs(d[user_index - 1]) ** 2)
 
 
-def exact_u0_outage_counts(cfg, rho: float, h0, a0, splits) -> list:
+def exact_u0_outage_counts(cfg, rho: float, h0, a0, splits) -> tuple:
     """U0's outage count and first and last flags under each of ``splits``,
-    reduced from every symbol's flag with every trial's ν from
-    ``user_noise_enhancement``: under FD-DFE, the pivots of every trial,
-    where ``harness.u0_outage_counts`` decides most trials from the bracket
-    [1/φ, Σ|h_p|²] and must give the same bits."""
+    (splits, 3, T), reduced from every symbol's flag with every trial's ν
+    from ``user_noise_enhancement``, and a mask that leaves no trial
+    undecided: under FD-DFE, the pivots of every trial, where
+    ``harness.u0_outage_counts`` decides most trials from the bracket
+    [1/φ, Σ|h_p|²], gathers the rest for the unit's pivot calls, and must
+    give the same bits."""
     eps0 = 2.0**cfg.rate_u0 - 1.0
     nu = user_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0, cfg.n, cfg.m)
     with np.errstate(divide="ignore"):  # the OMA SINR at FD-LE's φ = 0 (all-inf powers)
         flags = [np.broadcast_to(split.sinr(rho, nu) < eps0, (len(h0), cfg.n * cfg.m))
                  for split in splits]
-    return [(np.count_nonzero(f, axis=1), f[:, 0], f[:, -1]) for f in flags]
+    counts = np.array([(np.count_nonzero(f, axis=1), f[:, 0], f[:, -1]) for f in flags])
+    return counts, np.zeros(len(h0), dtype=bool)
 
 
 def noma_outage(stage1_sinrs: np.ndarray, stage2_snr: float, link: LinkConfig) -> bool:
@@ -674,8 +677,14 @@ def monte_carlo(kernel, cfg, rho: float, key: tuple, trials: int,
                 chunk: int = BLOCK_TRIALS) -> dict:
     """{metric: McEstimate} of ``kernel`` over ``trials`` trials, run serially
     in blocks of ``chunk``; block b draws from substream(*key, b)."""
-    return _accumulate(itertools.starmap(_block_sums,
-                                         _block_tasks(kernel, cfg, rho, key, trials, chunk)))
+    return _accumulate(_block_sums(kernel(cfg, rho, substream(*block), block_trials))
+                       for block, block_trials in _block_tasks(key, trials, chunk))
+
+
+def scenario_kernel(cfg, rho: float, rng, trials: int) -> dict:
+    """{metric: per-trial samples} of one block of a scenario: the harness's
+    work unit of one block."""
+    return _unit_samples(cfg, [(rho, rng, trials)])[0]
 
 
 def dfe_last_symbol_outage_mc(profile: ChannelProfile, rho: float, power: PowerAllocation,

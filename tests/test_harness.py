@@ -19,15 +19,15 @@ from scipy.special import gammainc
 from otfsnoma import (ChannelProfile, ConfigError, CurvePoint, EstimatorUndefinedError,
                       PowerAllocation, ScenarioConfig, corollary1_outage, diversity_slope, emit_csv,
                       read_csv_points, run_scenario)
-from otfsnoma import cli, harness
+from otfsnoma import cli, equalizers, harness
 from otfsnoma.equalizers import SINGULARITY_EPS
-from otfsnoma.harness import (_block_draws, _channel_state, parse_config_file, parse_config_text,
-                              scenario_kernel)
+from otfsnoma.harness import _block_draws, _channel_state, parse_config_file, parse_config_text
 from otfsnoma.rng import substream
+from otfsnoma.transforms import coupling_lattice
 from oracles import (ChannelRealization, Grid, LinkConfig, UserPool, build_block_circulant,
                      build_tx_frame, diagonalize, exact_u0_outage_counts, noma_outage, noma_stage1,
-                     noma_stage2, nomauser_diagonalize, per_subchannel_schedule, u0_receive,
-                     uplink_stage1_sinr, uplink_stage2_sinrs)
+                     noma_stage2, nomauser_diagonalize, per_subchannel_schedule, scenario_kernel,
+                     u0_receive, uplink_stage1_sinr, uplink_stage2_sinrs)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -625,12 +625,14 @@ class TestSubBatches:
         dict(direction="uplink", scheduler="per_subchannel", n=4, k_users=32),
     ], ids=["downlink-n>k", "downlink-n<k", "uplink-n>k", "uplink-n<k"])
     def test_dfe_pivots_fit_one_sub_batch(self, monkeypatch, overrides):
-        # the kernel's sub-batches, sized by max(N, K)·M, never hand the
-        # FD-DFE pivots more trials than SUB_BATCH_CELLS // (N·M), so the
-        # pivots need no sub-batches of their own; and the pivots see only
-        # the trials that U0's pivot bracket leaves undecided
+        # the kernel gathers the trials that U0's pivot bracket leaves
+        # undecided, in order, and hands the FD-DFE pivots at most one
+        # sub-batch's trials a call, SUB_BATCH_CELLS // (max(N, K)·M), never
+        # more than SUB_BATCH_CELLS // (N·M), so the pivots need no
+        # sub-batches of their own.  At 0 dB 361–488 of the 600 trials are
+        # undecided, so the gather takes two calls.
         cfg = small_config(equalizer="dfe", **overrides)
-        trials, rho = 600, 10.0
+        trials, rho = 600, 1.0
         whole = scenario_kernel(cfg, rho, substream(cfg.seed, 0), trials)
         pivots, calls = harness.batch_dfe_lambdas, []
 
@@ -640,7 +642,8 @@ class TestSubBatches:
 
         monkeypatch.setattr(harness, "batch_dfe_lambdas", recorded)
         samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), trials)
-        bound = max(1, harness.SUB_BATCH_CELLS // (cfg.n * cfg.m))
+        bound = harness.SUB_BATCH_CELLS // (max(cfg.n, cfg.k_users) * cfg.m)
+        assert bound <= harness.SUB_BATCH_CELLS // (cfg.n * cfg.m)
         assert len(calls) > 1
         assert all(0 < len(g) <= bound and (n, m) == (cfg.n, cfg.m) for g, n, m in calls)
         h0, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(cfg.seed, 0), trials))
@@ -667,14 +670,14 @@ def test_uplink_cells_broadcast_the_lattice_spectrum(rate_mode):
                                                                 trials))
     assert a0.shape == (trials, 4, 2)
     sinr1 = rho * gsel[:, None, :] / (rho * np.tile(a0, (1, 2, 4)) + 1.0)
-    samples = harness._uplink_samples(cfg, rho, h0, a0, ak, sel, gsel)
+    stage1 = harness._uplink_noma(cfg, rho, a0, ak, sel, gsel)
     if rate_mode == "adaptive":
         rate = np.log2(1.0 + sinr1).mean(axis=(1, 2))
-        assert np.all(np.abs(samples["ergodic_rate_gain"] / rate - 1.0) <= 1e-12)
+        assert np.all(np.abs(stage1 / rate - 1.0) <= 1e-12)
     else:
         cells_ok = np.count_nonzero(sinr1 >= 2.0**cfg.rate_noma - 1.0, axis=(1, 2))
         assert 0 < cells_ok.min() and cells_ok.max() == 64
-        assert np.array_equal(samples["noma_outage"], 1.0 - cells_ok / 64)
+        assert np.array_equal(stage1, cells_ok)
 
 
 def _bracket_undecided(cfg, rho, h0, a0):
@@ -829,6 +832,136 @@ class TestPivotBracket:
         monkeypatch.setattr(harness, "batch_dfe_lambdas", counted)
         scenario_kernel(cfg, 100.0, substream(cfg.seed, 5, 0), 4096)
         assert 0 < sum(counts) < 0.1 * 4096
+
+
+class TestWorkUnits:
+    """run_scenario packs consecutive blocks into work units of at most
+    BLOCK_TRIALS trials, across SNR points; each block keeps its substream,
+    its ρ and its trials, and U0's undecided FD-DFE trials are gathered
+    across the unit for the pivots."""
+
+    # two blocks of a 0 dB point and two of a 20 dB point, 3337 trials
+    UNIT = ((1.0, (0, 0), 300), (1.0, (0, 1), 37), (100.0, (1, 0), 2000), (100.0, (1, 1), 1000))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(equalizer="le"),
+        dict(equalizer="dfe"),
+        dict(equalizer="dfe", u0_profile=ChannelProfile(paths=((1, 0), (1, 2), (1, 4), (5, 6)))),
+        dict(direction="uplink", scheduler="per_subchannel", equalizer="dfe"),
+        dict(direction="uplink", scheduler="greedy", rate_mode="adaptive", equalizer="dfe"),
+    ], ids=["downlink-le", "downlink-dfe", "downlink-dfe-lattice", "uplink-fixed",
+            "uplink-adaptive"])
+    def test_packed_blocks_keep_their_bits(self, monkeypatch, overrides):
+        # the unit's samples and sums of each block equal, bit for bit, those
+        # of the block run alone on its substream.  Under FD-DFE every block
+        # has trials that the bracket leaves undecided (the lattice profile
+        # has e = 2, d = 4): the unit pivots them in one call, in block
+        # order, with ρ per trial, where the blocks alone make four.
+        cfg = small_config(**overrides)
+        unit = [(rho, (cfg.seed, *key), trials) for rho, key, trials in self.UNIT]
+        pivots, calls = harness.batch_dfe_lambdas, []
+
+        def recorded(doppler_taps, delay_taps, gains, n, m):
+            calls.append(gains.copy())
+            return pivots(doppler_taps, delay_taps, gains, n, m)
+
+        monkeypatch.setattr(harness, "batch_dfe_lambdas", recorded)
+        packed = harness._unit_samples(cfg, [(rho, substream(*key), t) for rho, key, t in unit])
+        packed_calls, calls[:] = calls[:], []
+        alone = [scenario_kernel(cfg, rho, substream(*key), t) for rho, key, t in unit]
+        alone_calls = len(calls)
+        assert len(packed) == len(alone) == len(unit)
+        for (_, _, trials), samples, reference in zip(unit, packed, alone):
+            assert samples.keys() == reference.keys()
+            for name, values in reference.items():
+                assert samples[name].shape == (trials,)
+                assert np.array_equal(samples[name], values), name
+        assert harness._unit_sums(cfg, unit) == [harness._block_sums(a) for a in alone]
+        if cfg.equalizer == "le":
+            assert not packed_calls and not alone_calls
+            return
+        undecided = []
+        for rho, key, trials in unit:
+            h0, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(*key), trials))
+            undecided.append(h0[_bracket_undecided(cfg, rho, h0, a0)])
+        assert all(len(u) > 0 for u in undecided)
+        assert len(packed_calls) == 1 and alone_calls == len(unit)
+        assert np.array_equal(packed_calls[0], np.concatenate(undecided))
+
+    def test_gathered_pivot_calls_stay_within_one_sub_batch(self, monkeypatch):
+        # The shipped FD-DFE config: at 128 trials a point, its six blocks
+        # are one unit, whose undecided trials go to the pivots at most one
+        # sub-batch's trials, 256, a call; a 4096-trial block at 20 dB, 16
+        # sub-batches, makes one call, and one at 0 dB calls of 256.  The pivots' workspace, fresh in each
+        # run's thread, grows to at most 256 trials' lattice cells.
+        cfg = parse_config_file(os.path.join(CONFIG_DIR, "downlink_outage_dfe.cfg"))
+        step = harness.SUB_BATCH_CELLS // (max(cfg.n, cfg.k_users) * cfg.m)
+        _, e, d = coupling_lattice(cfg.u0_profile, cfg.n, cfg.m)
+        assert step == 256 and e * d == 4
+        pivots, calls = harness.batch_dfe_lambdas, []
+
+        def recorded(doppler_taps, delay_taps, gains, n, m):
+            out = pivots(doppler_taps, delay_taps, gains, n, m)
+            calls.append((len(gains), equalizers._WORKSPACE.cells))
+            return out
+
+        def in_a_fresh_thread(fn, *args):
+            calls.clear()
+            with concurrent.futures.ThreadPoolExecutor(1) as pool:
+                pool.submit(fn, *args).result()
+            assert all(0 < size <= step and cells <= step * cfg.n * cfg.m // (e * d)
+                       for size, cells in calls)
+            return [size for size, _ in calls]
+
+        monkeypatch.setattr(harness, "batch_dfe_lambdas", recorded)
+        small = dataclasses.replace(cfg, trials=128)
+        sizes = in_a_fresh_thread(run_scenario, small)
+        undecided = 0
+        for si, snr in enumerate(small.snr_db):
+            draws = _block_draws(small, substream(small.seed, si, 0), small.trials)
+            h0, a0, *_ = _channel_state(small, *draws)
+            undecided += int(_bracket_undecided(small, 10.0 ** (snr / 10.0), h0, a0).sum())
+        assert sum(sizes) == undecided
+        assert len(sizes) == -(-undecided // step)
+        sizes = in_a_fresh_thread(scenario_kernel, cfg, 100.0, substream(cfg.seed, 5, 0), 4096)
+        assert len(sizes) == 1
+        # at 0 dB most of a full block is undecided: full calls but the last
+        sizes = in_a_fresh_thread(scenario_kernel, cfg, 1.0, substream(cfg.seed, 0, 0), 4096)
+        assert sum(sizes) > 8 * step and sizes[:-1] == [step] * (len(sizes) - 1)
+
+    @pytest.mark.parametrize("cfg, workers, units", [
+        # test_worker_count_invariance
+        (small_config(trials=300, snr_db=(0.0, 10.0)), 2, 2),
+        (small_config(trials=100, snr_db=(0.0, 10.0)), 2, 2),
+        # test_pool_has_no_more_workers_than_blocks
+        (small_config(trials=300), 64, 2),
+        (small_config(trials=300, snr_db=(0.0,)), 2, 1),
+        # test_criterion_10_worker_determinism
+        (small_config(n=16, m=16, k_users=16, trials=2000, snr_db=(0.0, 10.0), seed=1001), 4, 2),
+        (small_config(n=16, m=16, k_users=16, trials=2000, snr_db=(0.0, 10.0), seed=1001), 8, 2),
+        (small_config(n=16, m=16, k_users=16, trials=2000, snr_db=(0.0, 10.0), seed=1001), 1, 1),
+        # the benchmark's pool check (16 trials × 6 points, 2 workers) and its reference
+        (small_config(trials=16, snr_db=(0, 4, 8, 12, 16, 20)), 2, 2),
+        (small_config(trials=16, snr_db=(0, 4, 8, 12, 16, 20)), 1, 1),
+        # full blocks are units of one, and so is a block that fits with no neighbour
+        (small_config(trials=8192, snr_db=(0, 4, 8)), 1, 6),
+        (small_config(trials=4100, snr_db=(0, 4, 8)), 1, 6),
+        (small_config(trials=2000, snr_db=(0, 4, 8)), 1, 2),
+    ])
+    def test_units_per_pool(self, cfg, workers, units):
+        # A pool of W > 1 workers gets at least min(W, blocks) units, so these
+        # runs start a real pool; one worker packs every run of blocks that
+        # fits in BLOCK_TRIALS.  The units hold every block once, in task order.
+        got = harness._work_units(cfg, workers)
+        assert len(got) == units
+        assert all(sum(t for *_, t in unit) <= harness.BLOCK_TRIALS for unit in got)
+        blocks = [block for unit in got for block in unit]
+        assert [key for _, key, _ in blocks] == [
+            (cfg.seed, si, b) for si in range(len(cfg.snr_db))
+            for b in range(-(-cfg.trials // harness.BLOCK_TRIALS))]
+        assert [t for *_, t in blocks] == [min(harness.BLOCK_TRIALS, cfg.trials - lo)
+                                           for _ in cfg.snr_db
+                                           for lo in range(0, cfg.trials, harness.BLOCK_TRIALS)]
 
 
 def test_nan_spectrum_puts_the_trial_in_outage(monkeypatch):
