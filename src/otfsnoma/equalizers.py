@@ -92,8 +92,9 @@ class PowerAllocation:
         return rho * self.gamma0_sq / (rho * self.gamma1_sq + nu)
 
 
-def batch_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
-    """FD-LE φ = mean |D|⁻² over ``axis`` of the eigenvalue powers |D|².
+def batch_noise_enhancement(power: np.ndarray, axis, out=None) -> np.ndarray:
+    """FD-LE φ = mean |D|⁻² over ``axis`` of the eigenvalue powers |D|²,
+    whose reciprocals go to ``out`` if given (``power`` itself may be it).
 
     A channel with φ > 1/SINGULARITY_EPS, or φ NaN, is singular and gets
     φ = inf, which puts every one of its symbols in outage.  It is FD-DFE's
@@ -101,7 +102,7 @@ def batch_noise_enhancement(power: np.ndarray, axis) -> np.ndarray:
     is singular.
     """
     with np.errstate(all="ignore"):  # only a singular channel's mean can warn
-        phi = (1.0 / power).mean(axis=axis)
+        phi = np.divide(1.0, power, out=out).mean(axis=axis)
     return np.where(phi <= 1.0 / SINGULARITY_EPS, phi, np.inf)
 
 
@@ -138,7 +139,8 @@ def static_gram_taps(delay_taps, gains, m: int) -> np.ndarray:
 class _Workspace(threading.local):
     """One thread's pivot buffers, kept across calls: flat arrays for the
     Gram taps, the two Schur generators, their two products with the
-    reflection coefficient, and the prediction-error powers.  Threads never
+    reflection coefficient (the first also holds each sweep's FFT input),
+    and the prediction-error powers.  Threads never
     share one.  Each array holds as many items as the largest call so far
     had trial-cells; the caller bounds its calls, so a thread's workspace
     stops growing after its first few calls."""
@@ -177,7 +179,8 @@ def _schur_errors(r: np.ndarray, out: np.ndarray, band=None) -> None:
     must be exactly zero.  The generators then stay zero outside a head
     window of h+1 positions and a tail window of h, so only those are
     updated, with the same operations, until the windows meet; the zeros
-    never change.  ``band=None`` updates every position.
+    never change.  ``band=None`` updates every position.  ``r`` is read only
+    before the first step, so it may lie in the workspace's product buffers.
     """
     lags = r.shape[0]
     out[0] = r[0].real
@@ -232,9 +235,9 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
 
     The cost is O((NM/ed)(h′ + M/d)) per trial, in one pass over every trial
     of the call.  The working memory is the calling thread's workspace, about
-    88 B per lattice cell of the largest call so far, kept across calls, plus
-    the two FFTs' outputs, 16 B a lattice cell each, and the returned pivots,
-    a copy; the caller bounds each call.  A trial with any pivot non-finite
+    88 B per lattice cell of the largest call so far, kept across calls, which
+    also holds the two FFTs' outputs, plus the returned pivots, a copy; the
+    caller bounds each call.  A trial with any pivot non-finite
     or below SINGULARITY_EPS is singular: it gets ``ok=False`` and λ = 1 as a
     placeholder, which the caller turns into ν = inf, an outage on every
     symbol.  Trials never mix, so neither a singular trial nor the number of
@@ -254,12 +257,16 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     taps = gram_taps_from_gains(lattice.doppler_taps, lattice.delay_taps, gains, n, m,
                                 out=ws.taps[:cells].reshape(trials, n, m))
     # the delay sweep's errors overwrite the Doppler sweep's powers once the
-    # IFFT has read them
+    # IFFT has read them; both FFTs write into the buffer that a sweep
+    # overwrites only after it has copied its input into the generators
     powers = ws.errors[:cells].reshape(n, trials, m)
     errors = ws.errors[:cells].reshape(m, n, trials)
+    spectra = ws.fwd_prod[:cells].reshape(trials, n, m)
+    blocks = ws.fwd_prod[:cells].reshape(n, trials, m)
     with np.errstate(all="ignore"):  # a singular trial's powers may be 0, < 0 or nan
-        _schur_errors(np.moveaxis(np.fft.fft(taps, axis=-1), -2, 0), powers, band)
-        blocks = np.fft.ifft(powers[::-1], axis=-1)
+        np.fft.fft(taps, axis=-1, out=spectra)
+        _schur_errors(np.moveaxis(spectra, -2, 0), powers, band)
+        np.fft.ifft(powers[::-1], axis=-1, out=blocks)
         blocks[-1] = taps[:, 0, :]
         _schur_errors(np.moveaxis(blocks, -1, 0), errors)
     # (T, N/e, M/d) in the workspace, copied so that it outlives the next call

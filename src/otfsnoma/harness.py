@@ -30,7 +30,7 @@ from .equalizers import batch_static_lambdas  # noqa: F401
 from .grid_channel import ChannelProfile, sample_gain_matrix, table1_profile
 from .rng import substream
 from .scheduling import batch_schedule, schedule_draws
-from .transforms import coupling_lattice, power_spectrum
+from .transforms import ThreadBuffers, coupling_lattice, power_spectrum
 from .transforms import spectrum_from_taps, static_spectrum_from_taps  # noqa: F401
 
 BLOCK_TRIALS = 4096  # fixed work-unit size; part of the determinism contract
@@ -44,7 +44,10 @@ MAX_SNR_DB = 3000.0  # bound on every |SNR|, of configs and formulas: ρ is a fi
 # workspace, sized by their lattice cells (a quarter of the trial-cells
 # under Table 1), that grows to the largest call so far and is kept across
 # calls and units instead of being returned to the system and faulted in
-# again.
+# again.  A sub-batch's spectra are kept the same way (_SPECTRA, and
+# power_spectrum's scratch): 8 B per trial-cell for the powers of U0's
+# lattice and of the static users, 16 B for the complex spectra, and 16·P B
+# per Doppler row of U0's lattice.
 SUB_BATCH_CELLS = 1 << 16
 
 # The size rule of every scenario: n·m and k_users·m, a trial's U0 and
@@ -269,9 +272,10 @@ def parse_config_file(path) -> ScenarioConfig:
 #
 #  A work unit is a run of consecutive blocks (_work_units).  Each block first
 #  takes every random number of its own, in a fixed order (_block_draws).  It
-#  then computes the channel state (_channel_state: the spectra and the
-#  schedule), U0's bracket verdicts and the NOMA users' share of the samples
-#  on sub-batches of about SUB_BATCH_CELLS trial-cells, so its working memory
+#  then computes the channel state (_channel_state: the spectra), U0's
+#  bracket verdicts and the NOMA users' share of the samples, each direction
+#  scheduling only what it reads (_downlink_noma, _uplink_noma), on
+#  sub-batches of about SUB_BATCH_CELLS trial-cells, so its working memory
 #  does not grow with the block.  Only U0's FD-DFE trials that the bracket
 #  leaves undecided wait for the end of the unit: their gains are gathered
 #  across its blocks, each trial with its own ρ, and get their pivots in calls
@@ -307,6 +311,7 @@ def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> tuple:
     and the flags of its first and last symbols; and the (T,) mask of the
     trials that some split leaves undecided, whose three entries are
     placeholders until their exact pivots fill them in (``_pivot_counts``).
+    φ's reciprocals overwrite ``a0``.
 
     Every ν of a trial lies in a bracket [lo, hi], and the flag only grows
     with ν, also in floating point: so no symbol is in outage if the flag is
@@ -318,7 +323,7 @@ def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> tuple:
     count keeps the bits of the exact pivots.
     """
     eps0 = 2.0**cfg.rate_u0 - 1.0
-    lo = hi = phi = batch_noise_enhancement(a0, (-2, -1))
+    lo = hi = phi = batch_noise_enhancement(a0, (-2, -1), out=a0)
     trusted = clear = True
     with np.errstate(all="ignore"):  # φ is inf on a singular trial, 0 on all-inf powers
         if cfg.equalizer == "dfe":
@@ -375,16 +380,39 @@ def _block_draws(cfg: ScenarioConfig, rng, trials: int):
     return h0, hk, schedule_draws(cfg.scheduler, rng, trials, cfg.k_users)
 
 
-def _channel_state(cfg: ScenarioConfig, h0, hk, draws):
-    """(h0, a0, ak, sel, gsel) of some trials: U0's gains and its squared
+# Each thread's sub-batch spectra (_channel_state), kept from one sub-batch to the next.
+_SPECTRA = ThreadBuffers()
+
+
+def _channel_state(cfg: ScenarioConfig, h0, hk, draws, buffers=None):
+    """(h0, a0, ak, draws) of some trials: U0's gains and its squared
     spectrum on one copy of its coupling lattice, (T, N/e, M/d), the static
-    users' (T, K, M) squared spectra, then the scheduled user per subchannel
-    and its squared gain, both (T, M)."""
+    users' (T, K, M) squared spectra, and the scheduler's draws, from which
+    each direction's NOMA stage schedules what it reads.  The spectra go to
+    ``buffers``' arrays "a0" and "ak" if given, a ThreadBuffers, else to new
+    arrays."""
     lattice, e, d = coupling_lattice(cfg.u0_profile, cfg.n, cfg.m)
-    a0 = power_spectrum(lattice, h0, cfg.n // e, cfg.m // d)
-    ak = power_spectrum(cfg.noma_profile, hk, 1, cfg.m)[..., 0, :]
-    sel = batch_schedule(ak, cfg.scheduler, draws, cfg.m)
-    return h0, a0, ak, sel, ak[np.arange(len(sel))[:, None], sel, np.arange(cfg.m)]
+    n, m = cfg.n // e, cfg.m // d
+    take = (lambda name, shape: None) if buffers is None else buffers.take
+    a0 = power_spectrum(lattice, h0, n, m, out=take("a0", (len(h0), n, m)))
+    ak = power_spectrum(cfg.noma_profile, hk, 1, cfg.m, out=take("ak", hk.shape[:-1] + (1, cfg.m)))
+    return h0, a0, ak[..., 0, :], draws
+
+
+def _selected_gains(ak, sel):
+    """The (T, M) squared gains of the users that ``sel``, (T, M), puts on
+    each subchannel, from the (T, K, M) spectra ``ak``."""
+    return ak[np.arange(len(sel))[:, None], sel, np.arange(ak.shape[-1])]
+
+
+def _scheduled_gains(cfg: ScenarioConfig, ak, draws):
+    """The scheduled users' (T, M) squared gains, without the selection.
+    Under per-subchannel scheduling that is each subchannel's max over the K
+    users: the gain at batch_schedule's argmax bit for bit, ties included,
+    and NaN wherever the argmax finds one."""
+    if cfg.scheduler == "per_subchannel":
+        return ak.max(axis=1)
+    return _selected_gains(ak, batch_schedule(ak, cfg.scheduler, draws, cfg.m))
 
 
 def _unit_samples(cfg: ScenarioConfig, blocks) -> list:
@@ -410,37 +438,41 @@ def _unit_samples(cfg: ScenarioConfig, blocks) -> list:
 
 def _block_parts(cfg: ScenarioConfig, splits, step: int, rho: float, rng, trials: int) -> list:
     """One block's parts (``_sub_batch_part``), one per sub-batch of ``step``
-    trials.  The block's draws are freed on return, before the unit's pivot
-    calls."""
+    trials, whose spectra reuse the thread's buffers.  The block's draws are
+    freed on return, before the unit's pivot calls."""
     h0, hk, draws = _block_draws(cfg, rng, trials)
     return [_sub_batch_part(cfg, splits, rho, *_channel_state(cfg, h0[lo:lo + step],
                                                               hk[lo:lo + step],
-                                                              draws[lo:lo + step]))
+                                                              draws[lo:lo + step], _SPECTRA))
             for lo in range(0, trials, step)]
 
 
-def _sub_batch_part(cfg: ScenarioConfig, splits, rho: float, h0, a0, ak, sel, gsel) -> tuple:
+def _sub_batch_part(cfg: ScenarioConfig, splits, rho: float, h0, a0, ak, draws) -> tuple:
     """(ρ, U0's undecided gains, its counts and undecided mask from
     u0_outage_counts, the NOMA users' part) of one sub-batch's channel
-    state, which is freed on return, before the next sub-batch's is
-    computed."""
+    state, which no part refers to, so the next sub-batch's may overwrite
+    it."""
     noma_of = _downlink_noma if cfg.direction == "downlink" else _uplink_noma
+    noma = noma_of(cfg, rho, a0, ak, draws)  # first: U0's counts overwrite a0
     counts, undecided = u0_outage_counts(cfg, rho, h0, a0, splits)
-    return rho, h0[undecided], counts, undecided, noma_of(cfg, rho, a0, ak, sel, gsel)
+    return rho, h0[undecided], counts, undecided, noma
 
 
-def _downlink_noma(cfg, rho, a0, ak, sel, gsel):
+def _downlink_noma(cfg, rho, a0, ak, draws):
     """The scheduled NOMA users' share of subchannels in outage, (T,): their
-    two-stage SIC, stage I (decode U0) then stage II (own symbol)."""
+    two-stage SIC, stage I (decode U0) then stage II (own symbol).  The
+    static users' spectra ``ak`` are overwritten."""
+    sel = batch_schedule(ak, cfg.scheduler, draws, cfg.m)  # stage I reads the selection's verdicts
     power = PowerAllocation.split(cfg.gamma0_sq)
     eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
+    snr2 = rho * power.gamma1_sq * _selected_gains(ak, sel)
     # Stage I needs all M of a user's symbols, so the worst one decides it.
     # Under FD-LE every symbol has ν = φ; under FD-DFE the largest ν is
     # 1/λ₀ = φ (see batch_static_lambdas), singular under the same rule.
-    ok1_user = power.sinr(rho, batch_noise_enhancement(ak, -1)) >= eps0  # (T, K)
+    # The spectra are read for the last time: |D̃|⁻² overwrites them.
+    ok1_user = power.sinr(rho, batch_noise_enhancement(ak, -1, out=ak)) >= eps0  # (T, K)
     ok1_sel = np.take_along_axis(ok1_user, sel, axis=1)
-    snr2 = rho * power.gamma1_sq * gsel
     noma_out = ~(ok1_sel & (snr2 >= epsi))  # (T, M); constant over the N symbols
     return np.count_nonzero(noma_out, axis=1) / cfg.m
 
@@ -460,16 +492,22 @@ def _downlink_samples(cfg, counts, noma_frac) -> dict:
     return samples
 
 
-def _uplink_noma(cfg, rho, a0, ak, sel, gsel):
+def _uplink_noma(cfg, rho, a0, ak, draws):
     """The scheduled NOMA users' uplink stage I, (T,): their ergodic rate
     gain under adaptive rates, else the count of cells whose SINR reaches
     ε_i."""
     # cell (k, l = j·M/d + l′) of the N/e rows of one lattice copy, with
-    # U0's power a0[k, l′] and subchannel l's gain, (T, N/e, d, M/d): the
-    # other N − N/e rows repeat these e times.  At e = 1 this is the
-    # (T, N, M) order, so the adaptive mean sums in that order.
+    # U0's power a0[k, l′] and subchannel l's gain: ρ·a0 + 1 is tiled along
+    # delay to (T, N/e, M) whole rows, and ρ·g divides into it in place, the
+    # same quotient per cell; the other N − N/e rows repeat these e times.
+    # Viewed as (T, N/e, d, M/d), at e = 1 this is the (T, N, M) order, so
+    # the adaptive mean sums in that order.
     rows, cols = a0.shape[1:]
-    sinr1 = rho * gsel.reshape(-1, 1, cfg.m // cols, cols) / (rho * a0[:, :, None, :] + 1.0)
+    sinr1 = rho * a0 + 1.0
+    if cols < cfg.m:  # np.tile would copy it whole
+        sinr1 = np.tile(sinr1, (1, 1, cfg.m // cols))
+    np.divide((rho * _scheduled_gains(cfg, ak, draws))[:, None, :], sinr1, out=sinr1)
+    sinr1 = sinr1.reshape(-1, rows, cfg.m // cols, cols)
     if cfg.rate_mode == "adaptive":
         return np.log2(1.0 + sinr1).mean(axis=(1, 2, 3))
     return np.count_nonzero(sinr1 >= 2.0**cfg.rate_noma - 1.0, axis=(1, 2, 3)) * (cfg.n // rows)

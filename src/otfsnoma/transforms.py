@@ -21,6 +21,7 @@ spectrum is one period.  The FFT forms, :func:`spectrum_from_taps` and
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -105,9 +106,33 @@ def coupling_lattice(profile, n: int, m: int) -> tuple:
 SPECTRUM_CALL_MACS = 1 << 15
 
 
-def power_spectrum(profile, gains: np.ndarray, n: int, m: int) -> np.ndarray:
+class ThreadBuffers(threading.local):
+    """One thread's named arrays, each kept across calls and grown to the
+    largest request so far, so that a steady run reuses their memory
+    instead of returning it to the system and faulting it back in (glibc
+    trims its heap once the free memory at its top passes a threshold that
+    it adapts to the largest block freed so far).  Threads never share one,
+    and a name's array is overwritten by the next request for that name."""
+
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """An uninitialized C-contiguous ``shape`` array in buffer ``name``,
+        whose dtype its first request fixes."""
+        size = math.prod(shape)
+        buf = getattr(self, name, None)
+        if buf is None or buf.size < size:
+            buf = np.empty(size, dtype=dtype)
+            setattr(self, name, buf)
+        return buf[:size].reshape(shape)
+
+
+# power_spectrum's Doppler-scaled rows and complex spectra, read only within a call
+_SCRATCH = ThreadBuffers()
+
+
+def power_spectrum(profile, gains: np.ndarray, n: int, m: int, out=None) -> np.ndarray:
     """Eigenvalue powers |D|² on the N×M grid, shape (..., N, M), of channels
-    with ``profile``'s paths and (..., P) ``gains``.
+    with ``profile``'s paths and (..., P) ``gains``, written to ``out``, a
+    C-contiguous float array of that shape, if given.
 
     D[k, l] = Σ_p h_p e^{−j2πk·k_p/N} e^{+j2πl·l_p/M}, the convention of
     :func:`spectrum_from_taps`, is the product (A·diag(h))·B of the cached
@@ -121,7 +146,8 @@ def power_spectrum(profile, gains: np.ndarray, n: int, m: int) -> np.ndarray:
     output row gets the bits of a per-trial product, so a trial's bits do
     not depend on how many trials share the call.  A trial with one row
     keeps one call of its own: numpy sends a one-row product to gemv, whose
-    bits differ from gemm's.
+    bits differ from gemm's.  The rows and the complex spectra live in the
+    calling thread's scratch buffers.
     """
     gains = np.asarray(gains, dtype=np.complex128)
     doppler, delay = _steering(profile, n, m)
@@ -130,16 +156,19 @@ def power_spectrum(profile, gains: np.ndarray, n: int, m: int) -> np.ndarray:
     if n == 1:  # the Doppler phasors are exactly 1
         rows = np.ascontiguousarray(gains).reshape((-1, npaths))
     else:  # each trial's (N, P) rows in turn
-        rows = (gains[..., None, :] * doppler).reshape((-1, npaths))
+        rows = _SCRATCH.take("rows", gains.shape[:-1] + (n, npaths), np.complex128)
+        rows = np.multiply(gains[..., None, :], doppler, out=rows).reshape((-1, npaths))
     macs = rows_per_trial * npaths * m
     group = max(1, SPECTRUM_CALL_MACS // macs) if rows_per_trial > 1 else 1
     call_rows = group * rows_per_trial
     whole = len(rows) // call_rows * call_rows
-    spectra = np.empty((len(rows), m), dtype=np.complex128)
+    spectra = _SCRATCH.take("spectra", (len(rows), m), np.complex128)
     np.matmul(rows[:whole].reshape((-1, call_rows, npaths)), delay,
               out=spectra[:whole].reshape((-1, call_rows, m)))
     if whole < len(rows):
         np.matmul(rows[whole:], delay, out=spectra[whole:])
-    power = np.abs(spectra)
+    if out is None:
+        out = np.empty(gains.shape[:-1] + (n, m))
+    power = np.abs(spectra, out=out.reshape((len(rows), m)))
     np.multiply(power, power, out=power)  # the bits of ** 2, without a second array
-    return power.reshape(gains.shape[:-1] + (n, m))
+    return out

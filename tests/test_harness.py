@@ -18,11 +18,12 @@ from scipy.special import gammainc
 
 from otfsnoma import (ChannelProfile, ConfigError, CurvePoint, EstimatorUndefinedError,
                       PowerAllocation, ScenarioConfig, corollary1_outage, diversity_slope, emit_csv,
-                      read_csv_points, run_scenario)
+                      read_csv_points, run_scenario, table1_profile)
 from otfsnoma import cli, equalizers, harness
 from otfsnoma.equalizers import SINGULARITY_EPS
 from otfsnoma.harness import _block_draws, _channel_state, parse_config_file, parse_config_text
 from otfsnoma.rng import substream
+from otfsnoma.scheduling import batch_schedule, schedule_draws
 from otfsnoma.transforms import coupling_lattice
 from oracles import (ChannelRealization, Grid, LinkConfig, UserPool, build_block_circulant,
                      build_tx_frame, diagonalize, exact_u0_outage_counts, noma_outage, noma_stage1,
@@ -526,7 +527,8 @@ class TestKernelsMatchReceivers:
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
             samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
             draws = _block_draws(cfg, substream(cfg.seed, 0), self.TRIALS)
-            h0, _, _, sel, _ = _channel_state(cfg, *draws)
+            h0, _, ak, sched = _channel_state(cfg, *draws)
+            sel = batch_schedule(ak, cfg.scheduler, sched, cfg.m)
             hk = draws[1]
             link = LinkConfig(rho=rho, rate_u0=cfg.rate_u0, rate_noma=cfg.rate_noma)
             for t in range(self.TRIALS):
@@ -552,7 +554,8 @@ class TestKernelsMatchReceivers:
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
             samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
             draws = _block_draws(cfg, substream(cfg.seed, 0), self.TRIALS)
-            h0, _, _, sel, _ = _channel_state(cfg, *draws)
+            h0, _, ak, sched = _channel_state(cfg, *draws)
+            sel = batch_schedule(ak, cfg.scheduler, sched, cfg.m)
             hk = draws[1]
             for t in range(self.TRIALS):
                 r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
@@ -655,6 +658,35 @@ class TestSubBatches:
             assert np.array_equal(samples[name], values), name
 
 
+@pytest.mark.parametrize("scheduler", harness.SCHEDULERS)
+def test_scheduled_gains_are_the_selections_gains(scheduler):
+    # The uplink reads only the scheduled users' gains; under per-subchannel
+    # scheduling it takes each subchannel's max instead of the argmax.  Every
+    # scheduler's gains equal those of batch_schedule's selection bit for
+    # bit, on random draws, on exact ties (on the max, on every user, at
+    # zero and at inf) and on rows holding NaN or inf.
+    cfg = small_config(direction="uplink", scheduler=scheduler)
+    trials, k, m = 40, cfg.k_users, cfg.m
+    rng = substream(5, 0)
+    ak = rng.random((trials, k, m))
+    ak[1] = 0.5
+    ak[2, [1, 4], 3] = 2.0
+    ak[3, :, 0] = 0.0
+    ak[4, 2, 5] = np.nan
+    ak[5, 6, 1] = np.inf
+    ak[6, [0, 3], 2] = np.inf
+    ak[7, 3] = np.nan
+    ak[8, :, 7] = np.nan
+    draws = schedule_draws(scheduler, rng, trials, k)
+    sel = batch_schedule(ak, scheduler, draws, m)
+    expected = ak[np.arange(trials)[:, None], sel, np.arange(m)]
+    gains = harness._scheduled_gains(cfg, ak, draws)
+    assert gains.shape == (trials, m)
+    assert np.array_equal(gains, expected, equal_nan=True)
+    number = ~np.isnan(expected)
+    assert np.array_equal(gains[number].view(np.uint64), expected[number].view(np.uint64))
+
+
 @pytest.mark.parametrize("rate_mode", ["fixed", "adaptive"])
 def test_uplink_cells_broadcast_the_lattice_spectrum(rate_mode):
     # U0's paths on 8×8 have e = 2 and d = 4, so its spectrum is one (4, 2)
@@ -662,22 +694,32 @@ def test_uplink_cells_broadcast_the_lattice_spectrum(rate_mode):
     # every cell's stage-I SINR: cell (k, l) reads the spectrum at
     # (k mod 4, l mod 2) and the gain of subchannel l.  The cells in outage
     # are those of the tiled (T, 8, 8) spectrum, and the adaptive rate is
-    # their mean to 1e-12 relative, summed in another order.
-    cfg = small_config(direction="uplink", scheduler="per_subchannel", rate_mode=rate_mode,
-                       u0_profile=ChannelProfile(paths=((1, 0), (1, 2), (1, 4), (5, 6))))
+    # their mean to 1e-12 relative, summed in another order.  Table 1 on
+    # 16×16 has e = 1 and d = 4: there the cells are in the (T, 16, 16)
+    # order, and the adaptive rate keeps the bits of the reference's mean.
     rho, trials = 10.0, 64
-    h0, a0, ak, sel, gsel = _channel_state(cfg, *_block_draws(cfg, substream(cfg.seed, 0),
-                                                                trials))
-    assert a0.shape == (trials, 4, 2)
-    sinr1 = rho * gsel[:, None, :] / (rho * np.tile(a0, (1, 2, 4)) + 1.0)
-    stage1 = harness._uplink_noma(cfg, rho, a0, ak, sel, gsel)
-    if rate_mode == "adaptive":
-        rate = np.log2(1.0 + sinr1).mean(axis=(1, 2))
-        assert np.all(np.abs(stage1 / rate - 1.0) <= 1e-12)
-    else:
-        cells_ok = np.count_nonzero(sinr1 >= 2.0**cfg.rate_noma - 1.0, axis=(1, 2))
-        assert 0 < cells_ok.min() and cells_ok.max() == 64
-        assert np.array_equal(stage1, cells_ok)
+    for n, profile, shape, exact in (
+            (8, ChannelProfile(paths=((1, 0), (1, 2), (1, 4), (5, 6))), (4, 2), False),
+            (16, table1_profile(), (16, 4), True)):
+        cfg = small_config(direction="uplink", scheduler="per_subchannel", rate_mode=rate_mode,
+                           n=n, m=n, u0_profile=profile)
+        _, a0, ak, sched = _channel_state(cfg, *_block_draws(cfg, substream(cfg.seed, 0), trials))
+        assert a0.shape == (trials, *shape)
+        gsel = ak[np.arange(trials)[:, None], batch_schedule(ak, cfg.scheduler, sched, cfg.m),
+                  np.arange(cfg.m)]
+        sinr1 = rho * gsel[:, None, :] / (rho * np.tile(a0, (1, n // shape[0], n // shape[1]))
+                                          + 1.0)
+        stage1 = harness._uplink_noma(cfg, rho, a0, ak, sched)
+        if rate_mode == "adaptive":
+            rate = np.log2(1.0 + sinr1).mean(axis=(1, 2))
+            if exact:
+                assert np.array_equal(stage1, rate)
+            else:
+                assert np.all(np.abs(stage1 / rate - 1.0) <= 1e-12)
+        else:
+            cells_ok = np.count_nonzero(sinr1 >= 2.0**cfg.rate_noma - 1.0, axis=(1, 2))
+            assert 0 < cells_ok.min() and cells_ok.max() == n * n
+            assert np.array_equal(stage1, cells_ok)
 
 
 def _bracket_undecided(cfg, rho, h0, a0):
@@ -753,8 +795,8 @@ class TestPivotBracket:
                 patched["gains"] += 1
             return gains
 
-        def with_odd_u0_spectra(profile, gains, n, m):
-            power = spectrum(profile, gains, n, m)
+        def with_odd_u0_spectra(profile, gains, n, m, **out):
+            power = spectrum(profile, gains, n, m, **out)
             if gains.ndim == 2:
                 power[3, 1, 1] = np.nan
                 power[7] = np.inf
@@ -977,8 +1019,8 @@ def test_nan_spectrum_puts_the_trial_in_outage(monkeypatch):
         cfg = small_config(u0_profile=ChannelProfile(paths=paths))
         patched = []
 
-        def with_nans(profile, gains, n, m):
-            power = spectrum(profile, gains, n, m)
+        def with_nans(profile, gains, n, m, **out):
+            power = spectrum(profile, gains, n, m, **out)
             if gains.ndim == 2:
                 assert power.shape == (8,) + copy
                 power[3, 1, 1] = np.nan

@@ -418,7 +418,8 @@ def _same_bits(a, b):
 def test_power_spectrum_keeps_the_per_trial_bits(batch, seed, log_scale):
     # the trials grouped into BLAS calls of at most SPECTRUM_CALL_MACS
     # multiply-adds give the bits of one product per trial, and a 1-trial
-    # call gives the bits of the same trial in a T-trial call
+    # call gives the bits of the same trial in a T-trial call, which leaves
+    # the first result as it was; a given output array gets the same bits
     n, m, prof, trials, k = batch
     shape = (trials, prof.num_paths) if k is None else (trials, k, prof.num_paths)
     rng = substream(seed, 0)
@@ -426,6 +427,9 @@ def test_power_spectrum_keeps_the_per_trial_bits(batch, seed, log_scale):
     gains *= 10.0 ** (log_scale * rng.random(shape))
     power = power_spectrum(prof, gains, n, m)
     assert _same_bits(power, per_trial_power_spectrum(prof, gains, n, m))
+    out = np.full(power.shape, np.nan)
+    assert power_spectrum(prof, gains, n, m, out=out) is out
+    assert _same_bits(out, power)
     for i in {0, trials // 2, trials - 1}:
         assert _same_bits(power_spectrum(prof, gains[i:i + 1], n, m), power[i:i + 1])
 
