@@ -44,14 +44,12 @@ instead of faulting new memory in.  The caller bounds each call, and with
 it the workspace.
 """
 
-import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid_channel import ChannelProfile
-from .transforms import coupling_lattice
+from .transforms import ThreadBuffers, coupling_lattice
 # Unused here: bound so that the benchmark's tracer (bench/tracing.py), which
 # wraps names where callers look them up, still finds it in this module.
 from .transforms import dense_block_circulant  # noqa: F401
@@ -136,28 +134,12 @@ def static_gram_taps(delay_taps, gains, m: int) -> np.ndarray:
     return gram_taps_from_gains(np.zeros_like(delay_taps), delay_taps, gains, 1, m)[..., 0, :]
 
 
-class _Workspace(threading.local):
-    """One thread's pivot buffers, kept across calls: flat arrays for the
-    Gram taps, the two Schur generators, their two products with the
-    reflection coefficient (the first also holds each sweep's FFT input),
-    and the prediction-error powers.  Threads never
-    share one.  Each array holds as many items as the largest call so far
-    had trial-cells; the caller bounds its calls, so a thread's workspace
-    stops growing after its first few calls."""
-
-    cells = 0
-
-    def reserve(self, cells: int) -> "_Workspace":
-        """The buffers, grown to ``cells`` items if they hold fewer."""
-        if cells > self.cells:
-            self.cells = cells
-            self.taps, self.fwd, self.bwd, self.fwd_prod, self.bwd_prod = (
-                np.empty(cells, dtype=np.complex128) for _ in range(5))
-            self.errors = np.empty(cells)
-        return self
-
-
-_WORKSPACE = _Workspace()
+# One thread's pivot buffers, kept across calls: the complex Gram taps, two
+# Schur generators and their two products with the reflection coefficient
+# (the first product also holds each sweep's FFT input), and the float
+# prediction-error powers.  Each grows to the largest call so far; the caller
+# bounds its calls, so a thread's workspace stops growing after its first few.
+_WORKSPACE = ThreadBuffers()
 
 
 def _schur_errors(r: np.ndarray, out: np.ndarray, band=None) -> None:
@@ -184,13 +166,9 @@ def _schur_errors(r: np.ndarray, out: np.ndarray, band=None) -> None:
     """
     lags = r.shape[0]
     out[0] = r[0].real
-    ws = _WORKSPACE.reserve(r.size)
     shape = (lags - 1,) + r.shape[1:]
-    size = math.prod(shape)
-    fwd = ws.fwd[:size].reshape(shape)
-    bwd = ws.bwd[:size].reshape(shape)
-    fwd_prod = ws.fwd_prod[:size].reshape(shape)
-    bwd_prod = ws.bwd_prod[:size].reshape(shape)
+    fwd, bwd, fwd_prod, bwd_prod = (_WORKSPACE.take(name, shape, np.complex128)
+                                    for name in ("fwd", "bwd", "fwd_prod", "bwd_prod"))
     np.copyto(fwd, r[1:])
     np.copyto(bwd, r[:-1])
     for p in range(1, lags):
@@ -252,17 +230,16 @@ def batch_dfe_lambdas(doppler_taps, delay_taps, gains: np.ndarray, n: int, m: in
     lattice, e, d = coupling_lattice(profile, n, m)
     band = int(np.ptp(doppler_taps)) // e  # exact: every Doppler tap is k₀ mod e
     n, m = n // e, m // d
-    trials, cells = len(gains), len(gains) * n * m
-    ws = _WORKSPACE.reserve(cells)
+    trials = len(gains)
     taps = gram_taps_from_gains(lattice.doppler_taps, lattice.delay_taps, gains, n, m,
-                                out=ws.taps[:cells].reshape(trials, n, m))
+                                out=_WORKSPACE.take("taps", (trials, n, m), np.complex128))
     # the delay sweep's errors overwrite the Doppler sweep's powers once the
     # IFFT has read them; both FFTs write into the buffer that a sweep
     # overwrites only after it has copied its input into the generators
-    powers = ws.errors[:cells].reshape(n, trials, m)
-    errors = ws.errors[:cells].reshape(m, n, trials)
-    spectra = ws.fwd_prod[:cells].reshape(trials, n, m)
-    blocks = ws.fwd_prod[:cells].reshape(n, trials, m)
+    powers = _WORKSPACE.take("errors", (n, trials, m))
+    errors = _WORKSPACE.take("errors", (m, n, trials))
+    spectra = _WORKSPACE.take("fwd_prod", (trials, n, m), np.complex128)
+    blocks = _WORKSPACE.take("fwd_prod", (n, trials, m), np.complex128)
     with np.errstate(all="ignore"):  # a singular trial's powers may be 0, < 0 or nan
         np.fft.fft(taps, axis=-1, out=spectra)
         _schur_errors(np.moveaxis(spectra, -2, 0), powers, band)

@@ -29,7 +29,7 @@ from .equalizers import (SINGULARITY_EPS, PowerAllocation, batch_dfe_lambdas,
 from .equalizers import batch_static_lambdas  # noqa: F401
 from .grid_channel import ChannelProfile, sample_gain_matrix, table1_profile
 from .rng import substream
-from .scheduling import batch_schedule, schedule_draws
+from .scheduling import batch_schedule, batch_scheduled_gains, schedule_draws, selected_gains
 from .transforms import ThreadBuffers, coupling_lattice, power_spectrum
 from .transforms import spectrum_from_taps, static_spectrum_from_taps  # noqa: F401
 
@@ -384,35 +384,17 @@ def _block_draws(cfg: ScenarioConfig, rng, trials: int):
 _SPECTRA = ThreadBuffers()
 
 
-def _channel_state(cfg: ScenarioConfig, h0, hk, draws, buffers=None):
-    """(h0, a0, ak, draws) of some trials: U0's gains and its squared
-    spectrum on one copy of its coupling lattice, (T, N/e, M/d), the static
-    users' (T, K, M) squared spectra, and the scheduler's draws, from which
-    each direction's NOMA stage schedules what it reads.  The spectra go to
-    ``buffers``' arrays "a0" and "ak" if given, a ThreadBuffers, else to new
-    arrays."""
+def _channel_state(cfg: ScenarioConfig, h0, hk):
+    """(a0, ak) of some trials' gains: U0's squared spectrum on one copy of
+    its coupling lattice, (T, N/e, M/d), and the static users' (T, K, M)
+    squared spectra, in the calling thread's buffers (_SPECTRA), which its
+    next call overwrites."""
     lattice, e, d = coupling_lattice(cfg.u0_profile, cfg.n, cfg.m)
     n, m = cfg.n // e, cfg.m // d
-    take = (lambda name, shape: None) if buffers is None else buffers.take
-    a0 = power_spectrum(lattice, h0, n, m, out=take("a0", (len(h0), n, m)))
-    ak = power_spectrum(cfg.noma_profile, hk, 1, cfg.m, out=take("ak", hk.shape[:-1] + (1, cfg.m)))
-    return h0, a0, ak[..., 0, :], draws
-
-
-def _selected_gains(ak, sel):
-    """The (T, M) squared gains of the users that ``sel``, (T, M), puts on
-    each subchannel, from the (T, K, M) spectra ``ak``."""
-    return ak[np.arange(len(sel))[:, None], sel, np.arange(ak.shape[-1])]
-
-
-def _scheduled_gains(cfg: ScenarioConfig, ak, draws):
-    """The scheduled users' (T, M) squared gains, without the selection.
-    Under per-subchannel scheduling that is each subchannel's max over the K
-    users: the gain at batch_schedule's argmax bit for bit, ties included,
-    and NaN wherever the argmax finds one."""
-    if cfg.scheduler == "per_subchannel":
-        return ak.max(axis=1)
-    return _selected_gains(ak, batch_schedule(ak, cfg.scheduler, draws, cfg.m))
+    a0 = power_spectrum(lattice, h0, n, m, out=_SPECTRA.take("a0", (len(h0), n, m)))
+    ak = power_spectrum(cfg.noma_profile, hk, 1, cfg.m,
+                        out=_SPECTRA.take("ak", hk.shape[:-1] + (1, cfg.m)))
+    return a0, ak[..., 0, :]
 
 
 def _unit_samples(cfg: ScenarioConfig, blocks) -> list:
@@ -438,20 +420,20 @@ def _unit_samples(cfg: ScenarioConfig, blocks) -> list:
 
 def _block_parts(cfg: ScenarioConfig, splits, step: int, rho: float, rng, trials: int) -> list:
     """One block's parts (``_sub_batch_part``), one per sub-batch of ``step``
-    trials, whose spectra reuse the thread's buffers.  The block's draws are
-    freed on return, before the unit's pivot calls."""
+    trials.  The block's draws are freed on return, before the unit's pivot
+    calls."""
     h0, hk, draws = _block_draws(cfg, rng, trials)
-    return [_sub_batch_part(cfg, splits, rho, *_channel_state(cfg, h0[lo:lo + step],
-                                                              hk[lo:lo + step],
-                                                              draws[lo:lo + step], _SPECTRA))
+    return [_sub_batch_part(cfg, splits, rho, h0[lo:lo + step], hk[lo:lo + step],
+                            draws[lo:lo + step])
             for lo in range(0, trials, step)]
 
 
-def _sub_batch_part(cfg: ScenarioConfig, splits, rho: float, h0, a0, ak, draws) -> tuple:
+def _sub_batch_part(cfg: ScenarioConfig, splits, rho: float, h0, hk, draws) -> tuple:
     """(ρ, U0's undecided gains, its counts and undecided mask from
-    u0_outage_counts, the NOMA users' part) of one sub-batch's channel
-    state, which no part refers to, so the next sub-batch's may overwrite
+    u0_outage_counts, the NOMA users' part) of one sub-batch's draws.  No
+    part refers to its channel state, so the next sub-batch's may overwrite
     it."""
+    a0, ak = _channel_state(cfg, h0, hk)
     noma_of = _downlink_noma if cfg.direction == "downlink" else _uplink_noma
     noma = noma_of(cfg, rho, a0, ak, draws)  # first: U0's counts overwrite a0
     counts, undecided = u0_outage_counts(cfg, rho, h0, a0, splits)
@@ -466,7 +448,7 @@ def _downlink_noma(cfg, rho, a0, ak, draws):
     power = PowerAllocation.split(cfg.gamma0_sq)
     eps0 = 2.0**cfg.rate_u0 - 1.0
     epsi = 2.0**cfg.rate_noma - 1.0
-    snr2 = rho * power.gamma1_sq * _selected_gains(ak, sel)
+    snr2 = rho * power.gamma1_sq * selected_gains(ak, sel)
     # Stage I needs all M of a user's symbols, so the worst one decides it.
     # Under FD-LE every symbol has ν = φ; under FD-DFE the largest ν is
     # 1/λ₀ = φ (see batch_static_lambdas), singular under the same rule.
@@ -506,7 +488,9 @@ def _uplink_noma(cfg, rho, a0, ak, draws):
     sinr1 = rho * a0 + 1.0
     if cols < cfg.m:  # np.tile would copy it whole
         sinr1 = np.tile(sinr1, (1, 1, cfg.m // cols))
-    np.divide((rho * _scheduled_gains(cfg, ak, draws))[:, None, :], sinr1, out=sinr1)
+    # batch_schedule is looked up here, where the benchmark's tracer wraps it
+    gains = batch_scheduled_gains(ak, cfg.scheduler, draws, cfg.m, batch_schedule)
+    np.divide((rho * gains)[:, None, :], sinr1, out=sinr1)
     sinr1 = sinr1.reshape(-1, rows, cfg.m // cols, cols)
     if cfg.rate_mode == "adaptive":
         return np.log2(1.0 + sinr1).mean(axis=(1, 2, 3))

@@ -483,7 +483,7 @@ def test_sub_batches_never_mix_trials():
     args = (prof.doppler_taps, prof.delay_taps)
 
     def in_a_fresh_thread():
-        return (*batch_dfe_lambdas(*args, gains, n, m), equalizers._WORKSPACE.cells)
+        return (*batch_dfe_lambdas(*args, gains, n, m), equalizers._WORKSPACE.taps.size)
 
     with concurrent.futures.ThreadPoolExecutor(1) as pool:
         lam, ok, cells = pool.submit(in_a_fresh_thread).result()

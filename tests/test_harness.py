@@ -23,7 +23,7 @@ from otfsnoma import cli, equalizers, harness
 from otfsnoma.equalizers import SINGULARITY_EPS
 from otfsnoma.harness import _block_draws, _channel_state, parse_config_file, parse_config_text
 from otfsnoma.rng import substream
-from otfsnoma.scheduling import batch_schedule, schedule_draws
+from otfsnoma.scheduling import batch_schedule, batch_scheduled_gains, schedule_draws
 from otfsnoma.transforms import coupling_lattice
 from oracles import (ChannelRealization, Grid, LinkConfig, UserPool, build_block_circulant,
                      build_tx_frame, diagonalize, exact_u0_outage_counts, noma_outage, noma_stage1,
@@ -526,10 +526,8 @@ class TestKernelsMatchReceivers:
         tx = build_tx_frame(grid, np.zeros((4, 4)), np.zeros((4, 4)), power)
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
             samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
-            draws = _block_draws(cfg, substream(cfg.seed, 0), self.TRIALS)
-            h0, _, ak, sched = _channel_state(cfg, *draws)
-            sel = batch_schedule(ak, cfg.scheduler, sched, cfg.m)
-            hk = draws[1]
+            h0, hk, sched = _block_draws(cfg, substream(cfg.seed, 0), self.TRIALS)
+            sel = batch_schedule(_channel_state(cfg, h0, hk)[1], cfg.scheduler, sched, cfg.m)
             link = LinkConfig(rho=rho, rate_u0=cfg.rate_u0, rate_noma=cfg.rate_noma)
             for t in range(self.TRIALS):
                 r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
@@ -553,10 +551,8 @@ class TestKernelsMatchReceivers:
         eps0, epsi = 2.0**cfg.rate_u0 - 1.0, 2.0**cfg.rate_noma - 1.0
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
             samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
-            draws = _block_draws(cfg, substream(cfg.seed, 0), self.TRIALS)
-            h0, _, ak, sched = _channel_state(cfg, *draws)
-            sel = batch_schedule(ak, cfg.scheduler, sched, cfg.m)
-            hk = draws[1]
+            h0, hk, sched = _block_draws(cfg, substream(cfg.seed, 0), self.TRIALS)
+            sel = batch_schedule(_channel_state(cfg, h0, hk)[1], cfg.scheduler, sched, cfg.m)
             for t in range(self.TRIALS):
                 r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
                 stage2_out = uplink_stage2_sinrs(r0, grid, rho, equalizer) < eps0
@@ -649,13 +645,41 @@ class TestSubBatches:
         assert bound <= harness.SUB_BATCH_CELLS // (cfg.n * cfg.m)
         assert len(calls) > 1
         assert all(0 < len(g) <= bound and (n, m) == (cfg.n, cfg.m) for g, n, m in calls)
-        h0, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(cfg.seed, 0), trials))
+        h0, a0 = _u0_state(cfg, substream(cfg.seed, 0), trials)
         undecided = _bracket_undecided(cfg, rho, h0, a0)
         assert 0 < undecided.sum() < trials
         assert np.array_equal(np.concatenate([g for g, _, _ in calls]), h0[undecided])
         assert samples.keys() == whole.keys()
         for name, values in whole.items():
             assert np.array_equal(samples[name], values), name
+
+    @pytest.mark.parametrize("overrides", [
+        dict(equalizer="le"),
+        dict(equalizer="dfe"),
+        dict(direction="uplink", scheduler="per_subchannel", equalizer="dfe"),
+        dict(direction="uplink", scheduler="random", rate_mode="adaptive"),
+    ], ids=["downlink-le", "downlink-dfe", "uplink-fixed", "uplink-adaptive"])
+    def test_stages_read_the_spectra_they_are_given(self, overrides):
+        # a sub-batch's stages overwrite its channel state as they go: U0's
+        # counts write φ's reciprocals over a0, the downlink's stage I the
+        # static users' |D̃|⁻² over ak.  Its part equals that of each stage
+        # run alone on its own copy of the state, so no stage reads what
+        # another one wrote.
+        cfg = small_config(**overrides)
+        rho, trials = 4.0, 64
+        oma = PowerAllocation.oma()
+        splits = (PowerAllocation.split(cfg.gamma0_sq), oma) if cfg.direction == "downlink" \
+            else (oma,)
+        noma_of = harness._downlink_noma if cfg.direction == "downlink" else harness._uplink_noma
+        h0, hk, draws = _block_draws(cfg, substream(cfg.seed, 0), trials)
+        a0, ak = (s.copy() for s in _channel_state(cfg, h0, hk))
+        counts, undecided = harness.u0_outage_counts(cfg, rho, h0, a0.copy(), splits)
+        noma = noma_of(cfg, rho, a0.copy(), ak.copy(), draws)
+        part = harness._sub_batch_part(cfg, splits, rho, h0, hk, draws)
+        assert 0 < undecided.sum() < trials if cfg.equalizer == "dfe" else not undecided.any()
+        assert part[0] == rho
+        for got, expected in zip(part[1:], (h0[undecided], counts, undecided, noma)):
+            assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("scheduler", harness.SCHEDULERS)
@@ -680,7 +704,7 @@ def test_scheduled_gains_are_the_selections_gains(scheduler):
     draws = schedule_draws(scheduler, rng, trials, k)
     sel = batch_schedule(ak, scheduler, draws, m)
     expected = ak[np.arange(trials)[:, None], sel, np.arange(m)]
-    gains = harness._scheduled_gains(cfg, ak, draws)
+    gains = batch_scheduled_gains(ak, scheduler, draws, m, batch_schedule)
     assert gains.shape == (trials, m)
     assert np.array_equal(gains, expected, equal_nan=True)
     number = ~np.isnan(expected)
@@ -703,7 +727,8 @@ def test_uplink_cells_broadcast_the_lattice_spectrum(rate_mode):
             (16, table1_profile(), (16, 4), True)):
         cfg = small_config(direction="uplink", scheduler="per_subchannel", rate_mode=rate_mode,
                            n=n, m=n, u0_profile=profile)
-        _, a0, ak, sched = _channel_state(cfg, *_block_draws(cfg, substream(cfg.seed, 0), trials))
+        h0, hk, sched = _block_draws(cfg, substream(cfg.seed, 0), trials)
+        a0, ak = _channel_state(cfg, h0, hk)
         assert a0.shape == (trials, *shape)
         gsel = ak[np.arange(trials)[:, None], batch_schedule(ak, cfg.scheduler, sched, cfg.m),
                   np.arange(cfg.m)]
@@ -720,6 +745,13 @@ def test_uplink_cells_broadcast_the_lattice_spectrum(rate_mode):
             cells_ok = np.count_nonzero(sinr1 >= 2.0**cfg.rate_noma - 1.0, axis=(1, 2))
             assert 0 < cells_ok.min() and cells_ok.max() == n * n
             assert np.array_equal(stage1, cells_ok)
+
+
+def _u0_state(cfg, rng, trials):
+    """A block's U0 gains and its squared lattice spectrum, a copy that
+    outlives the thread's next kernel call."""
+    h0, hk, _ = _block_draws(cfg, rng, trials)
+    return h0, _channel_state(cfg, h0, hk)[0].copy()
 
 
 def _bracket_undecided(cfg, rho, h0, a0):
@@ -824,7 +856,7 @@ class TestPivotBracket:
         # outage": neither with no slack nor without the trust bound.
         cfg = small_config(equalizer="dfe", direction="uplink", scheduler="per_subchannel")
         profile, trials, t = cfg.u0_profile, 64, 5
-        h0, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(cfg.seed, 0), trials))
+        h0, a0 = _u0_state(cfg, substream(cfg.seed, 0), trials)
         s = 0.0
         if offsets is not None:  # the offset whose pivots leave the bracket furthest
             s = harness.BRACKET_SLACK
@@ -845,7 +877,7 @@ class TestPivotBracket:
                 return gains
 
             monkeypatch.setattr(harness, "sample_gain_matrix", with_a_null)
-            h0, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(cfg.seed, 0), trials))
+            h0, a0 = _u0_state(cfg, substream(cfg.seed, 0), trials)
         lam, ok = harness.batch_dfe_lambdas(profile.doppler_taps, profile.delay_taps, h0, 8, 8)
         phi = harness.batch_noise_enhancement(a0, (-2, -1))
         if offsets is None:  # the typical trial whose pivots leave the bracket furthest
@@ -924,7 +956,7 @@ class TestWorkUnits:
             return
         undecided = []
         for rho, key, trials in unit:
-            h0, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(*key), trials))
+            h0, a0 = _u0_state(cfg, substream(*key), trials)
             undecided.append(h0[_bracket_undecided(cfg, rho, h0, a0)])
         assert all(len(u) > 0 for u in undecided)
         assert len(packed_calls) == 1 and alone_calls == len(unit)
@@ -944,7 +976,7 @@ class TestWorkUnits:
 
         def recorded(doppler_taps, delay_taps, gains, n, m):
             out = pivots(doppler_taps, delay_taps, gains, n, m)
-            calls.append((len(gains), equalizers._WORKSPACE.cells))
+            calls.append((len(gains), equalizers._WORKSPACE.taps.size))
             return out
 
         def in_a_fresh_thread(fn, *args):
@@ -960,8 +992,7 @@ class TestWorkUnits:
         sizes = in_a_fresh_thread(run_scenario, small)
         undecided = 0
         for si, snr in enumerate(small.snr_db):
-            draws = _block_draws(small, substream(small.seed, si, 0), small.trials)
-            h0, a0, *_ = _channel_state(small, *draws)
+            h0, a0 = _u0_state(small, substream(small.seed, si, 0), small.trials)
             undecided += int(_bracket_undecided(small, 10.0 ** (snr / 10.0), h0, a0).sum())
         assert sum(sizes) == undecided
         assert len(sizes) == -(-undecided // step)

@@ -369,7 +369,7 @@ def test_lattice_spectrum_is_one_copy_of_the_grid(grid, seed, log_scale):
     cfg = ScenarioConfig(direction="downlink", n=n, m=m, k_users=m, gamma0_sq=0.75,
                          rate_u0=0.5, rate_noma=1.0, equalizer="le", snr_db=(0.0,), trials=3,
                          seed=1, u0_profile=prof, noma_profile=ChannelProfile(paths=((0, 0),)))
-    _, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(seed, 1), 3))
+    a0, _ = _channel_state(cfg, *_block_draws(cfg, substream(seed, 1), 3)[:2])
     assert a0.shape == (3, rows, cols)
 
 
@@ -382,7 +382,7 @@ def test_table1_spectrum_is_one_16x4_copy():
     cfg = ScenarioConfig(direction="downlink", n=16, m=16, k_users=16, gamma0_sq=0.75,
                          rate_u0=0.5, rate_noma=1.0, equalizer="le", snr_db=(0.0,), trials=5,
                          seed=1)
-    _, a0, *_ = _channel_state(cfg, *_block_draws(cfg, substream(1, 0), 5))
+    a0, _ = _channel_state(cfg, *_block_draws(cfg, substream(1, 0), 5)[:2])
     assert a0.shape == (5, 16, 4)
 
 
