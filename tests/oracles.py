@@ -664,6 +664,117 @@ def exact_u0_outage_counts(cfg, rho: float, h0, a0, splits) -> tuple:
     return counts, np.zeros(len(h0), dtype=bool)
 
 
+def _near(x, threshold, margin: float) -> bool:
+    """Whether some finite entry of ``x`` lies within ``margin`` relative
+    of ``threshold``, where two computations of it may round apart."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return bool(np.any(np.abs(np.asarray(x, dtype=float) / threshold - 1.0) <= margin))
+
+
+def _rebuilt_nu(equalizer: str, realization: ChannelRealization, grid: Grid, power: np.ndarray,
+                margin: float) -> tuple:
+    """(ν per symbol, tied) of one channel from its |D|² on the whole grid:
+    singular, ν = inf, unless φ = mean |D|⁻² ≤ 1/SINGULARITY_EPS (so also
+    where φ is NaN); else φ under FD-LE and 1/λ of the dense Cholesky
+    pivots under FD-DFE.  ``tied`` flags a φ within ``margin`` of the rule's
+    threshold."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.mean(1.0 / power)
+    tied = _near(phi, 1.0 / SINGULARITY_EPS, margin)
+    cells = grid.n_doppler * grid.m_delay
+    if not phi <= 1.0 / SINGULARITY_EPS:
+        return np.full(cells, np.inf), tied
+    if equalizer == "le":
+        return np.full(cells, phi), tied
+    try:
+        return 1.0 / cholesky_factors(build_block_circulant(realization, grid)).lam, tied
+    except SingularChannelError:
+        return np.full(cells, np.inf), tied
+
+
+def _rebuilt_schedule(scheduler: str, diagonals: np.ndarray, draws: np.ndarray,
+                      margin: float) -> tuple:
+    """(user per subchannel, tied) from the scalar schedulers, ``tied``
+    flagging a winner whose score is within ``margin`` of the runner-up's."""
+    pool = UserPool.from_diagonals(diagonals)
+    if scheduler == "random":
+        return np.argsort(draws)[:pool.n_subchannels], False
+    gains = pool.diag_magnitudes**2
+    if scheduler == "greedy":
+        scores = np.sort(gains.min(axis=1))
+        sel = np.full(pool.n_subchannels, greedy_schedule(pool))
+    else:
+        scores = np.sort(gains, axis=0)
+        sel = per_subchannel_schedule(pool)
+    return sel, pool.k_users > 1 and _near(scores[-2], scores[-1], margin)
+
+
+def rebuilt_kernel_samples(cfg, rho: float, h0, hk, draws, margin: float) -> tuple:
+    """``scenario_kernel``'s {metric: per-trial samples} of a block rebuilt
+    trial by trial from its draws, U0's (T, P₀+1) gains, the static users'
+    (T, K, Pᵢ+1) and the scheduler's (T, ·): U0's spectrum by FFT of its
+    block-circulant operator and its FD-DFE pivots from the dense Cholesky
+    factorization, the static spectra from ``nomauser_diagonalize``, and the
+    schedules from the scalar schedulers.  Also a (T,) mask of the trials
+    with a decision within ``margin`` relative of its threshold: an outage
+    test, the singularity rule or a schedule's runner-up."""
+    grid, nm, m = Grid(cfg.n, cfg.m), cfg.n * cfg.m, cfg.m
+    eps0, epsi = 2.0**cfg.rate_u0 - 1.0, 2.0**cfg.rate_noma - 1.0
+    power, oma = PowerAllocation.split(cfg.gamma0_sq), PowerAllocation.oma()
+    rows, tied = [], np.zeros(len(h0), dtype=bool)
+    for t in range(len(h0)):
+        r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
+        p0 = np.abs(diagonalize(build_block_circulant(r0, grid)).d_values) ** 2
+        nu0, tie = _rebuilt_nu(cfg.equalizer, r0, grid, p0.ravel(), margin)
+        users = [ChannelRealization(profile=cfg.noma_profile, gains=g) for g in hk[t]]
+        dk = np.array([nomauser_diagonalize(r, grid) for r in users])
+        sel, tie_sel = _rebuilt_schedule(cfg.scheduler, dk, draws[t], margin)
+        gains = np.abs(dk[sel, np.arange(m)]) ** 2
+        u0 = {}
+        for name, split in (("u0_outage", power), ("u0_outage_oma", oma)):
+            sinr = split.sinr(rho, nu0)
+            flags = sinr < eps0
+            tie |= _near(sinr, eps0, margin)
+            u0[name], u0[name + "_first"], u0[name + "_last"] = flags.sum(), flags[0], flags[-1]
+        row = {}
+        if cfg.direction == "downlink":
+            ok1 = {}
+            for i in set(sel.tolist()):
+                nu, tie_i = _rebuilt_nu(cfg.equalizer, users[i], Grid(1, m),
+                                        np.abs(dk[i]) ** 2, margin)
+                sinr = power.sinr(rho, nu)
+                ok1[i] = bool(np.all(sinr >= eps0))
+                tie |= tie_i or _near(sinr, eps0, margin)
+            snr2 = rho * power.gamma1_sq * gains
+            tie |= _near(snr2, epsi, margin)
+            noma = np.mean([not (ok1[i] and s >= epsi) for i, s in zip(sel, snr2)])
+            for name in ("u0_outage", "u0_outage_oma"):
+                row[name] = u0[name] / nm
+                row[name + "_first"], row[name + "_last"] = u0[name + "_first"], u0[name + "_last"]
+            row["noma_outage"] = noma
+            row["outage_sum_rate_noma"] = (cfg.rate_u0 * (1.0 - row["u0_outage"])
+                                           + cfg.rate_noma * (1.0 - noma))
+            row["outage_sum_rate_oma"] = cfg.rate_u0 * (1.0 - row["u0_outage_oma"])
+        else:
+            sinr1 = rho * gains / (rho * p0 + 1.0)  # (N, M) cells, subchannel l's gain on column l
+            stage2 = u0["u0_outage_oma"]
+            if cfg.rate_mode == "adaptive":
+                row["ergodic_rate_gain"] = np.log2(1.0 + sinr1).mean()
+                row["u0_outage"] = stage2 / nm
+            else:
+                tie |= _near(sinr1, epsi, margin)
+                cells = np.count_nonzero(sinr1 >= epsi)
+                row["noma_outage"] = 1.0 - cells / nm
+                row["u0_outage"] = 1.0 - (nm - stage2 if cells == nm else 0) / nm
+                row["u0_outage_stage2"] = stage2 / nm
+                row["outage_sum_rate_noma"] = (cfg.rate_u0 * (1.0 - row["u0_outage"])
+                                               + cfg.rate_noma * (1.0 - row["noma_outage"]))
+                row["outage_sum_rate_oma"] = cfg.rate_u0 * (1.0 - row["u0_outage_stage2"])
+        rows.append(row)
+        tied[t] = tie or tie_sel
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}, tied
+
+
 def noma_outage(stage1_sinrs: np.ndarray, stage2_snr: float, link: LinkConfig) -> bool:
     """Joint SIC outage: success needs stage-II SNR ≥ ε_i AND every stage-I
     SINR ≥ ε₀; the flag is the complement, so a user is in outage iff some
