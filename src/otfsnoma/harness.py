@@ -46,8 +46,9 @@ MAX_SNR_DB = 3000.0  # bound on every |SNR|, of configs and formulas: ρ is a fi
 # calls and units instead of being returned to the system and faulted in
 # again.  A sub-batch's spectra are kept the same way (_SPECTRA, and
 # power_spectrum's scratch): 8 B per trial-cell for the powers of U0's
-# lattice and of the static users, 16 B for the complex spectra, and 16·P B
-# per Doppler row of U0's lattice.
+# lattice (twice on the uplink, for φ's reciprocals) and of the static
+# users, 16 B for the complex spectra, and 16·P B per Doppler row of U0's
+# lattice.
 SUB_BATCH_CELLS = 1 << 16
 
 # The size rule of every scenario: n·m and k_users·m, a trial's U0 and
@@ -272,16 +273,19 @@ def parse_config_file(path) -> ScenarioConfig:
 #
 #  A work unit is a run of consecutive blocks (_work_units).  Each block first
 #  takes every random number of its own, in a fixed order (_block_draws).  It
-#  then computes the channel state (_channel_state: the spectra), U0's
-#  bracket verdicts and the NOMA users' share of the samples, each direction
-#  scheduling only what it reads (_downlink_noma, _uplink_noma), on
-#  sub-batches of about SUB_BATCH_CELLS trial-cells, so its working memory
-#  does not grow with the block.  Only U0's FD-DFE trials that the bracket
-#  leaves undecided wait for the end of the unit: their gains are gathered
-#  across its blocks, each trial with its own ρ, and get their pivots in calls
-#  of at most one sub-batch's trials (_pivot_undecided).  Then each block's
-#  samples are formed.  Each trial's samples depend on its own draws and ρ
-#  alone, so they keep their bits whatever the sub-batch size and the unit.
+#  then works through sub-batches of about SUB_BATCH_CELLS trial-cells, so its
+#  working memory does not grow with the block.  ρ enters a trial only through
+#  Lemma 1's SINR, so each sub-batch first takes its ρ-free statistics
+#  (_statistics: the spectra, the schedule, φ), each direction scheduling only
+#  what it reads, and then evaluates them at the block's ρ (_evaluate: U0's
+#  bracket verdicts and the NOMA users' SIC), which only reads them.  The
+#  block joins its sub-batches' parts in trial order (_block_part).  Only U0's
+#  FD-DFE trials that the bracket leaves undecided wait for the end of the
+#  unit: their gains are gathered across its blocks, each trial with its own
+#  ρ, and get their pivots in calls of at most one sub-batch's trials
+#  (_pivot_undecided).  Then each block's samples are formed.  Each trial's
+#  samples depend on its own draws and ρ alone, so they keep their bits
+#  whatever the sub-batch size and the unit.
 #
 #  Every receiver sees its equalizer through one value ν per symbol: the
 #  FD-LE φ, one per channel, or the FD-DFE 1/λ, one per symbol, with ν = inf
@@ -303,15 +307,14 @@ def parse_config_file(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> tuple:
+def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, phi, splits) -> tuple:
     """U0's outage SINR < ε₀ under each of ``splits``, as far as its bracket
-    decides it, from its (T, P+1) gains and its eigenvalue powers on one
-    lattice copy, (T, N/e, M/d) (``_channel_state``).  Returns an integer
-    array (splits, 3, T): per split, the count of its NM symbols in outage
-    and the flags of its first and last symbols; and the (T,) mask of the
-    trials that some split leaves undecided, whose three entries are
-    placeholders until their exact pivots fill them in (``_pivot_counts``).
-    φ's reciprocals overwrite ``a0``.
+    decides it, from its (T, P+1) gains and its (T,) FD-LE φ
+    (``_statistics``).  Returns an integer array (splits, 3, T): per split,
+    the count of its NM symbols in outage and the flags of its first and
+    last symbols; and the (T,) mask of the trials that some split leaves
+    undecided, whose three entries are placeholders until their exact
+    pivots fill them in (``_pivot_counts``).
 
     Every ν of a trial lies in a bracket [lo, hi], and the flag only grows
     with ν, also in floating point: so no symbol is in outage if the flag is
@@ -323,7 +326,7 @@ def u0_outage_counts(cfg: ScenarioConfig, rho: float, h0, a0, splits) -> tuple:
     count keeps the bits of the exact pivots.
     """
     eps0 = 2.0**cfg.rate_u0 - 1.0
-    lo = hi = phi = batch_noise_enhancement(a0, (-2, -1), out=a0)
+    lo = hi = phi
     trusted = clear = True
     with np.errstate(all="ignore"):  # φ is inf on a singular trial, 0 on all-inf powers
         if cfg.equalizer == "dfe":
@@ -355,7 +358,7 @@ def _pivot_counts(cfg: ScenarioConfig, rho, h0, splits) -> np.ndarray:
 
 def _pivot_undecided(cfg: ScenarioConfig, splits, parts, step: int) -> None:
     """Fill in U0's undecided trials in ``parts``, (ρ, undecided gains,
-    counts, undecided mask, ·) per sub-batch, from their exact pivots.  The
+    counts, undecided mask, ·) per block, from their exact pivots.  The
     trials are gathered in order across the parts, each with its part's ρ,
     and pivoted in calls of at most ``step`` trials, so the pivots' workspace
     stays within one sub-batch's lattice cells."""
@@ -380,83 +383,98 @@ def _block_draws(cfg: ScenarioConfig, rng, trials: int):
     return h0, hk, schedule_draws(cfg.scheduler, rng, trials, cfg.k_users)
 
 
-# Each thread's sub-batch spectra (_channel_state), kept from one sub-batch to the next.
-_SPECTRA = ThreadBuffers()
-
-
-def _channel_state(cfg: ScenarioConfig, h0, hk):
-    """(a0, ak) of some trials' gains: U0's squared spectrum on one copy of
-    its coupling lattice, (T, N/e, M/d), and the static users' (T, K, M)
-    squared spectra, in the calling thread's buffers (_SPECTRA), which its
-    next call overwrites."""
-    lattice, e, d = coupling_lattice(cfg.u0_profile, cfg.n, cfg.m)
-    n, m = cfg.n // e, cfg.m // d
-    a0 = power_spectrum(lattice, h0, n, m, out=_SPECTRA.take("a0", (len(h0), n, m)))
-    ak = power_spectrum(cfg.noma_profile, hk, 1, cfg.m,
-                        out=_SPECTRA.take("ak", hk.shape[:-1] + (1, cfg.m)))
-    return a0, ak[..., 0, :]
-
-
 def _unit_samples(cfg: ScenarioConfig, blocks) -> list:
     """Each of ``blocks``' samples, (ρ, rng, trials) triples, in order: one
-    {metric: per-trial samples} dict per block.  A block is drawn, then
-    computed on sub-batches of at most SUB_BATCH_CELLS // (max(N, K)·M)
-    trials, sized by the larger of U0's N×M and the static users' K×M
-    arrays; U0's undecided trials get their pivots once the unit's blocks
-    are computed, and each block's samples are joined in trial order."""
+    {metric: per-trial samples} dict per block.  Each block is computed on
+    sub-batches of at most SUB_BATCH_CELLS // (max(N, K)·M) trials, sized by
+    the larger of U0's N×M and the static users' K×M arrays (_block_part);
+    U0's undecided trials get their pivots once the unit's blocks are
+    computed."""
     downlink = cfg.direction == "downlink"
     oma = PowerAllocation.oma()
     splits = (PowerAllocation.split(cfg.gamma0_sq), oma) if downlink else (oma,)
     step = SUB_BATCH_CELLS // (max(cfg.n, cfg.k_users) * cfg.m)
-    held = [_block_parts(cfg, splits, step, *block) for block in blocks]
-    _pivot_undecided(cfg, splits, [p for parts in held for p in parts], step)
+    parts = [_block_part(cfg, splits, step, *block) for block in blocks]
+    _pivot_undecided(cfg, splits, parts, step)
     samples_of = _downlink_samples if downlink else _uplink_samples
-    out = []
-    for parts in held:
-        samples = [samples_of(cfg, counts, noma) for _, _, counts, _, noma in parts]
-        out.append({name: np.concatenate([s[name] for s in samples]) for name in samples[0]})
-    return out
+    return [samples_of(cfg, counts, noma) for _, _, counts, _, noma in parts]
 
 
-def _block_parts(cfg: ScenarioConfig, splits, step: int, rho: float, rng, trials: int) -> list:
-    """One block's parts (``_sub_batch_part``), one per sub-batch of ``step``
-    trials.  The block's draws are freed on return, before the unit's pivot
-    calls."""
+def _block_part(cfg: ScenarioConfig, splits, step: int, rho: float, rng, trials: int) -> tuple:
+    """(ρ, U0's undecided gains, its counts and undecided mask, the NOMA
+    users' part) of one block: each sub-batch of ``step`` trials evaluated
+    at ρ (``_evaluate``) on its statistics, joined in trial order.  The
+    block's draws are freed on return, before the unit's pivot calls."""
     h0, hk, draws = _block_draws(cfg, rng, trials)
-    return [_sub_batch_part(cfg, splits, rho, h0[lo:lo + step], hk[lo:lo + step],
-                            draws[lo:lo + step])
+    subs = [_evaluate(cfg, splits, rho, h0[lo:lo + step],
+                      _statistics(cfg, h0[lo:lo + step], hk[lo:lo + step], draws[lo:lo + step]))
             for lo in range(0, trials, step)]
-
-
-def _sub_batch_part(cfg: ScenarioConfig, splits, rho: float, h0, hk, draws) -> tuple:
-    """(ρ, U0's undecided gains, its counts and undecided mask from
-    u0_outage_counts, the NOMA users' part) of one sub-batch's draws.  No
-    part refers to its channel state, so the next sub-batch's may overwrite
-    it."""
-    a0, ak = _channel_state(cfg, h0, hk)
-    noma_of = _downlink_noma if cfg.direction == "downlink" else _uplink_noma
-    noma = noma_of(cfg, rho, a0, ak, draws)  # first: U0's counts overwrite a0
-    counts, undecided = u0_outage_counts(cfg, rho, h0, a0, splits)
+    counts, undecided, noma = (np.concatenate(x, axis=-1) for x in zip(*subs))
     return rho, h0[undecided], counts, undecided, noma
 
 
-def _downlink_noma(cfg, rho, a0, ak, draws):
-    """The scheduled NOMA users' share of subchannels in outage, (T,): their
-    two-stage SIC, stage I (decode U0) then stage II (own symbol).  The
-    static users' spectra ``ak`` are overwritten."""
-    sel = batch_schedule(ak, cfg.scheduler, draws, cfg.m)  # stage I reads the selection's verdicts
-    power = PowerAllocation.split(cfg.gamma0_sq)
-    eps0 = 2.0**cfg.rate_u0 - 1.0
-    epsi = 2.0**cfg.rate_noma - 1.0
-    snr2 = rho * power.gamma1_sq * selected_gains(ak, sel)
+# Each thread's sub-batch statistics (_statistics), kept from one sub-batch to the next.
+_SPECTRA = ThreadBuffers()
+
+
+def _statistics(cfg: ScenarioConfig, h0, hk, draws) -> tuple:
+    """The ρ-free statistics (φ, gains, x) of some trials' draws: U0's (T,)
+    FD-LE φ, the scheduled NOMA users' (T, M) squared gains, and what their
+    stage I reads besides: on the downlink their (T, M) ν, on the uplink
+    U0's squared spectrum on one copy of its coupling lattice,
+    (T, N/e, M/d).  They live in the calling thread's buffers (_SPECTRA),
+    which only its next call overwrites."""
+    lattice, e, d = coupling_lattice(cfg.u0_profile, cfg.n, cfg.m)
+    n, m = cfg.n // e, cfg.m // d
+    a0 = power_spectrum(lattice, h0, n, m, out=_SPECTRA.take("a0", (len(h0), n, m)))
+    ak = power_spectrum(cfg.noma_profile, hk, 1, cfg.m,
+                        out=_SPECTRA.take("ak", hk.shape[:-1] + (1, cfg.m)))[..., 0, :]
+    if cfg.direction == "uplink":  # its stage I reads a0, so φ's reciprocals go elsewhere
+        phi = batch_noise_enhancement(a0, (-2, -1), out=_SPECTRA.take("inv_a0", a0.shape))
+        # batch_schedule is looked up here, where the benchmark's tracer wraps it
+        return phi, batch_scheduled_gains(ak, cfg.scheduler, draws, cfg.m, batch_schedule), a0
+    sel = batch_schedule(ak, cfg.scheduler, draws, cfg.m)  # stage I reads the selection's ν
+    gains = selected_gains(ak, sel)
     # Stage I needs all M of a user's symbols, so the worst one decides it.
     # Under FD-LE every symbol has ν = φ; under FD-DFE the largest ν is
-    # 1/λ₀ = φ (see batch_static_lambdas), singular under the same rule.
-    # The spectra are read for the last time: |D̃|⁻² overwrites them.
-    ok1_user = power.sinr(rho, batch_noise_enhancement(ak, -1, out=ak)) >= eps0  # (T, K)
-    ok1_sel = np.take_along_axis(ok1_user, sel, axis=1)
-    noma_out = ~(ok1_sel & (snr2 >= epsi))  # (T, M); constant over the N symbols
-    return np.count_nonzero(noma_out, axis=1) / cfg.m
+    # 1/λ₀ = φ (see :mod:`equalizers`), singular under the same rule.  The
+    # gains are read, so |D̃|⁻² may overwrite the spectra.
+    nu = batch_noise_enhancement(ak, -1, out=ak)  # (T, K)
+    phi = batch_noise_enhancement(a0, (-2, -1), out=a0)
+    return phi, gains, np.take_along_axis(nu, sel, axis=1)
+
+
+def _evaluate(cfg: ScenarioConfig, splits, rho: float, h0, stats) -> tuple:
+    """(U0's counts and undecided mask from ``u0_outage_counts``, the NOMA
+    users' part) of some trials at ρ, from their (T, P+1) gains and their
+    ``_statistics``, which it only reads.  The part is (T,): on the
+    downlink the scheduled users' share of subchannels in outage, by their
+    two-stage SIC, stage I (decode U0) then stage II (own symbol); on the
+    uplink their stage I, the ergodic rate gain under adaptive rates, else
+    the count of cells whose SINR reaches ε_i."""
+    phi, gains, x = stats
+    counts, undecided = u0_outage_counts(cfg, rho, h0, phi, splits)
+    epsi = 2.0**cfg.rate_noma - 1.0
+    if cfg.direction == "downlink":
+        power = splits[0]  # the NOMA split
+        ok1 = power.sinr(rho, x) >= 2.0**cfg.rate_u0 - 1.0
+        noma_out = ~(ok1 & (rho * power.gamma1_sq * gains >= epsi))  # constant over the N symbols
+        return counts, undecided, np.count_nonzero(noma_out, axis=1) / cfg.m
+    # cell (k, l = j·M/d + l′) of the N/e rows of one lattice copy, with
+    # U0's power x[k, l′] and subchannel l's gain: ρ·x + 1 is tiled along
+    # delay to (T, N/e, M) whole rows, and ρ·g divides into it in place, the
+    # same quotient per cell; the other N − N/e rows repeat these e times.
+    # Viewed as (T, N/e, d, M/d), at e = 1 this is the (T, N, M) order, so
+    # the adaptive mean sums in that order.
+    rows, cols = x.shape[1:]
+    sinr1 = rho * x + 1.0
+    if cols < cfg.m:  # np.tile would copy it whole
+        sinr1 = np.tile(sinr1, (1, 1, cfg.m // cols))
+    np.divide((rho * gains)[:, None, :], sinr1, out=sinr1)
+    sinr1 = sinr1.reshape(-1, rows, cfg.m // cols, cols)
+    if cfg.rate_mode == "adaptive":
+        return counts, undecided, np.log2(1.0 + sinr1).mean(axis=(1, 2, 3))
+    return counts, undecided, np.count_nonzero(sinr1 >= epsi, axis=(1, 2, 3)) * (cfg.n // rows)
 
 
 def _downlink_samples(cfg, counts, noma_frac) -> dict:
@@ -472,29 +490,6 @@ def _downlink_samples(cfg, counts, noma_frac) -> dict:
                                        + cfg.rate_noma * (1.0 - noma_frac))
     samples["outage_sum_rate_oma"] = cfg.rate_u0 * (1.0 - samples["u0_outage_oma"])
     return samples
-
-
-def _uplink_noma(cfg, rho, a0, ak, draws):
-    """The scheduled NOMA users' uplink stage I, (T,): their ergodic rate
-    gain under adaptive rates, else the count of cells whose SINR reaches
-    ε_i."""
-    # cell (k, l = j·M/d + l′) of the N/e rows of one lattice copy, with
-    # U0's power a0[k, l′] and subchannel l's gain: ρ·a0 + 1 is tiled along
-    # delay to (T, N/e, M) whole rows, and ρ·g divides into it in place, the
-    # same quotient per cell; the other N − N/e rows repeat these e times.
-    # Viewed as (T, N/e, d, M/d), at e = 1 this is the (T, N, M) order, so
-    # the adaptive mean sums in that order.
-    rows, cols = a0.shape[1:]
-    sinr1 = rho * a0 + 1.0
-    if cols < cfg.m:  # np.tile would copy it whole
-        sinr1 = np.tile(sinr1, (1, 1, cfg.m // cols))
-    # batch_schedule is looked up here, where the benchmark's tracer wraps it
-    gains = batch_scheduled_gains(ak, cfg.scheduler, draws, cfg.m, batch_schedule)
-    np.divide((rho * gains)[:, None, :], sinr1, out=sinr1)
-    sinr1 = sinr1.reshape(-1, rows, cfg.m // cols, cols)
-    if cfg.rate_mode == "adaptive":
-        return np.log2(1.0 + sinr1).mean(axis=(1, 2, 3))
-    return np.count_nonzero(sinr1 >= 2.0**cfg.rate_noma - 1.0, axis=(1, 2, 3)) * (cfg.n // rows)
 
 
 def _uplink_samples(cfg, counts, stage1) -> dict:

@@ -647,16 +647,17 @@ def noma_stage2(realization: ChannelRealization, grid: Grid, rho: float,
     return float(rho * gamma1_sq * np.abs(d[user_index - 1]) ** 2)
 
 
-def exact_u0_outage_counts(cfg, rho: float, h0, a0, splits) -> tuple:
+def exact_u0_outage_counts(cfg, rho: float, h0, phi, splits) -> tuple:
     """U0's outage count and first and last flags under each of ``splits``,
-    (splits, 3, T), reduced from every symbol's flag with every trial's ν
-    from ``user_noise_enhancement``, and a mask that leaves no trial
-    undecided: under FD-DFE, the pivots of every trial, where
-    ``harness.u0_outage_counts`` decides most trials from the bracket
-    [1/φ, Σ|h_p|²], gathers the rest for the unit's pivot calls, and must
-    give the same bits."""
+    (splits, 3, T), reduced from every symbol's flag with every trial's ν,
+    its (T,) FD-LE φ or its FD-DFE pivots from ``user_noise_enhancement``,
+    and a mask that leaves no trial undecided: under FD-DFE, the pivots of
+    every trial, where ``harness.u0_outage_counts`` decides most trials from
+    the bracket [1/φ, Σ|h_p|²], gathers the rest for the unit's pivot calls,
+    and must give the same bits."""
     eps0 = 2.0**cfg.rate_u0 - 1.0
-    nu = user_noise_enhancement(cfg.equalizer, cfg.u0_profile, h0, a0, cfg.n, cfg.m)
+    nu = phi[:, None] if cfg.equalizer == "le" else \
+        user_noise_enhancement("dfe", cfg.u0_profile, h0, None, cfg.n, cfg.m)
     with np.errstate(divide="ignore"):  # the OMA SINR at FD-LE's φ = 0 (all-inf powers)
         flags = [np.broadcast_to(split.sinr(rho, nu) < eps0, (len(h0), cfg.n * cfg.m))
                  for split in splits]

@@ -21,10 +21,10 @@ from otfsnoma import (ChannelProfile, ConfigError, CurvePoint, EstimatorUndefine
                       read_csv_points, run_scenario, table1_profile)
 from otfsnoma import cli, equalizers, harness
 from otfsnoma.equalizers import SINGULARITY_EPS
-from otfsnoma.harness import _block_draws, _channel_state, parse_config_file, parse_config_text
+from otfsnoma.harness import _block_draws, parse_config_file, parse_config_text
 from otfsnoma.rng import substream
 from otfsnoma.scheduling import batch_schedule, batch_scheduled_gains, schedule_draws
-from otfsnoma.transforms import coupling_lattice
+from otfsnoma.transforms import coupling_lattice, power_spectrum
 from oracles import (ChannelRealization, Grid, LinkConfig, UserPool, build_block_circulant,
                      build_tx_frame, diagonalize, exact_u0_outage_counts, noma_outage, noma_stage1,
                      noma_stage2, nomauser_diagonalize, per_subchannel_schedule, scenario_kernel,
@@ -527,7 +527,7 @@ class TestKernelsMatchReceivers:
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
             samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
             h0, hk, sched = _block_draws(cfg, substream(cfg.seed, 0), self.TRIALS)
-            sel = batch_schedule(_channel_state(cfg, h0, hk)[1], cfg.scheduler, sched, cfg.m)
+            sel = batch_schedule(_spectra(cfg, h0, hk)[1], cfg.scheduler, sched, cfg.m)
             link = LinkConfig(rho=rho, rate_u0=cfg.rate_u0, rate_noma=cfg.rate_noma)
             for t in range(self.TRIALS):
                 r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
@@ -552,7 +552,7 @@ class TestKernelsMatchReceivers:
         for rho in (1.0, 2.0, 4.0, 8.0):  # 0-9 dB: both outcomes occur
             samples = scenario_kernel(cfg, rho, substream(cfg.seed, 0), self.TRIALS)
             h0, hk, sched = _block_draws(cfg, substream(cfg.seed, 0), self.TRIALS)
-            sel = batch_schedule(_channel_state(cfg, h0, hk)[1], cfg.scheduler, sched, cfg.m)
+            sel = batch_schedule(_spectra(cfg, h0, hk)[1], cfg.scheduler, sched, cfg.m)
             for t in range(self.TRIALS):
                 r0 = ChannelRealization(profile=cfg.u0_profile, gains=h0[t])
                 stage2_out = uplink_stage2_sinrs(r0, grid, rho, equalizer) < eps0
@@ -574,6 +574,7 @@ class TestSubBatches:
 
     TRIALS = 100
     SINGULAR = 42  # equal gains on U0's delays 2 and 6 null every odd delay bin of M = 8
+    LATTICE = ChannelProfile(paths=((1, 0), (1, 2), (1, 4), (5, 6)))  # e = 2, d = 4 on 8×8
 
     @pytest.mark.parametrize("overrides", [
         dict(equalizer="le"),
@@ -656,27 +657,39 @@ class TestSubBatches:
     @pytest.mark.parametrize("overrides", [
         dict(equalizer="le"),
         dict(equalizer="dfe"),
-        dict(direction="uplink", scheduler="per_subchannel", equalizer="dfe"),
-        dict(direction="uplink", scheduler="random", rate_mode="adaptive"),
+        dict(direction="uplink", scheduler="per_subchannel", equalizer="dfe", u0_profile=LATTICE),
+        dict(direction="uplink", scheduler="random", rate_mode="adaptive", u0_profile=LATTICE),
     ], ids=["downlink-le", "downlink-dfe", "uplink-fixed", "uplink-adaptive"])
     def test_stages_read_the_spectra_they_are_given(self, overrides):
-        # a sub-batch's stages overwrite its channel state as they go: U0's
-        # counts write φ's reciprocals over a0, the downlink's stage I the
-        # static users' |D̃|⁻² over ak.  Its part equals that of each stage
-        # run alone on its own copy of the state, so no stage reads what
-        # another one wrote.
+        # _statistics alone writes the thread's buffers.  _evaluate reads U0's
+        # gains and the statistics only, so it runs with every one of them
+        # read-only, leaves each equal to its copy, and gives the block's
+        # part.  The statistics are (T,) φ, (T, M) scheduled gains, and the
+        # downlink's (T, M) stage-I ν or the uplink's (T, N/e, M/d) lattice
+        # powers (e = 2, d = 4 here): no (T, N, M) U0 array and no (T, K, M)
+        # static array leaves _statistics.
         cfg = small_config(**overrides)
         rho, trials = 4.0, 64
         oma = PowerAllocation.oma()
-        splits = (PowerAllocation.split(cfg.gamma0_sq), oma) if cfg.direction == "downlink" \
-            else (oma,)
-        noma_of = harness._downlink_noma if cfg.direction == "downlink" else harness._uplink_noma
+        downlink = cfg.direction == "downlink"
+        splits = (PowerAllocation.split(cfg.gamma0_sq), oma) if downlink else (oma,)
         h0, hk, draws = _block_draws(cfg, substream(cfg.seed, 0), trials)
-        a0, ak = (s.copy() for s in _channel_state(cfg, h0, hk))
-        counts, undecided = harness.u0_outage_counts(cfg, rho, h0, a0.copy(), splits)
-        noma = noma_of(cfg, rho, a0.copy(), ak.copy(), draws)
-        part = harness._sub_batch_part(cfg, splits, rho, h0, hk, draws)
+        stats = harness._statistics(cfg, h0, hk, draws)
+        _, e, d = coupling_lattice(cfg.u0_profile, cfg.n, cfg.m)
+        assert downlink or e * d == 8
+        x = (trials, cfg.m) if downlink else (trials, cfg.n // e, cfg.m // d)
+        assert [s.shape for s in stats] == [(trials,), (trials, cfg.m), x]
+        arrays = (h0, *stats)
+        copies = [a.copy() for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False
+        counts, undecided, noma = harness._evaluate(cfg, splits, rho, h0, stats)
+        for a, copy in zip(arrays, copies):
+            assert np.array_equal(a, copy, equal_nan=True)
         assert 0 < undecided.sum() < trials if cfg.equalizer == "dfe" else not undecided.any()
+        step = harness.SUB_BATCH_CELLS // (max(cfg.n, cfg.k_users) * cfg.m)
+        assert step >= trials  # so the block below is one sub-batch, these draws
+        part = harness._block_part(cfg, splits, step, rho, substream(cfg.seed, 0), trials)
         assert part[0] == rho
         for got, expected in zip(part[1:], (h0[undecided], counts, undecided, noma)):
             assert np.array_equal(got, expected)
@@ -728,13 +741,14 @@ def test_uplink_cells_broadcast_the_lattice_spectrum(rate_mode):
         cfg = small_config(direction="uplink", scheduler="per_subchannel", rate_mode=rate_mode,
                            n=n, m=n, u0_profile=profile)
         h0, hk, sched = _block_draws(cfg, substream(cfg.seed, 0), trials)
-        a0, ak = _channel_state(cfg, h0, hk)
+        stats = harness._statistics(cfg, h0, hk, sched)
+        a0, ak = stats[2], _spectra(cfg, h0, hk)[1]
         assert a0.shape == (trials, *shape)
         gsel = ak[np.arange(trials)[:, None], batch_schedule(ak, cfg.scheduler, sched, cfg.m),
                   np.arange(cfg.m)]
         sinr1 = rho * gsel[:, None, :] / (rho * np.tile(a0, (1, n // shape[0], n // shape[1]))
                                           + 1.0)
-        stage1 = harness._uplink_noma(cfg, rho, a0, ak, sched)
+        stage1 = harness._evaluate(cfg, (PowerAllocation.oma(),), rho, h0, stats)[2]
         if rate_mode == "adaptive":
             rate = np.log2(1.0 + sinr1).mean(axis=(1, 2))
             if exact:
@@ -747,11 +761,19 @@ def test_uplink_cells_broadcast_the_lattice_spectrum(rate_mode):
             assert np.array_equal(stage1, cells_ok)
 
 
+def _spectra(cfg, h0, hk):
+    """(a0, ak) of some trials' gains, in arrays of their own: U0's squared
+    spectrum on one copy of its coupling lattice, (T, N/e, M/d), and the
+    static users' (T, K, M) squared spectra."""
+    lattice, e, d = coupling_lattice(cfg.u0_profile, cfg.n, cfg.m)
+    a0 = power_spectrum(lattice, h0, cfg.n // e, cfg.m // d)
+    return a0, power_spectrum(cfg.noma_profile, hk, 1, cfg.m)[..., 0, :]
+
+
 def _u0_state(cfg, rng, trials):
-    """A block's U0 gains and its squared lattice spectrum, a copy that
-    outlives the thread's next kernel call."""
+    """A block's U0 gains and its squared lattice spectrum."""
     h0, hk, _ = _block_draws(cfg, rng, trials)
-    return h0, _channel_state(cfg, h0, hk)[0].copy()
+    return h0, _spectra(cfg, h0, hk)[0]
 
 
 def _bracket_undecided(cfg, rho, h0, a0):

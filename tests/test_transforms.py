@@ -12,7 +12,7 @@ from otfsnoma import ChannelProfile, table1_profile
 from otfsnoma.grid_channel import sample_gain_matrix
 from otfsnoma.rng import substream
 from otfsnoma.equalizers import batch_noise_enhancement
-from otfsnoma.harness import ScenarioConfig, _block_draws, _channel_state
+from otfsnoma.harness import ScenarioConfig, _block_draws, _statistics
 from otfsnoma.transforms import (coupling_lattice, power_spectrum, spectrum_from_taps,
                                  static_spectrum_from_taps)
 from oracles import (ChannelRealization, Domain, DomainMismatchError, Frame, Grid,
@@ -366,10 +366,10 @@ def test_lattice_spectrum_is_one_copy_of_the_grid(grid, seed, log_scale):
     assert np.array_equal(np.isinf(phi), np.isinf(phi_full))
     finite = np.isfinite(phi)
     assert (np.abs(phi[finite] / phi_full[finite] - 1.0) <= 1e-12).all()
-    cfg = ScenarioConfig(direction="downlink", n=n, m=m, k_users=m, gamma0_sq=0.75,
+    cfg = ScenarioConfig(direction="uplink", n=n, m=m, k_users=m, gamma0_sq=0.75,
                          rate_u0=0.5, rate_noma=1.0, equalizer="le", snr_db=(0.0,), trials=3,
                          seed=1, u0_profile=prof, noma_profile=ChannelProfile(paths=((0, 0),)))
-    a0, _ = _channel_state(cfg, *_block_draws(cfg, substream(seed, 1), 3)[:2])
+    a0 = _statistics(cfg, *_block_draws(cfg, substream(seed, 1), 3))[2]  # the uplink's U0 powers
     assert a0.shape == (3, rows, cols)
 
 
@@ -379,10 +379,10 @@ def test_table1_spectrum_is_one_16x4_copy():
     lattice, e, d = coupling_lattice(table1_profile(), 16, 16)
     assert (e, d) == (1, 4)
     assert lattice == ChannelProfile(paths=((0, 0), (1, 0), (2, 1), (3, 1)))
-    cfg = ScenarioConfig(direction="downlink", n=16, m=16, k_users=16, gamma0_sq=0.75,
+    cfg = ScenarioConfig(direction="uplink", n=16, m=16, k_users=16, gamma0_sq=0.75,
                          rate_u0=0.5, rate_noma=1.0, equalizer="le", snr_db=(0.0,), trials=5,
                          seed=1)
-    a0, _ = _channel_state(cfg, *_block_draws(cfg, substream(1, 0), 5)[:2])
+    a0 = _statistics(cfg, *_block_draws(cfg, substream(1, 0), 5))[2]  # the uplink's U0 powers
     assert a0.shape == (5, 16, 4)
 
 
